@@ -55,10 +55,13 @@ BATTERY = [
     # classical side
     ["classical", "lemma2", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--points", "5"],
     ["classical", "lemma2", "--algebra", "so:5", "--points", "5"],
+    ["classical", "lemma2", "--algebra", "so:8"],
+    ["classical", "lemma2", "--algebra", "sp:2"],
     ["classical", "duality", "--algebra", "gl:2", "--M", "2", "--k", "1", "--seeds", "5"],
     ["classical", "duality", "--algebra", "gl:3", "--M", "3", "--k", "1", "--seeds", "5"],
     ["classical", "tangent", "--algebra", "gl:3", "--A", "diag:1,1,0"],
     ["classical", "tangent", "--algebra", "gl:3", "--A", "diag:1,2,0"],
+    ["classical", "tangent", "--algebra", "gl:5", "--A", "diag:1,2,0,0,0"],
     ["expand", "--algebra", "gl:2", "--M", "2", "--A", "diag:1,2"],
     ["rank", "--algebra", "gl:2", "--A", "diag:1,2"],
 ]

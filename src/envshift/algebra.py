@@ -131,6 +131,23 @@ class AlgebraSpec:
     def generator_ids(self) -> dict:
         return {pair: k for k, pair in enumerate(self.canonical_generators)}
 
+    @cached_property
+    def coordinate_pattern(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(row, col, sign, generator id) per nonzero entry of X = sum_g x_g P_g.
+
+        P_g is the 0/+-1 pattern of the coordinate x_g in the matrix of
+        coordinate functions.  It differs from ``defining_matrix`` only on the
+        self-paired sp generators X[i,-i], whose defining matrix is 2 E[i,-i].
+        """
+        out = []
+        for i in self.index_set:
+            for j in self.index_set:
+                sign, pair = self.canonicalize_pair(i, j)
+                if pair is not None:
+                    out.append((self.position(i), self.position(j), sign,
+                                self.generator_ids[pair]))
+        return tuple(out)
+
     @property
     def dim(self) -> int:
         return len(self.canonical_generators)

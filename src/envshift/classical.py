@@ -3,7 +3,8 @@
 Coordinate functions are indexed by the same canonical generators as the
 quantum side.  This module provides Lie-Poisson brackets, trace invariants
 and their argument-shift expansions, characteristic-polynomial shift
-invariants, exact gradients, and rank-2 point sampling.
+invariants, exact gradients (symbolic, and in closed form at a rational
+point), and rank-2 point sampling.
 """
 
 from __future__ import annotations
@@ -323,28 +324,22 @@ def shift_expand(spec: AlgebraSpec, M: int, rows, indices=None):
     """
     if M < 1:
         raise ValueError("power must be >= 1")
-    X = coordinate_matrix(spec, indices)
-    A = [[ClassicalPolynomial.const(spec, c) for c in row] for row in rows]
-    m = len(X)
-    graded = [_poly_identity(spec, m)]
-    for _ in range(M):
-        nxt = []
-        for k in range(len(graded) + 1):
-            term = None
-            if k < len(graded):
-                term = linalg.mat_mul(graded[k], X)
-            if k >= 1:
-                t2 = linalg.mat_mul(graded[k - 1], A)
-                term = t2 if term is None else linalg.mat_add(term, t2)
-            nxt.append(term)
-        graded = nxt
+    graded = _shift_powers(coordinate_matrix(spec, indices), rows, M, M)
     return [_poly_trace(spec, graded[k]) for k in range(1, M + 1)]
 
 
-def _poly_identity(spec, m):
-    one = ClassicalPolynomial.const(spec, 1)
-    zero = ClassicalPolynomial.zero(spec)
-    return [[one if r == c else zero for c in range(m)] for r in range(m)]
+def _shift_powers(X, A, M: int, kmax: int):
+    """The t^0 .. t^kmax parts of (X + t A)^M; entries numbers or polynomials."""
+    graded = [linalg.identity(len(X))]
+    for _ in range(M):
+        nxt = [linalg.mat_mul(graded[0], X)]
+        for k in range(1, min(len(graded), kmax) + 1):
+            term = linalg.mat_mul(graded[k - 1], A)
+            if k < len(graded):
+                term = linalg.mat_add(linalg.mat_mul(graded[k], X), term)
+            nxt.append(term)
+        graded = nxt
+    return graded
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +404,20 @@ def shifted_charpoly_coefficient(X_rows, A_rows, M: int, k: int):
     Entries may be numbers or polynomials; the result is a linear combination
     of order-(M-k) minors of X against order-k minors of A.
     """
+    return shifted_charpoly_values(X_rows, A_rows, [(M, k)])[(M, k)]
+
+
+def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
+    """{(M, k): shifted_charpoly_coefficient(X, A, M, k)} from one charpoly run."""
     m = len(X_rows)
-    if not (1 <= k < M <= m):
-        raise ValueError("need 1 <= k < M <= matrix size")
+    for M, k in pairs:
+        if not (1 <= k < M <= m):
+            raise ValueError("need 1 <= k < M <= matrix size")
     series = [
         [_LambdaSeries([X_rows[r][c], A_rows[r][c]]) for c in range(m)] for r in range(m)
     ]
     cs = linalg.charpoly(series, div=lambda x, n: x / n)
-    return cs[M].coefficient(k)
+    return {(M, k): cs[M].coefficient(k) for M, k in pairs}
 
 
 def charpoly_shift_invariants(spec: AlgebraSpec, M: int, k: int, rows) -> ClassicalPolynomial:
@@ -458,6 +459,18 @@ class PointOnDual:
     def value_map(self) -> dict:
         return {g: v for g, v in enumerate(self.values)}
 
+    def coordinate_realization(self):
+        """X = sum_g x_g P_g at this point: where the coordinate functions are evaluated.
+
+        It equals ``matrix()`` except on sp, where ``matrix()`` doubles the
+        self-paired entries (see AlgebraSpec.coordinate_pattern).
+        """
+        m = self.spec.matrix_size
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for r, c, sign, g in self.spec.coordinate_pattern:
+            rows[r][c] = sign * self.values[g]
+        return rows
+
     def matrix(self):
         rows = [[Fraction(0)] * self.spec.matrix_size for _ in range(self.spec.matrix_size)]
         for g, v in enumerate(self.values):
@@ -480,6 +493,57 @@ def gradient(f: ClassicalPolynomial, point: PointOnDual):
     return tuple(f.partial(g).evaluate(vals) for g in range(f.spec.dim))
 
 
+# ---------------------------------------------------------------------------
+# closed forms at a numeric point
+#
+# A trace function f has the matrix gradient G at X when df = tr(G dX); its
+# coordinate partials are then tr(G P_g).  These equal ``gradient`` of the
+# symbolic power_trace / shift_pair_trace / shift_expand images at a point
+# whose coordinate_realization is X, without expanding any polynomial.
+
+
+def coordinate_gradient(spec: AlgebraSpec, G) -> tuple:
+    """The coordinate partials (tr(G P_g))_g of a function with matrix gradient G."""
+    out = [Fraction(0)] * spec.dim
+    for r, c, sign, g in spec.coordinate_pattern:
+        out[g] += sign * G[c][r]
+    return tuple(out)
+
+
+def power_trace_gradient(X, M: int):
+    """Matrix gradient M X^(M-1) of tr(X^M) at a numeric X."""
+    if M < 1:
+        raise ValueError("power must be >= 1")
+    return linalg.mat_scale(_shift_powers(X, None, M - 1, 0)[0], M)
+
+
+def shift_pair_gradient(X, A, N: int):
+    """Matrix gradient sum_k X^k A X^(N-1-k) of tr(A X^N) at a numeric X."""
+    if N < 1:
+        raise ValueError("power must be >= 1")
+    return _shift_powers(X, A, N, 1)[1]
+
+
+def shift_expand_gradient(X, A, M: int, k: int):
+    """Matrix gradient M [t^k](X + t A)^(M-1) of [t^k] tr((X + t A)^M) at a numeric X.
+
+    k = 0 is tr(X^M); k = M, the constant tr(A^M), has gradient zero.
+    """
+    if not (M >= 1 and 0 <= k <= M):
+        raise ValueError("need M >= 1 and 0 <= k <= M")
+    graded = _shift_powers(X, A, M - 1, k)
+    if k == len(graded):
+        return linalg.mat_scale(X, 0)
+    return linalg.mat_scale(graded[k], M)
+
+
+def algebra_projection(spec: AlgebraSpec, rows):
+    """Trace-form orthogonal projection of a matrix onto g: (B + tau(B))/2 for so/sp."""
+    if spec.is_gl:
+        return rows
+    return linalg.mat_scale(linalg.mat_add(rows, _involution_partner(spec, rows)), Fraction(1, 2))
+
+
 def _involution_partner(spec, rows):
     """tau(B)_ij = -eps_i eps_j B_{-j,-i}; B + tau(B) lies in the algebra."""
     m = spec.matrix_size
@@ -490,6 +554,10 @@ def _involution_partner(spec, rows):
                 -spec.eps(i) * spec.eps(j) * rows[spec.position(-j)][spec.position(-i)]
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# rank-2 points
 
 
 def random_rank2_point(spec: AlgebraSpec, seed, retries=64) -> PointOnDual:

@@ -22,11 +22,10 @@ from .algebra import AlgebraError, dimension_and_index, parse_algebra
 from .chains import chain_generators, commutativity_failures, load_chain_file
 from .classical import (
     PointOnDual,
-    charpoly_shift_invariants,
     derive_rng,
-    evaluate,
     random_rank2_point,
     shift_expand,
+    shifted_charpoly_values,
 )
 from .pbw import NCPolynomial, commutator, format_poly
 from .shifts import ShiftMatrix, canonical_shift, shift_from_designator, symbolic_shift
@@ -102,6 +101,15 @@ def _residual_check(poly_fn):
         if r.is_zero:
             return True, None, None
         return False, format_poly(r), None
+    return run
+
+
+def _proposition_check(check_fn):
+    def run():
+        bad = check_fn().first_failure()
+        if bad is None:
+            return True, None, None
+        return False, format_poly(bad[1]), bad[0]
     return run
 
 
@@ -207,13 +215,10 @@ def _suite_propositions(report, spec, pid, max_power, args):
     if pid in (1, 4):
         for M in range(1, max_power + 1):
             for N in range(1, max_power + 1):
-                chk = el.check_proposition(spec, pid, M, N)
-                bad = chk.first_failure()
                 _run_check(
                     report,
                     f"expansion M={M} N={N} all index tuples",
-                    lambda bad=bad: (bad is None, None if bad is None else format_poly(bad[1]),
-                                     None if bad is None else bad[0]),
+                    _proposition_check(lambda M=M, N=N: el.check_proposition(spec, pid, M, N)),
                 )
     elif pid == 2:
         A = shift_from_designator(spec, args.A) if args.A else _dense_numeric_shift(spec)
@@ -228,20 +233,20 @@ def _suite_propositions(report, spec, pid, max_power, args):
                 )
     elif pid == 3:
         for M in range(0, max_power + 1):
-            chk = el.check_proposition(spec, 3, M)
-            lead = chk.central_coeffs[-1]
-            expected = NCPolynomial.scalar(spec, (-1) ** (M + 1))
-            bad = chk.first_failure()
-            def run(bad=bad, lead=lead, expected=expected):
+            def run(M=M):
+                chk = el.check_proposition(spec, 3, M)
+                coeff_texts = [format_poly(c) for c in chk.central_coeffs]
+                report.parameters.setdefault("central_coeffs", {})[f"M+1={M + 1}"] = coeff_texts
+                print(f"C_p for X^{M + 1}: [{', '.join(coeff_texts)}]")
+                lead = chk.central_coeffs[-1]
+                expected = NCPolynomial.scalar(spec, (-1) ** (M + 1))
+                bad = chk.first_failure()
                 if bad is not None:
                     return False, format_poly(bad[1]), bad[0]
                 if lead != expected:
                     return False, format_poly(lead - expected), "leading coefficient"
                 return True, None, None
             _run_check(report, f"flip expansion of X^{M + 1}", run)
-            coeff_texts = [format_poly(c) for c in chk.central_coeffs]
-            report.parameters.setdefault("central_coeffs", {})[f"M+1={M + 1}"] = coeff_texts
-            print(f"C_p for X^{M + 1}: [{', '.join(coeff_texts)}]")
     elif pid == 5:
         if args.A:
             A = shift_from_designator(spec, args.A)
@@ -257,15 +262,13 @@ def _suite_propositions(report, spec, pid, max_power, args):
         for name, A, s in shifts:
             for M in range(1, max_power + 1):
                 for N in range(1, max_power + 1):
-                    chk = el.check_proposition(spec, 5, M, N, A=A, sign=s)
-                    bad = chk.first_failure()
                     _run_check(
                         report,
                         f"recursions M={M} N={N} A={name}",
-                        lambda bad=bad: (
-                            bad is None,
-                            None if bad is None else format_poly(bad[1]),
-                            None if bad is None else bad[0],
+                        _proposition_check(
+                            lambda A=A, s=s, M=M, N=N: el.check_proposition(
+                                spec, 5, M, N, A=A, sign=s
+                            )
                         ),
                     )
 
@@ -400,11 +403,12 @@ def cmd_rank(args) -> int:
         parameters={"A": args.A or "canonical-sign-minus", "seed": args.seed,
                     "trials": args.trials, "max_power": args.max_power},
     )
-    fs, labels = ind.shift_family_classical(spec, A.numeric_rows(), max_shift=args.max_power)
-    cert = ind.jacobian_rank(fs, spec, trials=args.trials, seed=args.seed, labels=labels)
-    report.parameters["certificate"] = cert.serialize()
+    A_rows = A.numeric_rows()
 
     def run():
+        fs, labels = ind.shift_family_classical(spec, A_rows, max_shift=args.max_power)
+        cert = ind.jacobian_rank(fs, spec, trials=args.trials, seed=args.seed, labels=labels)
+        report.parameters["certificate"] = cert.serialize()
         ok = cert.verdict == "PASS"
         return ok, None if ok else str(cert.rank), f"rank {cert.rank} vs target {cert.target}"
 
@@ -434,15 +438,24 @@ def cmd_classical(args) -> int:
             if M - k >= 3
         ]
         report.parameters["pairs"] = [f"M={M},k={k}" for M, k in pairs]
+        A_rows = A.numeric_rows()
+        values = {}  # point number -> {(M, k): value}, one charpoly run per point
+
+        def values_at(p):
+            if p not in values:
+                point = random_rank2_point(spec, seed=f"{args.seed}.{p}")
+                values[p] = shifted_charpoly_values(point.matrix(), A_rows, pairs)
+            return values[p]
+
         for M, k in pairs:
-            poly = charpoly_shift_invariants(spec, M, k, A.numeric_rows())
             for p in range(args.points):
-                def run(poly=poly, p=p):
-                    point = random_rank2_point(spec, seed=f"{args.seed}.{p}")
-                    v = evaluate(poly, point)
+                def run(M=M, k=k, p=p):
+                    v = values_at(p)[(M, k)]
                     return v == 0, None if v == 0 else str(v), f"point seed ({args.seed},{p})"
                 _run_check(report, f"vanish M={M} k={k} point#{p}", run)
     elif args.what == "duality":
+        if args.M is None or args.k is None:
+            raise AlgebraError("duality check needs --M and --k")
         for s in range(args.seeds):
             def run(s=s):
                 pX = PointOnDual.random(spec, derive_rng(args.seed, s, "x"))
@@ -473,6 +486,8 @@ def cmd_classical(args) -> int:
 
 
 def _finish(report: SuiteReport, args) -> int:
+    if not report.checks:
+        raise AlgebraError(f"suite {report.suite} on {report.algebra} has no checks to run")
     counts = report.counts
     for c in report.checks:
         line = f"[{c.outcome}] {c.check_id} ({c.wall_ms:.1f} ms)"
@@ -489,6 +504,16 @@ def _finish(report: SuiteReport, args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     return report.exit_code
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,31 +539,31 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("chain", help="verify a chain family from a chain file")
     c.add_argument("--file", required=True)
     common(c, algebra=False)
-    c.add_argument("--trials", type=int, default=3)
+    c.add_argument("--trials", type=_positive_int, default=3)
     c.set_defaults(fn=cmd_chain)
 
     e = sub.add_parser("expand", help="print argument-shift expansion components")
     common(e)
     e.add_argument("--A", required=True)
-    e.add_argument("--M", type=int, required=True)
+    e.add_argument("--M", type=_positive_int, required=True)
     e.set_defaults(fn=cmd_expand)
 
     r = sub.add_parser("rank", help="Jacobian rank certificate of the shift family")
     common(r)
     r.add_argument("--A")
     r.add_argument("--max-power", type=int, default=None, dest="max_power")
-    r.add_argument("--trials", type=int, default=3)
+    r.add_argument("--trials", type=_positive_int, default=3)
     r.set_defaults(fn=cmd_rank)
 
     k = sub.add_parser("classical", help="classical-side checks")
     k.add_argument("what", choices=("lemma2", "duality", "tangent"))
     common(k)
     k.add_argument("--A")
-    k.add_argument("--M", type=int)
-    k.add_argument("--k", type=int)
-    k.add_argument("--points", type=int, default=5)
-    k.add_argument("--seeds", type=int, default=5)
-    k.add_argument("--trials", type=int, default=8)
+    k.add_argument("--M", type=_positive_int)
+    k.add_argument("--k", type=_positive_int)
+    k.add_argument("--points", type=_positive_int, default=5)
+    k.add_argument("--seeds", type=_positive_int, default=5)
+    k.add_argument("--trials", type=_positive_int, default=8)
     k.set_defaults(fn=cmd_classical)
 
     return top

@@ -9,7 +9,7 @@ from the theory, so PASS means the bound is attained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, dimension_and_index
@@ -17,11 +17,13 @@ from .chains import ChainSpec, chain_generators
 from .classical import (
     ClassicalPolynomial,
     PointOnDual,
+    algebra_projection,
+    coordinate_gradient,
     derive_rng,
     gradient,
-    power_trace,
-    shift_expand,
-    shift_pair_trace,
+    power_trace_gradient,
+    shift_expand_gradient,
+    shift_pair_gradient,
     top_symbol,
 )
 from .pbw import NCPolynomial
@@ -65,33 +67,42 @@ class RankCertificate:
         }
 
 
-def _to_classical(gen) -> ClassicalPolynomial:
+def _gradient_function(gen, spec):
+    """point -> coordinate gradient of one generator at the point."""
     if isinstance(gen, NCPolynomial):
-        return top_symbol(gen)
+        gen = top_symbol(gen)
     if isinstance(gen, ClassicalPolynomial):
-        return gen
+        if gen.spec != spec:
+            raise AlgebraError("mixed-algebra generators")
+        return lambda point: gradient(gen, point)
+    if callable(gen):
+        return lambda point: coordinate_gradient(spec, gen(point.coordinate_realization()))
     raise AlgebraError(f"cannot rank generator of type {type(gen).__name__}")
 
 
 def jacobian_rank(generators, spec: AlgebraSpec, trials=3, seed=42,
                   target=None, labels=None, family="") -> RankCertificate:
-    """Stack exact gradients at ``trials`` random rational points and rank them."""
+    """Stack exact gradients at ``trials`` random rational points and rank them.
+
+    A generator is a quantum element (ranked through its top symbol), a
+    classical polynomial, or a closed-form matrix gradient: a function taking
+    the coordinate realization X of a point to G with df = tr(G dX), as
+    shift_family_classical returns.
+    """
     if not generators:
         raise AlgebraError("empty generator list")
-    classical = [_to_classical(g) for g in generators]
-    for f in classical:
-        if isinstance(f, ClassicalPolynomial) and f.spec != spec:
-            raise AlgebraError("mixed-algebra generators")
+    if trials < 1:
+        raise AlgebraError("need at least one trial")
+    gradients = [_gradient_function(g, spec) for g in generators]
     dim, ind = dimension_and_index(spec)
     if target is None:
         target = (dim + ind) // 2
     if labels is None:
-        labels = [f"g{k}" for k in range(len(classical))]
+        labels = [f"g{k}" for k in range(len(gradients))]
     ranks = []
     for t in range(trials):
         point = PointOnDual.random(spec, derive_rng(seed, t))
-        rows = [list(gradient(f, point)) for f in classical]
-        ranks.append(linalg.rank(rows))
+        ranks.append(linalg.rank([list(grad(point)) for grad in gradients]))
     return RankCertificate(
         family=family or spec.designator,
         labels=tuple(labels),
@@ -133,23 +144,21 @@ class DualityOutcome:
         return out
 
 
-def _shift_component(spec, rows, M, j):
-    """S_X^{j,M} as a polynomial of the coordinates (j = 0 is the plain trace)."""
-    if j == 0:
-        return power_trace(spec, M)
-    return shift_expand(spec, M, rows)[j - 1]
-
-
 def brailov_duality_check(spec: AlgebraSpec, k: int, M: int,
                           point_X: PointOnDual, point_A: PointOnDual) -> DualityOutcome:
-    """Compare d_X S_A^{k,M} at X with d_A S_X^{j,M} at A for both index readings."""
+    """Compare d_X S_A^{k,M} at X with d_A S_X^{j,M} at A for both index readings.
+
+    S_A^{j,M} = [t^j] tr((X + t A)^M), with S_A^{0,M} = tr(X^M).  Each point
+    enters through its coordinate realization, both where a gradient is taken
+    and where it is the constant shift.
+    """
     if not (1 <= k < M):
         raise AlgebraError("need 1 <= k < M")
-    A_rows = point_A.matrix()
-    X_rows = point_X.matrix()
-    lhs = gradient(shift_expand(spec, M, A_rows)[k - 1], point_X)
-    shifted = gradient(_shift_component(spec, X_rows, M, M - k - 1), point_A)
-    plain = gradient(_shift_component(spec, X_rows, M, M - k), point_A)
+    X = point_X.coordinate_realization()
+    A = point_A.coordinate_realization()
+    lhs = coordinate_gradient(spec, shift_expand_gradient(X, A, M, k))
+    shifted = coordinate_gradient(spec, shift_expand_gradient(A, X, M, M - k - 1))
+    plain = coordinate_gradient(spec, shift_expand_gradient(A, X, M, M - k))
     return DualityOutcome(
         k=k, M=M,
         holds_shifted_index=(lhs == shifted),
@@ -161,67 +170,38 @@ def brailov_duality_check(spec: AlgebraSpec, k: int, M: int,
 # tangent-space intersection with the shift orbit direction [A, g]
 
 
-def _matrix_gradient_rows(spec, fs, point):
-    """Matrix gradients (via the trace form) of polynomials at a point, flattened."""
-    gens = spec.canonical_generators
-    basis = [spec.defining_matrix(p) for p in gens]
-    m = spec.matrix_size
-    gram = [
-        [
-            sum(basis[a][r][c] * basis[b][c][r] for r in range(m) for c in range(m))
-            for b in range(len(gens))
-        ]
-        for a in range(len(gens))
-    ]
-    out = []
+def _matrix_gradient_rows(spec, fs, X):
+    """Trace-form gradients in g of closed-form members at X, flattened."""
+    rows = []
     for f in fs:
-        grad = list(gradient(f, point))
-        coeffs = _solve(gram, grad)
-        flat = [Fraction(0)] * (m * m)
-        for g, cg in enumerate(coeffs):
-            if cg:
-                bm = basis[g]
-                for r in range(m):
-                    for c in range(m):
-                        if bm[r][c]:
-                            flat[r * m + c] += cg * bm[r][c]
-        out.append(flat)
-    return out
+        G = algebra_projection(spec, f(X))
+        rows.append([x for row in G for x in row])
+    return rows
 
 
-def _solve(mat, rhs):
-    n = len(mat)
-    aug = [[Fraction(x) for x in mat[r]] + [Fraction(rhs[r])] for r in range(n)]
-    red, pivots = linalg.rref(aug)
-    if len(pivots) != n or n in pivots:
-        raise AlgebraError("singular trace form; cannot invert")
-    sol = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        sol[c] = red[r][n]
-    return sol
+def _casimir_degrees(spec):
+    return range(1, spec.n + 1) if spec.is_gl else range(2, 2 * spec.n + 1, 2)
 
 
 def shift_family_classical(spec: AlgebraSpec, A_rows, max_shift=None):
-    """Classical images of the shift family: trace powers plus shifted traces."""
-    dim, ind = dimension_and_index(spec)
+    """The shift family's trace powers and shifted traces, as (gradients, labels).
+
+    Each member is given by its closed-form matrix gradient, a function
+    X -> G with df = tr(G dX): tr(X^M) over the Casimir degrees, then
+    tr(A.X^N) for N up to ``max_shift`` (odd N only for so/sp).  For these N,
+    tr(A.X^N) restricted to g depends only on the trace-form projection of A
+    onto g, and vanishes exactly when it is zero (A = 0 for gl, A + tau(A) = 0
+    for so/sp); the shifted traces are then all dropped.
+    """
     if max_shift is None:
         max_shift = 2 * spec.n
-    fs = []
-    labels = []
-    if spec.is_gl:
-        powers = range(1, spec.n + 1)
-        shifts = range(1, max_shift + 1)
-    else:
-        powers = range(2, 2 * spec.n + 1, 2)
-        shifts = range(1, max_shift + 2, 2)
-    for M in powers:
-        fs.append(power_trace(spec, M))
-        labels.append(f"tr(X^{M})")
-    for N in shifts:
-        f = shift_pair_trace(spec, A_rows, N)
-        if not f.is_zero:
-            fs.append(f)
-            labels.append(f"tr(A.X^{N})")
+    shifts = range(1, max_shift + 1) if spec.is_gl else range(1, max_shift + 2, 2)
+    if linalg.is_zero_matrix(algebra_projection(spec, A_rows)):
+        shifts = ()
+    fs = [partial(power_trace_gradient, M=M) for M in _casimir_degrees(spec)]
+    labels = [f"tr(X^{M})" for M in _casimir_degrees(spec)]
+    fs += [partial(shift_pair_gradient, A=A_rows, N=N) for N in shifts]
+    labels += [f"tr(A.X^{N})" for N in shifts]
     return fs, labels
 
 
@@ -253,21 +233,19 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
     rhs = bracket_dim // 2
 
     fs, _ = shift_family_classical(spec, rows_A)
-    casimirs = [power_trace(spec, M) for M in (
-        range(1, spec.n + 1) if spec.is_gl else range(2, 2 * spec.n + 1, 2)
-    )]
     m = spec.matrix_size
-    point = None
+    X = None
     for t in range(trials):
-        cand = PointOnDual.random(spec, derive_rng(seed, t))
-        rows = [list(gradient(f, cand)) for f in casimirs]
+        cand = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
+        rows = [coordinate_gradient(spec, power_trace_gradient(cand, M))
+                for M in _casimir_degrees(spec)]
         if linalg.rank(rows) == ind:
-            point = cand
+            X = cand
             break
-    if point is None:
+    if X is None:
         raise AlgebraError("no regular point found within the trial budget")
 
-    grad_rows = _matrix_gradient_rows(spec, fs, point)
+    grad_rows = _matrix_gradient_rows(spec, fs, X)
     stab_rows = [
         [mat[r][c] for r in range(m) for c in range(m)] for mat in stab
     ]

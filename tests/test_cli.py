@@ -141,3 +141,49 @@ def test_progress_streams_to_stderr_not_report(tmp_path):
     )
     assert "check " in r.stderr
     assert "check " not in out.read_text()
+
+
+def test_lemma2_passes_on_sp(tmp_path):
+    # rank-2 points are evaluated as matrices, not through the coordinate
+    # realization, which halves sp's self-paired entries
+    for algebra in ("sp:2", "sp:3"):
+        out = tmp_path / f"{algebra.replace(':', '')}.json"
+        r = run_cli("classical", "lemma2", "--algebra", algebra, "--points", "3",
+                    "--out", str(out))
+        assert r.returncode == 0, r.stdout
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["fail"] == summary["error"] == 0 and summary["pass"] > 0
+
+
+def test_bad_arguments_exit_two_without_traceback():
+    for args in (
+        ("rank", "--algebra", "gl:2", "--trials", "0"),
+        ("classical", "duality", "--algebra", "gl:2"),
+        ("classical", "duality", "--algebra", "gl:2", "--M", "2"),
+        ("expand", "--algebra", "gl:2", "--A", "diag:1,2", "--M", "0"),
+        ("classical", "lemma2", "--algebra", "gl:4", "--points", "0"),
+    ):
+        r = run_cli(*args)
+        assert r.returncode == 2, args
+        assert "error:" in r.stderr and "Traceback" not in r.stderr, args
+
+
+def test_suite_without_checks_does_not_pass(tmp_path):
+    for args in (
+        ("classical", "lemma2", "--algebra", "gl:3"),
+        ("verify", "prop1", "--algebra", "gl:2", "--max-power", "0"),
+    ):
+        r = run_cli(*args, "--out", str(tmp_path / "rep.json"))
+        assert r.returncode == 2, args
+        assert "error:" in r.stderr and "no checks" in r.stderr, args
+        assert "Traceback" not in r.stderr
+
+
+def test_error_while_building_is_an_error_record(tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli("verify", "prop4", "--algebra", "gl:2", "--max-power", "1",
+                "--out", str(out))
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["outcome"] for c in checks] == ["ERROR"]
+    assert "so/sp" in checks[0]["detail"]

@@ -1,0 +1,184 @@
+"""Closed forms at a point against the symbolic expansion they replace.
+
+Every comparison is exact equality: the closed-form coordinate gradients
+and charpoly values must equal ``gradient``/``evaluate`` of the expanded
+polynomials at the same point.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from envshift import linalg
+from envshift.algebra import matrix_in_algebra, parse_algebra
+from envshift.classical import (
+    PointOnDual,
+    algebra_projection,
+    charpoly_shift_invariants,
+    coordinate_gradient,
+    coordinate_matrix,
+    evaluate,
+    gradient,
+    power_trace,
+    power_trace_gradient,
+    shift_expand,
+    shift_expand_gradient,
+    shift_pair_gradient,
+    shift_pair_trace,
+    shifted_charpoly_values,
+)
+from envshift.independence import jacobian_rank, shift_family_classical
+from envshift.shifts import canonical_shift, shift_from_designator
+
+ALGEBRAS = ("gl:2", "gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2")
+
+
+def _random_rows(m, rng):
+    return [[Fraction(rng.randint(-3, 3)) for _ in range(m)] for _ in range(m)]
+
+
+def _points(spec, rng, count=2):
+    return [PointOnDual.random(spec, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_trace_gradients_match_symbolic(name):
+    spec = parse_algebra(name)
+    rng = random.Random(name)
+    m = spec.matrix_size
+    A = _random_rows(m, rng)
+    top = 3 if m >= 4 else 4
+    for point in _points(spec, rng):
+        X = point.coordinate_realization()
+        for M in range(1, top + 1):
+            assert coordinate_gradient(spec, power_trace_gradient(X, M)) == gradient(
+                power_trace(spec, M), point
+            ), (name, M)
+            assert coordinate_gradient(spec, shift_pair_gradient(X, A, M)) == gradient(
+                shift_pair_trace(spec, A, M), point
+            ), (name, M)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_shift_expand_gradients_match_symbolic(name):
+    spec = parse_algebra(name)
+    rng = random.Random("expand" + name)
+    m = spec.matrix_size
+    A = _random_rows(m, rng)
+    for point in _points(spec, rng):
+        X = point.coordinate_realization()
+        for M in range(1, 4):
+            comps = [power_trace(spec, M)] + shift_expand(spec, M, A)
+            for k, f in enumerate(comps):
+                got = coordinate_gradient(spec, shift_expand_gradient(X, A, M, k))
+                assert got == gradient(f, point), (name, M, k)
+
+
+def test_point_realizations_differ_only_on_sp():
+    for name in ALGEBRAS:
+        spec = parse_algebra(name)
+        point = PointOnDual.random(spec, random.Random(name))
+        same = point.coordinate_realization() == point.matrix()
+        assert same == (spec.family != "sp"), name
+        # the coordinate realization is where the coordinate functions live
+        X = coordinate_matrix(spec)
+        vals = point.value_map()
+        assert point.coordinate_realization() == [
+            [x.evaluate(vals) for x in row] for row in X
+        ]
+
+
+@pytest.mark.parametrize("name", ("gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2"))
+def test_charpoly_values_match_symbolic(name):
+    spec = parse_algebra(name)
+    m = spec.matrix_size
+    rng = random.Random("charpoly" + name)
+    A = _random_rows(m, rng)
+    if m >= 5:  # the lemma2 pairs only; the full symbolic table is slow here
+        pairs = [(M, k) for M in range(1, m + 1) for k in range(1, M) if M - k >= 3]
+    else:
+        pairs = [(M, k) for M in range(2, m + 1) for k in range(1, M)]
+    polys = {(M, k): charpoly_shift_invariants(spec, M, k, A) for M, k in pairs}
+    for point in _points(spec, rng):
+        # gl and so: matrix() is the coordinate realization; sp needs the latter
+        got = shifted_charpoly_values(point.coordinate_realization(), A, pairs)
+        assert got == {mk: evaluate(p, point) for mk, p in polys.items()}, name
+        if spec.family != "sp":
+            assert got == shifted_charpoly_values(point.matrix(), A, pairs)
+
+
+def test_charpoly_values_validate_pairs():
+    X = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
+    with pytest.raises(ValueError):
+        shifted_charpoly_values(X, X, [(2, 2)])
+    with pytest.raises(ValueError):
+        shifted_charpoly_values(X, X, [(3, 1)])
+
+
+@pytest.mark.parametrize("name", ("gl:1", "gl:2", "gl:3", "so:3", "so:4", "so:5", "sp:1", "sp:2"))
+def test_zero_member_rule_matches_symbolic(name):
+    spec = parse_algebra(name)
+    m = spec.matrix_size
+    rng = random.Random("zero" + name)
+    units = []
+    for r in range(m):
+        for c in range(m):
+            E = [[Fraction(0)] * m for _ in range(m)]
+            E[r][c] = Fraction(1)
+            units.append(E)
+    candidates = units + [_random_rows(m, rng) for _ in range(2)]
+    if not spec.is_gl:
+        # a nonzero matrix with no component in g
+        candidates.append(canonical_shift(spec, 1).numeric_rows())
+    shifts = range(1, 2 * spec.n + 1) if spec.is_gl else range(1, 2 * spec.n + 2, 2)
+    shifts = [N for N in shifts if N <= 3 or m <= 3]
+    for A in candidates:
+        rule = linalg.is_zero_matrix(algebra_projection(spec, A))
+        for N in shifts:
+            assert rule == shift_pair_trace(spec, A, N).is_zero, (name, A, N)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_algebra_projection_is_the_trace_form_gradient(name):
+    spec = parse_algebra(name)
+    rng = random.Random("proj" + name)
+    G = _random_rows(spec.matrix_size, rng)
+    Y = algebra_projection(spec, G)
+    assert matrix_in_algebra(spec, Y)
+    # same pairing with every coordinate direction P_g
+    assert coordinate_gradient(spec, Y) == coordinate_gradient(spec, G)
+
+
+@pytest.mark.parametrize("name, desig", [
+    ("gl:2", "diag:1,2"), ("gl:3", "diag:1,2,0"), ("gl:3", "diag:1,2,3"),
+    ("so:4", None), ("so:5", None), ("sp:2", None),
+])
+def test_shift_family_rows_match_symbolic_family(name, desig):
+    spec = parse_algebra(name)
+    A = (shift_from_designator(spec, desig) if desig else canonical_shift(spec, -1)).numeric_rows()
+    fs, labels = shift_family_classical(spec, A)
+    symbolic = []
+    for label in labels:
+        power = int(label[label.index("^") + 1:-1])
+        symbolic.append(
+            shift_pair_trace(spec, A, power) if label.startswith("tr(A.")
+            else power_trace(spec, power)
+        )
+    assert all(not f.is_zero for f in symbolic)
+    for point in _points(spec, random.Random("family" + name)):
+        X = point.coordinate_realization()
+        assert [coordinate_gradient(spec, f(X)) for f in fs] == [
+            gradient(f, point) for f in symbolic
+        ]
+    closed = jacobian_rank(fs, spec, trials=3, seed=11, labels=labels)
+    assert closed == jacobian_rank(symbolic, spec, trials=3, seed=11, labels=labels)
+
+
+def test_shift_family_drops_shifts_without_algebra_component():
+    so4 = parse_algebra("so:4")
+    fs, labels = shift_family_classical(so4, canonical_shift(so4, 1).numeric_rows())
+    assert labels == ["tr(X^2)", "tr(X^4)"] and len(fs) == 2
+    gl2 = parse_algebra("gl:2")
+    _, labels = shift_family_classical(gl2, [[Fraction(0)] * 2 for _ in range(2)])
+    assert labels == ["tr(X^1)", "tr(X^2)"]

@@ -17,6 +17,7 @@ from envshift.chains import make_chain
 from envshift.classical import (
     ClassicalPolynomial,
     PointOnDual,
+    coordinate_gradient,
     derive_rng,
     power_trace,
     shift_pair_trace,
@@ -111,7 +112,8 @@ def test_corollary_count_arithmetic():
 
 
 def test_duality_validates_exactly_one_convention():
-    for name, M, k in [("gl:2", 2, 1), ("gl:3", 3, 1), ("gl:3", 3, 2)]:
+    for name, M, k in [("gl:2", 2, 1), ("gl:3", 3, 1), ("gl:3", 3, 2),
+                       ("so:4", 4, 1), ("sp:1", 2, 1), ("sp:2", 4, 1)]:
         from envshift.algebra import parse_algebra
 
         spec = parse_algebra(name)
@@ -185,5 +187,7 @@ def test_shift_family_excludes_vanishing_even_members():
     A = canonical_shift(SO4, -1)
     fs, labels = shift_family_classical(SO4, A.numeric_rows())
     assert all("X^2" not in lbl or lbl.startswith("tr(X^") for lbl in labels)
+    assert labels == ["tr(X^2)", "tr(X^4)", "tr(A.X^1)", "tr(A.X^3)", "tr(A.X^5)"]
+    X = PointOnDual.random(SO4, random.Random(4)).coordinate_realization()
     for f in fs:
-        assert not f.is_zero
+        assert any(coordinate_gradient(SO4, f(X)))
