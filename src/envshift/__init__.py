@@ -8,7 +8,6 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     bracket_structure,
-    canonicalize,
     dimension_and_index,
     make_algebra,
     parse_algebra,
@@ -39,7 +38,7 @@ from .independence import (
     transcendency_check,
 )
 from .params import ParamPolynomial
-from .pbw import NCPolynomial, ParseError, commutator, format_poly, multiply, normal_form, parse
+from .pbw import NCPolynomial, ParseError, commutator, format_poly, multiply, parse
 from .shifts import (
     ShiftMatrix,
     canonical_shift,

@@ -31,22 +31,6 @@ class AlgebraError(ValueError):
 
 
 @dataclass(frozen=True)
-class GeneratorRef:
-    """Resolution of a raw index pair against the canonical generator set.
-
-    (i, j) is the canonical representative, ``sign`` relates the queried pair
-    to it (X[query] = sign * X[i,j]), and ``canonical`` records whether the
-    queried pair already was the representative.  The zero generator (so-type
-    X[i,-i]) is represented by ``canonicalize`` returning None instead.
-    """
-
-    i: int
-    j: int
-    canonical: bool
-    sign: int
-
-
-@dataclass(frozen=True)
 class AlgebraSpec:
     """One classical matrix Lie algebra: a family tag plus rank parameter n."""
 
@@ -90,10 +74,6 @@ class AlgebraSpec:
         if self.family == SP:
             return -1 if j < 0 else 1
         return 1
-
-    @cached_property
-    def epsilon(self) -> dict:
-        return {j: self.eps(j) for j in self.index_set}
 
     def position(self, i: int) -> int:
         try:
@@ -193,15 +173,6 @@ def parse_algebra(text: str) -> AlgebraSpec:
             return make_algebra(SO_ODD, m // 2)
         return make_algebra(SO_EVEN, m // 2)
     raise AlgebraError(f"bad algebra designator {text!r}")
-
-
-def canonicalize(spec: AlgebraSpec, pair):
-    """Spec-level canonicalization returning a GeneratorRef (None if zero)."""
-    i, j = pair
-    sign, rep = spec.canonicalize_pair(i, j)
-    if rep is None:
-        return None
-    return GeneratorRef(rep[0], rep[1], canonical=(rep == (i, j) and sign == 1), sign=sign)
 
 
 def bracket_structure(spec: AlgebraSpec, a, b) -> dict:

@@ -456,6 +456,10 @@ def cmd_classical(args) -> int:
     elif args.what == "duality":
         if args.M is None or args.k is None:
             raise AlgebraError("duality check needs --M and --k")
+        if not spec.is_gl and args.M % 2:
+            # tr((X + tA)^M) vanishes identically for odd M on so/sp, so both
+            # index readings hold trivially and the check decides nothing
+            raise AlgebraError("duality check on so/sp needs an even --M")
         for s in range(args.seeds):
             def run(s=s):
                 pX = PointOnDual.random(spec, derive_rng(args.seed, s, "x"))

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, matrix_in_algebra
-from .params import coeff_is_zero
-from .pbw import NCPolynomial, commutator, multiply
+from .pbw import NCPolynomial, _accumulate, commutator, multiply
 from .shifts import ShiftMatrix
 
 _MPE_CACHE: dict = {}
@@ -53,7 +52,7 @@ def matrix_power_element(spec: AlgebraSpec, M: int, i: int, j: int, indices=None
     elif M == 1:
         out = NCPolynomial.generator(spec, i, j)
     else:
-        acc = NCPolynomial.zero(spec)
+        acc: dict = {}
         for u in idx:
             left = matrix_power_element(spec, M - 1, i, u, idx)
             if left.is_zero:
@@ -61,8 +60,8 @@ def matrix_power_element(spec: AlgebraSpec, M: int, i: int, j: int, indices=None
             g = NCPolynomial.generator(spec, u, j)
             if g.is_zero:
                 continue
-            acc = acc + multiply(left, g)
-        out = acc
+            _accumulate(acc, multiply(left, g).terms)
+        out = NCPolynomial(spec, acc, normalized=True)
     _MPE_CACHE[key] = out
     return out
 
@@ -75,24 +74,23 @@ def casimir(spec: AlgebraSpec, M: int, indices=None) -> NCPolynomial:
     key = (spec, idx, M, None, None)
     out = _MPE_CACHE.get(key)
     if out is None:
-        acc = NCPolynomial.zero(spec)
+        acc: dict = {}
         for i in idx:
-            acc = acc + matrix_power_element(spec, M, i, i, idx)
-        out = _MPE_CACHE[key] = acc
+            _accumulate(acc, matrix_power_element(spec, M, i, i, idx).terms)
+        out = _MPE_CACHE[key] = NCPolynomial(spec, acc, normalized=True)
     return out
 
 
 def contract_rows(spec: AlgebraSpec, rows, M: int, indices=None) -> NCPolynomial:
     """(A X^M) = sum A[j,i] (X^M)[i,j] for a raw coefficient matrix over the subset."""
     idx = _indices(spec, indices)
-    acc = NCPolynomial.zero(spec)
+    acc: dict = {}
     for jp, j in enumerate(idx):
         for ip, i in enumerate(idx):
             c = rows[jp][ip]
-            if coeff_is_zero(c):
-                continue
-            acc = acc + matrix_power_element(spec, M, i, j, idx) * c
-    return acc
+            if c:
+                _accumulate(acc, matrix_power_element(spec, M, i, j, idx).terms, c)
+    return NCPolynomial(spec, acc, normalized=True)
 
 
 def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int, declared_sign=None) -> NCPolynomial:
@@ -224,32 +222,33 @@ def power_flip_coefficients(spec: AlgebraSpec, M: int) -> list:
         prev = power_flip_coefficients(spec, M - 1)
         sigma = spec.pair_sign
         size = spec.matrix_size
-        cur = [NCPolynomial.zero(spec) for _ in range(M + 1)]
+        cur: list = [{} for _ in range(M + 1)]
         for p, cp in enumerate(prev):
             if cp.is_zero:
                 continue
-            cur[p + 1] = cur[p + 1] - cp
-            cur[p] = cur[p] + cp * (size - sigma)
+            _accumulate(cur[p + 1], cp.terms, -1)
+            _accumulate(cur[p], cp.terms, size - sigma)
             trace_p = casimir(spec, p) if p >= 1 else NCPolynomial.scalar(spec, size)
-            cur[0] = cur[0] - multiply(cp, trace_p)
+            _accumulate(cur[0], multiply(cp, trace_p).terms, -1)
             inner = power_flip_coefficients(spec, p)
             for q, cq in enumerate(inner):
                 if not cq.is_zero:
-                    cur[q] = cur[q] + multiply(cp, cq) * sigma
-    _FLIP_CACHE[key] = out if M == 0 else cur
-    return _FLIP_CACHE[key]
+                    _accumulate(cur[q], multiply(cp, cq).terms, sigma)
+        out = [NCPolynomial(spec, terms, normalized=True) for terms in cur]
+    _FLIP_CACHE[key] = out
+    return out
 
 
 def flip_residual(spec: AlgebraSpec, M: int, i: int, j: int) -> NCPolynomial:
     """Residual of the flip expansion of (X^M)[i,j] at one index pair."""
     coeffs = power_flip_coefficients(spec, M)
     e = spec.eps(i) * spec.eps(j)
-    rhs = NCPolynomial.zero(spec)
+    rhs: dict = {}
     for p, cp in enumerate(coeffs):
         if cp.is_zero:
             continue
-        rhs = rhs + multiply(cp, matrix_power_element(spec, p, -j, -i)) * e
-    return matrix_power_element(spec, M, i, j) - rhs
+        _accumulate(rhs, multiply(cp, matrix_power_element(spec, p, -j, -i)).terms, e)
+    return matrix_power_element(spec, M, i, j) - NCPolynomial(spec, rhs, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +268,16 @@ def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k:
     lhs = commutator(
         matrix_power_element(spec, M, i, j), matrix_power_element(spec, N, k, l)
     )
-    rhs = NCPolynomial.zero(spec)
+    rhs: dict = {}
     for S in range(1, M + 1):
-        rhs = rhs + multiply(
+        _accumulate(rhs, multiply(
             matrix_power_element(spec, M + N - S, i, l),
             matrix_power_element(spec, S - 1, k, j),
-        )
-        rhs = rhs - multiply(
+        ).terms)
+        _accumulate(rhs, multiply(
             matrix_power_element(spec, S - 1, i, l),
             matrix_power_element(spec, M + N - S, k, j),
-        )
+        ).terms, -1)
     if not spec.is_gl:
         sigma = spec.pair_sign
         coeffs = power_flip_coefficients(spec, N)
@@ -287,18 +286,19 @@ def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k:
         for p, cp in enumerate(coeffs):
             if cp.is_zero:
                 continue
-            part = NCPolynomial.zero(spec)
+            part: dict = {}
             for S in range(1, M + 1):
-                part = part + multiply(
+                _accumulate(part, multiply(
                     matrix_power_element(spec, M + p - S, i, -k),
                     matrix_power_element(spec, S - 1, -l, j),
-                ) * e1
-                part = part - multiply(
+                ).terms, e1)
+                _accumulate(part, multiply(
                     matrix_power_element(spec, S - 1, i, -k),
                     matrix_power_element(spec, M + p - S, -l, j),
-                ) * e2
-            rhs = rhs + multiply(cp, part) * sigma
-    return lhs - rhs
+                ).terms, -e2)
+            part = NCPolynomial(spec, part, normalized=True)
+            _accumulate(rhs, multiply(cp, part).terms, sigma)
+    return lhs - NCPolynomial(spec, rhs, normalized=True)
 
 
 def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: ShiftMatrix) -> NCPolynomial:
@@ -306,14 +306,14 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
     if not spec.is_gl:
         raise AlgebraError("the contracted recursion in this form is the gl case")
     lhs = commutator(shift_generator(spec, A, M), shift_generator(spec, A, N))
-    rhs = NCPolynomial.zero(spec)
+    rhs: dict = {}
     for S in range(1, M + 1):
         for P in range(1, S):
-            rhs = rhs + commutator(
+            _accumulate(rhs, commutator(
                 shift_generator(spec, A, P - 1),
                 shift_generator(spec, A, M + N - P - 1),
-            )
-    return lhs - rhs
+            ).terms)
+    return lhs - NCPolynomial(spec, rhs, normalized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +333,12 @@ def _scaled_power_matrix(spec, A: ShiftMatrix, a):
     for r in range(m):
         row = []
         for c in range(m):
-            acc = NCPolynomial.zero(spec)
+            acc: dict = {}
             for t in range(m):
                 coef = A.rows[r][t]
-                if coeff_is_zero(coef):
-                    continue
-                acc = acc + pm[t][c] * coef
-            row.append(acc)
+                if coef:
+                    _accumulate(acc, pm[t][c].terms, coef)
+            row.append(NCPolynomial(spec, acc, normalized=True))
         out.append(row)
     return out
 
@@ -349,13 +348,13 @@ def trace_chain(spec: AlgebraSpec, A: ShiftMatrix, a: int, b: int) -> NCPolynomi
     t1 = _scaled_power_matrix(spec, A, a)
     t2 = _scaled_power_matrix(spec, A, b)
     m = len(A.indices)
-    acc = NCPolynomial.zero(spec)
+    acc: dict = {}
     for r in range(m):
         for s in range(m):
             if t1[r][s].is_zero or t2[s][r].is_zero:
                 continue
-            acc = acc + multiply(t1[r][s], t2[s][r])
-    return acc
+            _accumulate(acc, multiply(t1[r][s], t2[s][r]).terms)
+    return NCPolynomial(spec, acc, normalized=True)
 
 
 def crossed_contraction(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int) -> NCPolynomial:
@@ -384,20 +383,21 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
     sigma = spec.pair_sign
     cN = power_flip_coefficients(spec, N)
 
-    res1 = straight_contraction(spec, A, M, N)
+    res1 = dict(straight_contraction(spec, A, M, N).terms)
     for S in range(1, M + 1):
-        res1 = res1 + crossed_contraction(spec, A, S - 1, N + M - S)
+        _accumulate(res1, crossed_contraction(spec, A, S - 1, N + M - S).terms)
     for P, cp in enumerate(cN):
         if cp.is_zero:
             continue
-        part = NCPolynomial.zero(spec)
+        part: dict = {}
         for S in range(1, M + 1):
-            part = part + crossed_contraction(spec, A, S - 1, P + M - S)
-        res1 = res1 + multiply(cp, part) * sign
+            _accumulate(part, crossed_contraction(spec, A, S - 1, P + M - S).terms)
+        part = NCPolynomial(spec, part, normalized=True)
+        _accumulate(res1, multiply(cp, part).terms, sign)
 
-    res2 = crossed_contraction(spec, A, M, N)
+    res2 = dict(crossed_contraction(spec, A, M, N).terms)
     for S in range(1, M + 1):
-        res2 = res2 + straight_contraction(spec, A, S - 1, M + N - S)
+        _accumulate(res2, straight_contraction(spec, A, S - 1, M + N - S).terms)
     for P, cp in enumerate(cN):
         if cp.is_zero:
             continue
@@ -409,7 +409,9 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
                 term = crossed_contraction(spec, A, Q, M + P - S)
                 if term.is_zero:
                     continue
-                res2 = res2 + multiply(multiply(cp, cq), term) * (sigma * sign)
+                _accumulate(res2, multiply(multiply(cp, cq), term).terms, sigma * sign)
+    res1 = NCPolynomial(spec, res1, normalized=True)
+    res2 = NCPolynomial(spec, res2, normalized=True)
     return res1, res2
 
 

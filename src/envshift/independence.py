@@ -38,7 +38,6 @@ class RankCertificate:
     seed: int
     trials: int
     ranks: tuple                 # per-point rank, in seed order
-    points_hashes: tuple = ()    # reproducibility hints (seeds used per point)
 
     @property
     def rank(self) -> int:
@@ -110,7 +109,6 @@ def jacobian_rank(generators, spec: AlgebraSpec, trials=3, seed=42,
         seed=seed,
         trials=trials,
         ranks=tuple(ranks),
-        points_hashes=tuple(f"{seed}.{t}" for t in range(trials)),
     )
 
 

@@ -4,6 +4,13 @@ Used as an alternative coefficient domain so shift matrices can carry symbolic
 entries (a1, a2, ...): a single vanishing check then covers a Zariski-dense
 family of numeric shift matrices at once.  Only ring operations are needed,
 never division by a parameter.
+
+Coefficient rule, shared with the PBW layer: a number is an ``int`` when it
+is integral and a ``Fraction`` only when its denominator is not 1.
+Arithmetic may still leave an integral ``Fraction``; it compares, hashes and
+prints like the ``int``, so values are normalized at the entry points only.
+All three coefficient domains (int, Fraction, ParamPolynomial) are false
+exactly when zero.
 """
 
 from __future__ import annotations
@@ -11,28 +18,40 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _scalar(c):
+    """c as an exact number under the coefficient rule."""
+    if isinstance(c, int):
+        return int(c)
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class ParamPolynomial:
-    """Sparse polynomial: monomial tuple ((name, exp), ...) -> Fraction."""
+    """Sparse polynomial: monomial tuple ((name, exp), ...) -> int or Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    self.terms[mono] = self.terms.get(mono, Fraction(0)) + c
-            self.terms = {m: c for m, c in self.terms.items() if c}
+        for mono, c in (terms or {}).items():
+            c = _scalar(c)
+            if c:
+                self.terms[mono] = c
 
     @classmethod
     def const(cls, c) -> "ParamPolynomial":
-        c = Fraction(c)
-        return cls({(): c} if c else {})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, name: str) -> "ParamPolynomial":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ParamPolynomial":
+        """Wrap terms that already follow the rule and hold no zeros."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @property
     def is_zero(self) -> bool:
@@ -50,26 +69,27 @@ class ParamPolynomial:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, ParamPolynomial):
+            other = other.terms
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            other = {(): other}
+        else:
             return NotImplemented
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = terms.get(m, Fraction(0)) + c
+        for m, c in other.items():
+            v = terms.get(m, 0) + c
             if v:
                 terms[m] = v
-            elif m in terms:
+            else:
                 del terms[m]
-        out = ParamPolynomial()
-        out.terms = terms
-        return out
+        return ParamPolynomial._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = ParamPolynomial()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return ParamPolynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -84,21 +104,21 @@ class ParamPolynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, ParamPolynomial):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # scalar: scale the terms, no constant polynomial is built
+            if other == 1:
+                return self
+            if not other:
+                return ParamPolynomial()
+            return ParamPolynomial._of({m: c * other for m, c in self.terms.items()})
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                v = terms.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    terms[m] = v
-                elif m in terms:
-                    del terms[m]
-        out = ParamPolynomial()
-        out.terms = terms
-        return out
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return ParamPolynomial._of({m: c for m, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -145,12 +165,6 @@ def _mono_mul(m1, m2):
     for name, e in m1 + m2:
         exps[name] = exps.get(name, 0) + e
     return tuple(sorted(exps.items()))
-
-
-def coeff_is_zero(c) -> bool:
-    if isinstance(c, ParamPolynomial):
-        return c.is_zero
-    return c == 0
 
 
 def coeff_to_str(c) -> str:

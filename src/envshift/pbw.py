@@ -4,13 +4,17 @@ Elements of the enveloping algebra are stored as sparse maps
 
     word (tuple of canonical generator ids, non-decreasing) -> coefficient
 
-with exact rational (or parameter-polynomial) coefficients.  The total
-generator order is lexicographic on (position of i, position of j) over the
-ordered index set, and every public operation returns fully normalized
-polynomials: an out-of-order adjacent pair X Y is rewritten as Y X + [X, Y]
-until all words are sorted.  Each swap either keeps the degree and removes an
-inversion or strictly drops the degree, so rewriting terminates; confluence
-is checked by test against independent rewrite strategies.
+with exact coefficients under the rule of ``params``: an ``int`` when
+integral, a ``Fraction`` otherwise, a ``ParamPolynomial`` only when the
+coefficient carries parameters.  The structure constants are integers, so
+numeric work stays in machine-sized ints unless a rational shift entry
+forces fractions.  The total generator order is lexicographic on (position
+of i, position of j) over the ordered index set, and every public operation
+returns fully normalized polynomials: an out-of-order adjacent pair X Y is
+rewritten as Y X + [X, Y] until all words are sorted.  Each swap either keeps
+the degree and removes an inversion or strictly drops the degree, so
+rewriting terminates; confluence is checked by test against independent
+rewrite strategies.
 
 Polynomials are immutable values and all operations are pure.  The per-algebra
 rewrite caches are the only shared state: entries are deterministic functions
@@ -23,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgebraSpec, bracket_structure
-from .params import ParamPolynomial, coeff_is_zero, coeff_to_str
+from .params import ParamPolynomial, _scalar, coeff_to_str
 
 
 class _Tables:
@@ -56,23 +60,11 @@ class _Tables:
         if cached is not None:
             return cached
         head, last = word[:-1], word[-1]
-        out: dict = {}
         # word*g = (head*g)*last + head*[last, g]
-        for w2, c2 in self.mul_word_gen(head, g).items():
-            for w3, c3 in self.mul_word_gen(w2, last).items():
-                v = out.get(w3, 0) + c2 * c3
-                if v:
-                    out[w3] = v
-                elif w3 in out:
-                    del out[w3]
+        out = _fold(self, self.mul_word_gen(head, g), last)
         for b, cb in self.bracket(last, g):
-            for w2, c2 in self.mul_word_gen(head, b).items():
-                v = out.get(w2, 0) + cb * c2
-                if v:
-                    out[w2] = v
-                elif w2 in out:
-                    del out[w2]
-        self._mul[key] = out
+            _accumulate(out, self.mul_word_gen(head, b), cb)
+        out = self._mul[key] = {w: c for w, c in out.items() if c}
         return out
 
 
@@ -86,11 +78,45 @@ def _tables(spec: AlgebraSpec) -> _Tables:
     return tab
 
 
+def _fold(tab: _Tables, terms: dict, g: int) -> dict:
+    """Normal form of terms * X_g, for terms over sorted words.
+
+    Equal result words from different input words merge; zero entries are
+    dropped.  The input is only read, so cached dicts may be passed.
+    """
+    out: dict = {}
+    get = out.get
+    for w, c in terms.items():
+        if not w or w[-1] <= g:
+            w2 = w + (g,)
+            v = get(w2)
+            out[w2] = c if v is None else v + c
+            continue
+        for w2, c2 in tab.mul_word_gen(w, g).items():
+            v = get(w2)
+            out[w2] = c * c2 if v is None else v + c * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def _accumulate(acc: dict, terms: dict, scale=1) -> dict:
+    """acc += scale * terms, in place; zero entries stay until the caller drops them."""
+    get = acc.get
+    if scale == 1:
+        for w, c in terms.items():
+            v = get(w)
+            acc[w] = c if v is None else v + c
+    else:
+        for w, c in terms.items():
+            v = get(w)
+            acc[w] = c * scale if v is None else v + c * scale
+    return acc
+
+
 def _coerce_coeff(c):
-    if isinstance(c, (ParamPolynomial, Fraction)):
+    if isinstance(c, ParamPolynomial):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, (int, Fraction)):
+        return _scalar(c)
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -105,31 +131,19 @@ class NCPolynomial:
             self.terms = {}
             return
         if normalized:
-            self.terms = {w: c for w, c in terms.items() if not coeff_is_zero(c)}
+            self.terms = {w: c for w, c in terms.items() if c}
             return
         tab = _tables(spec)
         acc: dict = {}
         for word, c in terms.items():
             c = _coerce_coeff(c)
-            if coeff_is_zero(c):
+            if not c:
                 continue
-            if _is_sorted(word):
-                _acc_add(acc, word, c)
-            else:
-                folded = {(): 1}
-                for g in word:
-                    nxt: dict = {}
-                    for w2, c2 in folded.items():
-                        for w3, c3 in tab.mul_word_gen(w2, g).items():
-                            v = nxt.get(w3, 0) + c2 * c3
-                            if v:
-                                nxt[w3] = v
-                            elif w3 in nxt:
-                                del nxt[w3]
-                    folded = nxt
-                for w2, c2 in folded.items():
-                    _acc_add(acc, w2, c * c2)
-        self.terms = acc
+            folded = {(): c}
+            for g in word:
+                folded = _fold(tab, folded, g)
+            _accumulate(acc, folded)
+        self.terms = {w: c for w, c in acc.items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -139,10 +153,7 @@ class NCPolynomial:
 
     @classmethod
     def scalar(cls, spec, c):
-        c = _coerce_coeff(c)
-        if coeff_is_zero(c):
-            return cls(spec)
-        return cls(spec, {(): c}, normalized=True)
+        return cls(spec, {(): _coerce_coeff(c)}, normalized=True)
 
     @classmethod
     def one(cls, spec):
@@ -155,7 +166,7 @@ class NCPolynomial:
         if pair is None:
             return cls(spec)
         g = spec.generator_ids[pair]
-        return cls(spec, {(g,): Fraction(sign)}, normalized=True)
+        return cls(spec, {(g,): sign}, normalized=True)
 
     @classmethod
     def from_word(cls, spec, pairs, coeff=1):
@@ -180,16 +191,6 @@ class NCPolynomial:
         """Maximal word length; -1 for the zero polynomial."""
         return max((len(w) for w in self.terms), default=-1)
 
-    def top_terms(self) -> dict:
-        d = self.degree()
-        return {w: c for w, c in self.terms.items() if len(w) == d}
-
-    def constant_term(self):
-        return self.terms.get((), Fraction(0))
-
-    def word_pairs(self, word):
-        return tuple(self.spec.canonical_generators[g] for g in word)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_same(self, other):
@@ -200,9 +201,7 @@ class NCPolynomial:
         if not isinstance(other, NCPolynomial):
             return NotImplemented
         self._check_same(other)
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            _acc_add(acc, w, c)
+        acc = _accumulate(dict(self.terms), other.terms)
         return NCPolynomial(self.spec, acc, normalized=True)
 
     def __neg__(self):
@@ -211,14 +210,14 @@ class NCPolynomial:
     def __sub__(self, other):
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_same(other)
+        acc = _accumulate(dict(self.terms), other.terms, -1)
+        return NCPolynomial(self.spec, acc, normalized=True)
 
     def __mul__(self, other):
         if isinstance(other, NCPolynomial):
             return multiply(self, other)
         c = _coerce_coeff(other)
-        if coeff_is_zero(c):
-            return NCPolynomial(self.spec)
         return NCPolynomial(
             self.spec, {w: v * c for w, v in self.terms.items()}, normalized=True
         )
@@ -241,48 +240,28 @@ class NCPolynomial:
         return f"<NCPolynomial {self.spec.designator}: {format_poly(self)}>"
 
 
-def _is_sorted(word) -> bool:
-    return all(word[k] <= word[k + 1] for k in range(len(word) - 1))
-
-
-def _acc_add(acc: dict, word, c):
-    v = acc.get(word)
-    v = c if v is None else v + c
-    if coeff_is_zero(v):
-        acc.pop(word, None)
-    else:
-        acc[word] = v
-
-
-def normal_form(p: NCPolynomial) -> NCPolynomial:
-    """Identity on NCPolynomial values: the class invariant keeps them canonical."""
-    return p
-
-
 def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Product in U(g): concatenate words, then rewrite to PBW normal form."""
+    """Product in U(g): concatenate words, then rewrite to PBW normal form.
+
+    q's words are visited in sorted order over a stack of the products
+    p * prefix, so a prefix shared by several words of q is folded onto all
+    of p once, and equal intermediate words merge.
+    """
     p._check_same(q)
-    spec = p.spec
-    tab = _tables(spec)
+    tab = _tables(p.spec)
     acc: dict = {}
-    for w2, c2 in q.terms.items():
-        # fold the letters of w2 onto every word of p, sharing the word cache
-        for w1, c1 in p.terms.items():
-            cur = {w1: 1}
-            for g in w2:
-                nxt: dict = {}
-                for wa, ca in cur.items():
-                    for wb, cb in tab.mul_word_gen(wa, g).items():
-                        v = nxt.get(wb, 0) + ca * cb
-                        if v:
-                            nxt[wb] = v
-                        elif wb in nxt:
-                            del nxt[wb]
-                cur = nxt
-            cc = c1 * c2
-            for wb, cb in cur.items():
-                _acc_add(acc, wb, cc * cb)
-    return NCPolynomial(spec, acc, normalized=True)
+    path: tuple = ()
+    stack = [p.terms]  # stack[k] = p * path[:k], as terms
+    for word in sorted(q.terms):
+        k, n = 0, min(len(word), len(path))
+        while k < n and word[k] == path[k]:
+            k += 1
+        del stack[k + 1:]
+        for g in word[k:]:
+            stack.append(_fold(tab, stack[-1], g))
+        path = word
+        _accumulate(acc, stack[-1], q.terms[word])
+    return NCPolynomial(p.spec, acc, normalized=True)
 
 
 def commutator(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
@@ -307,18 +286,18 @@ def bubble_normal_form(spec: AlgebraSpec, terms: dict, strategy: str = "leftmost
     work = [(w, _coerce_coeff(c)) for w, c in terms.items()]
     while work:
         word, c = work.pop()
-        if coeff_is_zero(c):
+        if not c:
             continue
         descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
         if not descents:
-            _acc_add(out, word, c)
+            out[word] = out.get(word, 0) + c
             continue
         k = descents[0] if strategy == "leftmost" else descents[-1]
         a, b = word[k], word[k + 1]
         work.append((word[:k] + (b, a) + word[k + 2 :], c))
         for g, cb in tab.bracket(a, b):
             work.append((word[:k] + (g,) + word[k + 2 :], c * cb))
-    return out
+    return {w: c for w, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +390,8 @@ def parse(spec: AlgebraSpec, text: str) -> NCPolynomial:
     terms: dict = {}
     while True:
         coeff, word = _parse_term(spec, lex)
-        _acc_add(terms, tuple(word), coeff)
+        word = tuple(word)
+        terms[word] = terms.get(word, 0) + coeff
         if lex.done():
             break
         lex.expect("+")
@@ -425,8 +405,8 @@ def _parse_rational(lex: _Lexer):
         den = lex.take_int()
         if den == 0:
             raise ParseError("zero denominator", lex.pos)
-        return Fraction(num, den)
-    return Fraction(num)
+        return _scalar(Fraction(num, den))
+    return num
 
 
 def _parse_param_poly(lex: _Lexer):
@@ -480,12 +460,12 @@ def _parse_gen(spec: AlgebraSpec, lex: _Lexer):
 
 
 def _parse_word(spec: AlgebraSpec, lex: _Lexer):
-    sign = Fraction(1)
+    sign = 1
     word = []
     while True:
         s, pair = _parse_gen(spec, lex)
         if pair is None:
-            sign = Fraction(0)
+            sign = 0
         else:
             sign *= s
             word.append(spec.generator_ids[pair])

@@ -1,8 +1,10 @@
 """Shift matrices: the constant matrices contracted against matrix-power elements.
 
 A ShiftMatrix lives over an index subset of an algebra (the full index set by
-default; a chain level's block otherwise).  Entries are exact rationals or
-parameter polynomials.  For so/sp the symmetry condition
+default; a chain level's block otherwise).  Entries follow the coefficient
+rule of ``params``: an int when integral, a Fraction otherwise, a parameter
+polynomial only when the entry carries parameters.  For so/sp the symmetry
+condition
 
     A[i,j] = s * eps(i)*eps(j) * A[-j,-i],   s in {+1, -1}
 
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import SP, AlgebraError, AlgebraSpec
-from .params import ParamPolynomial, coeff_is_zero
+from .params import ParamPolynomial, _scalar
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ class ShiftMatrix:
                     rhs = self.rows[idx[-j]][idx[-i]]
                     e = self.spec.eps(i) * self.spec.eps(j)
                     diff = lhs - (s * e) * rhs
-                    if not coeff_is_zero(diff):
+                    if diff:
                         ok = False
                         break
                 if not ok:
@@ -82,7 +84,7 @@ class ShiftMatrix:
 
     def describe(self) -> str:
         if all(
-            coeff_is_zero(self.rows[r][c])
+            not self.rows[r][c]
             for r in range(self.size)
             for c in range(self.size)
             if r != c
@@ -99,8 +101,8 @@ def _parse_entry(text: str):
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+            return _scalar(Fraction(int(num), int(den)))
+        return int(text)
     except (ValueError, ZeroDivisionError):
         pass
     if text and (text[0].isalpha() or text[0] == "_"):
@@ -122,7 +124,7 @@ def shift_from_designator(spec: AlgebraSpec, text: str, indices=None, declared_s
         if kind == "diag" and any(isinstance(e, ParamPolynomial) for e in entries):
             raise AlgebraError("diag: entries must be numeric; use sym-diag: for parameters")
         rows = tuple(
-            tuple(entries[r] if r == c else Fraction(0) for c in range(m)) for r in range(m)
+            tuple(entries[r] if r == c else 0 for c in range(m)) for r in range(m)
         )
     elif kind == "matrix":
         rows = tuple(
@@ -136,7 +138,7 @@ def shift_from_designator(spec: AlgebraSpec, text: str, indices=None, declared_s
 def shift_from_rows(spec: AlgebraSpec, rows, indices=None, declared_sign=None):
     indices = tuple(indices) if indices is not None else spec.index_set
     parsed = tuple(
-        tuple(x if isinstance(x, ParamPolynomial) else Fraction(x) for x in row)
+        tuple(x if isinstance(x, ParamPolynomial) else _scalar(x) for x in row)
         for row in rows
     )
     return make_shift(spec, parsed, indices=indices, declared_sign=declared_sign)
@@ -149,15 +151,15 @@ def canonical_shift(spec: AlgebraSpec, sign: int) -> ShiftMatrix:
     involution-odd partner (E[n,n] + E[-n,-n]).  gl gets diag(1, 2, 0, ...).
     """
     m = spec.matrix_size
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     if spec.is_gl:
-        rows[0][0] = Fraction(1)
-        rows[1][1] = Fraction(2)
+        rows[0][0] = 1
+        rows[1][1] = 2
         return make_shift(spec, rows, spec.index_set)
     top = spec.position(spec.n)
     bot = spec.position(-spec.n)
-    rows[top][top] = Fraction(1)
-    rows[bot][bot] = Fraction(sign)
+    rows[top][top] = 1
+    rows[bot][bot] = sign
     return make_shift(spec, rows, spec.index_set, declared_sign=sign)
 
 
@@ -170,7 +172,7 @@ def symbolic_shift(spec: AlgebraSpec, sign=None, prefix="a") -> ShiftMatrix:
     every numeric matrix of that sign at once.
     """
     m = spec.matrix_size
-    rows = [[ParamPolynomial.const(0) for _ in range(m)] for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     if sign is None:
         for r in range(m):
             for c in range(m):
@@ -216,14 +218,14 @@ def violating_shift(spec: AlgebraSpec) -> ShiftMatrix:
     if spec.family == SP and spec.n == 1:
         raise AlgebraError("sp(1) admits no sign-violating shift with effect")
     m = spec.matrix_size
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     if spec.family == SP:
-        rows[spec.position(-spec.n)][spec.position(-(spec.n - 1))] = Fraction(1)
+        rows[spec.position(-spec.n)][spec.position(-(spec.n - 1))] = 1
     elif 0 in spec.index_set:
-        rows[spec.position(-spec.n)][spec.position(0)] = Fraction(1)
+        rows[spec.position(-spec.n)][spec.position(0)] = 1
     else:
-        rows[spec.position(-spec.n)][spec.position(spec.n)] = Fraction(1)
-        rows[spec.position(-spec.n)][spec.position(-spec.n)] = Fraction(1)
+        rows[spec.position(-spec.n)][spec.position(spec.n)] = 1
+        rows[spec.position(-spec.n)][spec.position(-spec.n)] = 1
     mat = make_shift(spec, rows, spec.index_set)
     if mat.symmetry_signs():
         raise AlgebraError("violating-shift construction failed")

@@ -11,7 +11,6 @@ from envshift.algebra import (
     SP,
     AlgebraError,
     bracket_structure,
-    canonicalize,
     coordinates_to_matrix,
     dimension_and_index,
     make_algebra,
@@ -78,15 +77,12 @@ def test_parse_algebra_designators():
 
 def test_canonicalize_examples():
     so3 = make_algebra(SO_ODD, 1)
-    ref = canonicalize(so3, (0, -1))
-    assert (ref.i, ref.j, ref.sign, ref.canonical) == (1, 0, -1, False)
-    assert canonicalize(so3, (1, -1)) is None  # so self-paired: zero
+    assert so3.canonicalize_pair(0, -1) == (-1, (1, 0))
+    assert so3.canonicalize_pair(1, -1) == (1, None)  # so self-paired: zero
     sp1 = make_algebra(SP, 1)
-    ref = canonicalize(sp1, (1, -1))
-    assert (ref.i, ref.j, ref.sign, ref.canonical) == (1, -1, 1, True)
+    assert sp1.canonicalize_pair(1, -1) == (1, (1, -1))  # already canonical
     gl2 = make_algebra(GL, 2)
-    ref = canonicalize(gl2, (2, 1))
-    assert ref.canonical and ref.sign == 1
+    assert gl2.canonicalize_pair(2, 1) == (1, (2, 1))  # already canonical
 
 
 def test_canonicalize_is_idempotent_and_sign_involutive():

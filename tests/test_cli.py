@@ -160,6 +160,8 @@ def test_bad_arguments_exit_two_without_traceback():
         ("rank", "--algebra", "gl:2", "--trials", "0"),
         ("classical", "duality", "--algebra", "gl:2"),
         ("classical", "duality", "--algebra", "gl:2", "--M", "2"),
+        ("classical", "duality", "--algebra", "so:4", "--M", "3", "--k", "1"),
+        ("classical", "duality", "--algebra", "sp:2", "--M", "3", "--k", "1"),
         ("expand", "--algebra", "gl:2", "--A", "diag:1,2", "--M", "0"),
         ("classical", "lemma2", "--algebra", "gl:4", "--points", "0"),
     ):

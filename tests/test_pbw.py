@@ -14,7 +14,6 @@ from envshift.pbw import (
     commutator,
     format_poly,
     multiply,
-    normal_form,
     parse,
 )
 
@@ -159,11 +158,6 @@ def test_mixed_algebra_rejected():
         multiply(p, q)
     with pytest.raises(AlgebraError):
         _ = p + q
-
-
-def test_normal_form_is_identity_on_values():
-    p = NCPolynomial.from_word(GL2, [(2, 2), (1, 1)])
-    assert normal_form(p) == p
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,201 @@
+"""Oracles for the PBW product and the coefficient rule.
+
+* The defining representation: rho(pq) = rho(p) rho(q) in End(V), with rho
+  built from ``AlgebraSpec.defining_matrix`` alone, so it shares no code with
+  the rewrite tables.
+* The cache-free bubble rewriter: multiply(p, q) equals the normal form of
+  the concatenated words under both rewrite strategies, including q's whose
+  words share prefixes and q's with the empty word.
+* The coefficient rule: integral numbers come out as ints, and the text
+  format round-trips byte for byte.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from envshift import linalg
+from envshift.algebra import parse_algebra
+from envshift.params import ParamPolynomial
+from envshift.pbw import NCPolynomial, bubble_normal_form, format_poly, multiply, parse
+from envshift.shifts import shift_from_designator
+
+PARAMS = ("a", "b")
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def coefficients(draw):
+    kind = draw(st.sampled_from(("int", "fraction", "param")))
+    num = draw(st.integers(-5, 5).filter(bool))
+    if kind == "int":
+        return num
+    if kind == "fraction":
+        return Fraction(num, draw(st.integers(2, 4)))
+    poly = ParamPolynomial.const(num)
+    for _ in range(draw(st.integers(1, 2))):
+        scale = draw(st.sampled_from((1, -2, Fraction(1, 3))))
+        poly = poly + ParamPolynomial.variable(draw(st.sampled_from(PARAMS))) * scale
+    return poly
+
+
+@st.composite
+def raw_terms(draw, spec, max_deg=3, max_terms=4):
+    """Raw terms over words in any order, merged on equal words."""
+    ngen = spec.dim
+    terms: dict = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        deg = draw(st.integers(0, max_deg))
+        word = tuple(draw(st.integers(0, ngen - 1)) for _ in range(deg))
+        terms[word] = terms.get(word, 0) + draw(coefficients())
+    return terms
+
+
+@st.composite
+def prefix_rich_terms(draw, spec):
+    """Sorted words sharing prefixes: (), w[:1], w[:2], w and a sibling of w."""
+    ngen = spec.dim
+    word = tuple(sorted(draw(st.integers(0, ngen - 1)) for _ in range(3)))
+    sibling = word[:2] + (draw(st.integers(word[1], ngen - 1)),)
+    words = [(), word[:1], word[:2], word, sibling]
+    keep = draw(st.lists(st.sampled_from(words), min_size=1, max_size=5, unique=True))
+    return {w: draw(coefficients()) for w in keep}
+
+
+# ---------------------------------------------------------------------------
+# the defining representation
+
+
+def _substitute(c, values):
+    return c.substitute(values) if isinstance(c, ParamPolynomial) else Fraction(c)
+
+
+def _rho(spec, terms, values):
+    """sum c * rho(X_w1) ... rho(X_wk) over raw terms, parameters substituted."""
+    m = spec.matrix_size
+    gens = spec.canonical_generators
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for word, c in terms.items():
+        mat = linalg.identity(m)
+        for g in word:
+            mat = linalg.mat_mul(mat, [list(r) for r in spec.defining_matrix(gens[g])])
+        out = linalg.mat_add(out, linalg.mat_scale(mat, _substitute(c, values)))
+    return out
+
+
+REP_SPECS = [parse_algebra(d) for d in ("gl:2", "gl:3", "so:3", "so:4", "sp:1", "sp:2")]
+
+
+@pytest.mark.parametrize("spec", REP_SPECS, ids=lambda s: s.designator)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_defining_representation_is_multiplicative(spec, data):
+    raw_p = data.draw(raw_terms(spec))
+    raw_q = data.draw(raw_terms(spec))
+    values = {
+        name: data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        for name in PARAMS
+    }
+    p, q = NCPolynomial(spec, raw_p), NCPolynomial(spec, raw_q)
+    # normalizing keeps the represented operator
+    assert _rho(spec, p.terms, values) == _rho(spec, raw_p, values)
+    assert _rho(spec, q.terms, values) == _rho(spec, raw_q, values)
+    assert _rho(spec, multiply(p, q).terms, values) == linalg.mat_mul(
+        _rho(spec, p.terms, values), _rho(spec, q.terms, values)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the bubble rewriter on concatenated words
+
+
+def _concatenated(p, q):
+    raw: dict = {}
+    for w1, c1 in p.terms.items():
+        for w2, c2 in q.terms.items():
+            raw[w1 + w2] = raw.get(w1 + w2, 0) + c1 * c2
+    return raw
+
+
+FOLD_SPECS = [parse_algebra(d) for d in ("gl:3", "so:4", "sp:2")]
+
+
+@pytest.mark.parametrize("spec", FOLD_SPECS, ids=lambda s: s.designator)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_prefix_shared_product_matches_bubble_rewriting(spec, data):
+    p = NCPolynomial(spec, data.draw(raw_terms(spec, max_deg=2, max_terms=3)))
+    q = NCPolynomial(spec, data.draw(prefix_rich_terms(spec)))
+    got = multiply(p, q).terms
+    raw = _concatenated(p, q)
+    for strategy in ("leftmost", "rightmost"):
+        assert bubble_normal_form(spec, raw, strategy) == got, strategy
+
+
+def test_product_with_the_empty_word_alone():
+    spec = parse_algebra("gl:3")
+    p = NCPolynomial(spec, {(5, 1): 2, (0,): Fraction(1, 2)})
+    three = NCPolynomial.scalar(spec, 3)
+    assert multiply(p, three) == p * 3 == multiply(three, p)
+    assert multiply(p, NCPolynomial.zero(spec)).is_zero
+    assert multiply(NCPolynomial.zero(spec), p).is_zero
+
+
+# ---------------------------------------------------------------------------
+# the coefficient rule
+
+
+def _integral_fractions(values):
+    return [c for c in values if isinstance(c, Fraction) and c.denominator == 1]
+
+
+@pytest.mark.parametrize("designator", ["gl:3", "so:5", "sp:2"])
+def test_entry_points_give_ints_for_integral_numbers(designator):
+    spec = parse_algebra(designator)
+    for pair in spec.canonical_generators:
+        for i, j in (pair, (-pair[1], -pair[0])):
+            if i in spec.index_set and j in spec.index_set:
+                gen = NCPolynomial.generator(spec, i, j)
+                assert not _integral_fractions(gen.terms.values())
+    text = " + ".join(
+        f"{c}*X[{i},{j}]" for c, (i, j) in zip(("4/2", "-3", "5/3"), spec.canonical_generators)
+    )
+    parsed = parse(spec, text + " + 6/3")
+    assert not _integral_fractions(parsed.terms.values())
+    assert parsed.terms[()] == 2 and type(parsed.terms[()]) is int
+    m = spec.matrix_size
+    diag = "diag:" + ",".join(["4/2", "1/2"] + ["0"] * (m - 2))
+    A = shift_from_designator(spec, diag)
+    assert not _integral_fractions(x for row in A.rows for x in row)
+    assert type(A.rows[0][0]) is int and A.rows[1][1] == Fraction(1, 2)
+
+
+def test_param_polynomial_coefficients_follow_the_rule():
+    for c in (3, Fraction(6, 2), Fraction(-4, 1)):
+        assert not _integral_fractions(ParamPolynomial.const(c).terms.values())
+    p = ParamPolynomial({(("a", 1),): Fraction(4, 2), (): Fraction(1, 2)})
+    assert type(p.terms[(("a", 1),)]) is int
+    a = ParamPolynomial.variable("a")
+    assert not _integral_fractions(a.terms.values())
+    # the scalar fast path: scaling builds no constant polynomial
+    assert a * 1 is a and (a * 0).is_zero and (a * 3).terms == {(("a", 1),): 3}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3*X[1,2].X[2,1] + -1*X[1,1] + 7",
+        "3/2*X[1,2].X[2,1] + -1/3*X[2,2] + 5/7",
+        "(3/2*a1^2 + -1*a2)*X[1,2] + (2*a1)*X[2,2] + (1 + a2)",
+    ],
+    ids=["integral", "rational", "parametric"],
+)
+def test_text_format_round_trips_byte_for_byte(text):
+    spec = parse_algebra("gl:2")
+    once = format_poly(parse(spec, text))
+    assert format_poly(parse(spec, once)) == once
