@@ -4,6 +4,8 @@
 Writes one JSON report per suite into reports/ (created next to this script's
 repository root) and prints a one-line outcome per suite.  Exits nonzero if
 any suite fails.  Runtime is a few minutes; progress streams to stderr.
+Every suite runs from the repository root with relative chain paths, so the
+reports do not depend on where the checkout lives.
 """
 
 import pathlib
@@ -47,11 +49,11 @@ BATTERY = [
     ["verify", "prop5", "--algebra", "so:4", "--max-power", "3"],
     ["verify", "prop5", "--algebra", "sp:1", "--max-power", "3"],
     # chains
-    ["chain", "--file", str(ROOT / "scripts/chains/gl3.json")],
-    ["chain", "--file", str(ROOT / "scripts/chains/gl4.json")],
-    ["chain", "--file", str(ROOT / "scripts/chains/so4.json")],
-    ["chain", "--file", str(ROOT / "scripts/chains/so5.json")],
-    ["chain", "--file", str(ROOT / "scripts/chains/sp2.json")],
+    ["chain", "--file", "scripts/chains/gl3.json"],
+    ["chain", "--file", "scripts/chains/gl4.json"],
+    ["chain", "--file", "scripts/chains/so4.json"],
+    ["chain", "--file", "scripts/chains/so5.json"],
+    ["chain", "--file", "scripts/chains/sp2.json"],
     # classical side
     ["classical", "lemma2", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--points", "5"],
     ["classical", "lemma2", "--algebra", "so:5", "--points", "5"],
@@ -63,6 +65,8 @@ BATTERY = [
     ["classical", "tangent", "--algebra", "gl:3", "--A", "diag:1,2,0"],
     ["classical", "tangent", "--algebra", "gl:5", "--A", "diag:1,2,0,0,0"],
     ["expand", "--algebra", "gl:2", "--M", "2", "--A", "diag:1,2"],
+    ["expand", "--algebra", "sp:1", "--M", "3", "--A", "matrix:1/2,3;-2,5"],
+    ["expand", "--algebra", "so:4", "--M", "4", "--A", "diag:-1,0,0,1"],
     ["rank", "--algebra", "gl:2", "--A", "diag:1,2"],
 ]
 
@@ -77,6 +81,7 @@ def main() -> int:
         out = REPORTS / f"{name}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "envshift", *args, "--out", str(out)],
+            cwd=ROOT,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )

@@ -14,7 +14,6 @@ from .algebra import (
 )
 from .chains import ChainSpec, chain_generators, commutativity_failures, load_chain_file, make_chain
 from .classical import (
-    ClassicalPolynomial,
     PointOnDual,
     lie_poisson_bracket,
     power_trace,

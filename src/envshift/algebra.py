@@ -224,24 +224,32 @@ def matrix_in_algebra(spec: AlgebraSpec, rows) -> bool:
     """Whether a numeric matrix lies in the family's matrix algebra."""
     if spec.is_gl:
         return True
-    return _symmetry_holds(spec, rows, -1)
+    return _symmetry_holds(spec, rows, -1, spec.index_set)
 
 
-def _symmetry_holds(spec: AlgebraSpec, rows, s: int) -> bool:
-    for i in spec.index_set:
-        for j in spec.index_set:
-            lhs = rows[spec.position(i)][spec.position(j)]
-            rhs = rows[spec.position(-j)][spec.position(-i)]
+def _symmetry_holds(spec: AlgebraSpec, rows, s: int, indices) -> bool:
+    pos = {v: p for p, v in enumerate(indices)}
+    for i in indices:
+        for j in indices:
+            if -i not in pos or -j not in pos:
+                return False
+            lhs = rows[pos[i]][pos[j]]
+            rhs = rows[pos[-j]][pos[-i]]
             if lhs != s * spec.eps(i) * spec.eps(j) * rhs:
                 return False
     return True
 
 
-def symmetry_signs(spec: AlgebraSpec, rows):
-    """The set of signs s with A_ij = s*eps_i*eps_j*A_{-j,-i} (so/sp only)."""
+def symmetry_signs(spec: AlgebraSpec, rows, indices=None):
+    """The set of signs s with A_ij = s*eps_i*eps_j*A_{-j,-i} (so/sp only).
+
+    ``rows`` is aligned with ``indices`` (the full index set by default); a
+    sign fails when the index subset is not closed under negation.
+    """
     if spec.is_gl:
         return set()
-    return {s for s in (1, -1) if _symmetry_holds(spec, rows, s)}
+    idx = spec.index_set if indices is None else tuple(indices)
+    return {s for s in (1, -1) if _symmetry_holds(spec, rows, s, idx)}
 
 
 def matrix_to_coordinates(spec: AlgebraSpec, rows) -> dict:

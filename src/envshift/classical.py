@@ -1,10 +1,10 @@
 """The graded shadow: commutative polynomials on the dual space g*.
 
-Coordinate functions are indexed by the same canonical generators as the
-quantum side.  This module provides Lie-Poisson brackets, trace invariants
-and their argument-shift expansions, characteristic-polynomial shift
-invariants, exact gradients (symbolic, and in closed form at a rational
-point), and rank-2 point sampling.
+A classical image is a ``ParamPolynomial`` whose variables are the canonical
+generator ids of the quantum side, one coordinate function each.  This module
+provides Lie-Poisson brackets, trace invariants and their argument-shift
+expansions, characteristic-polynomial shift invariants, exact gradients
+(symbolic, and in closed form at a rational point), and rank-2 point sampling.
 """
 
 from __future__ import annotations
@@ -14,195 +14,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraError, AlgebraSpec, bracket_structure, matrix_to_coordinates
+from .algebra import (
+    AlgebraError,
+    AlgebraSpec,
+    bracket_structure,
+    coordinates_to_matrix,
+    matrix_to_coordinates,
+)
 from .params import ParamPolynomial
-from .pbw import NCPolynomial
+from .pbw import NCPolynomial, _accumulate
 
 
-class ClassicalPolynomial:
-    """Sparse commutative polynomial: ((gen_id, exp), ...) -> Fraction."""
-
-    __slots__ = ("spec", "terms")
-
-    def __init__(self, spec: AlgebraSpec, terms=None):
-        self.spec = spec
-        self.terms = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    v = self.terms.get(mono, Fraction(0)) + c
-                    if v:
-                        self.terms[mono] = v
-                    elif mono in self.terms:
-                        del self.terms[mono]
-
-    @classmethod
-    def zero(cls, spec):
-        return cls(spec)
-
-    @classmethod
-    def const(cls, spec, c):
-        c = Fraction(c)
-        return cls(spec, {(): c} if c else {})
-
-    @classmethod
-    def coordinate(cls, spec, i, j):
-        """The coordinate function of X[i,j]; zero for the so-type zero generator."""
-        sign, pair = spec.canonicalize_pair(i, j)
-        if pair is None:
-            return cls(spec)
-        g = spec.generator_ids[pair]
-        return cls(spec, {((g, 1),): Fraction(sign)})
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=-1)
-
-    def _coerce(self, other):
-        if isinstance(other, ClassicalPolynomial):
-            if other.spec != self.spec:
-                raise AlgebraError("mixed-algebra classical polynomials")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ClassicalPolynomial.const(self.spec, other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = ClassicalPolynomial(self.spec)
-        out.terms = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.terms.get(m, Fraction(0)) + c
-            if v:
-                out.terms[m] = v
-            elif m in out.terms:
-                del out.terms[m]
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = ClassicalPolynomial(self.spec)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = ClassicalPolynomial(self.spec)
-            if c:
-                out.terms = {m: v * c for m, v in self.terms.items()}
-            return out
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = ClassicalPolynomial(self.spec)
-        acc: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                v = acc.get(m, Fraction(0)) + c1 * c2
-                if v:
-                    acc[m] = v
-                elif m in acc:
-                    del acc[m]
-        out.terms = acc
-        return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return self * (Fraction(1) / Fraction(k))
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.spec, frozenset(self.terms.items())))
-
-    def partial(self, gen_id: int) -> "ClassicalPolynomial":
-        out = ClassicalPolynomial(self.spec)
-        acc: dict = {}
-        for mono, c in self.terms.items():
-            for t, (g, e) in enumerate(mono):
-                if g == gen_id:
-                    rest = mono[:t] + ((g, e - 1),) if e > 1 else mono[:t]
-                    rest = rest + mono[t + 1 :]
-                    v = acc.get(rest, Fraction(0)) + c * e
-                    if v:
-                        acc[rest] = v
-                    elif rest in acc:
-                        del acc[rest]
-                    break
-        out.terms = acc
-        return out
-
-    def evaluate(self, values) -> Fraction:
-        """values: gen_id -> Fraction (missing ids count as 0)."""
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for g, e in mono:
-                x = values.get(g, Fraction(0))
-                if not x:
-                    v = Fraction(0)
-                    break
-                v *= x**e
-            total += v
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        gens = self.spec.canonical_generators
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (-sum(e for _, e in m), m)):
-            c = self.terms[mono]
-            facs = []
-            for g, e in mono:
-                name = "X[%d,%d]" % gens[g]
-                facs.append(name if e == 1 else f"{name}^{e}")
-            if not facs:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(".".join(facs))
-            else:
-                parts.append(f"{c}*" + ".".join(facs))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"<ClassicalPolynomial {self.spec.designator}: {self}>"
+def coordinate(spec: AlgebraSpec, i: int, j: int) -> ParamPolynomial:
+    """The coordinate function of X[i,j]; zero for the so-type zero generator."""
+    sign, pair = spec.canonicalize_pair(i, j)
+    if pair is None:
+        return ParamPolynomial()
+    return ParamPolynomial({((spec.generator_ids[pair], 1),): sign})
 
 
-def _mono_mul(m1, m2):
-    exps: dict = {}
-    for g, e in m1 + m2:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items()))
+def format_classical(spec: AlgebraSpec, f: ParamPolynomial) -> str:
+    """f in the report text format: highest degree first, factors X[i,j]^e."""
+    if not f.terms:
+        return "0"
+    gens = spec.canonical_generators
+    parts = []
+    for mono in sorted(f.terms, key=lambda m: (-sum(e for _, e in m), m)):
+        c = f.terms[mono]
+        facs = []
+        for g, e in mono:
+            name = "X[%d,%d]" % gens[g]
+            facs.append(name if e == 1 else f"{name}^{e}")
+        if not facs:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(".".join(facs))
+        else:
+            parts.append(f"{c}*" + ".".join(facs))
+    return " + ".join(parts)
 
 
 def derive_rng(*parts) -> random.Random:
@@ -214,9 +63,8 @@ def derive_rng(*parts) -> random.Random:
 # quantum -> classical
 
 
-def graded_symbol(p: NCPolynomial, degree: int) -> ClassicalPolynomial:
+def graded_symbol(p: NCPolynomial, degree: int) -> ParamPolynomial:
     """The degree-d graded part of a PBW polynomial as a commutative polynomial."""
-    spec = p.spec
     acc: dict = {}
     for word, c in p.terms.items():
         if len(word) != degree:
@@ -227,14 +75,14 @@ def graded_symbol(p: NCPolynomial, degree: int) -> ClassicalPolynomial:
         for g in word:
             exps[g] = exps.get(g, 0) + 1
         mono = tuple(sorted(exps.items()))
-        acc[mono] = acc.get(mono, Fraction(0)) + c
-    return ClassicalPolynomial(spec, acc)
+        acc[mono] = acc.get(mono, 0) + c
+    return ParamPolynomial(acc)
 
 
-def top_symbol(p: NCPolynomial) -> ClassicalPolynomial:
+def top_symbol(p: NCPolynomial) -> ParamPolynomial:
     """Highest-degree part of a PBW polynomial as a commutative polynomial."""
     if p.is_zero:
-        return ClassicalPolynomial.zero(p.spec)
+        return ParamPolynomial()
     return graded_symbol(p, p.degree())
 
 
@@ -244,40 +92,31 @@ def top_symbol(p: NCPolynomial) -> ClassicalPolynomial:
 _CLASSICAL_BRACKETS: dict = {}
 
 
-def _coordinate_bracket(spec: AlgebraSpec, ga: int, gb: int) -> ClassicalPolynomial:
+def _coordinate_bracket(spec: AlgebraSpec, ga: int, gb: int) -> ParamPolynomial:
     key = (spec, ga, gb)
     out = _CLASSICAL_BRACKETS.get(key)
     if out is None:
         pa = spec.canonical_generators[ga]
         pb = spec.canonical_generators[gb]
-        acc = {}
-        for pair, c in bracket_structure(spec, pa, pb).items():
-            acc[((spec.generator_ids[pair], 1),)] = Fraction(c)
-        out = _CLASSICAL_BRACKETS[key] = ClassicalPolynomial(spec, acc)
+        out = _CLASSICAL_BRACKETS[key] = ParamPolynomial({
+            ((spec.generator_ids[pair], 1),): c
+            for pair, c in bracket_structure(spec, pa, pb).items()
+        })
     return out
 
 
-def lie_poisson_bracket(f: ClassicalPolynomial, g: ClassicalPolynomial) -> ClassicalPolynomial:
-    """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b}; bilinear, antisymmetric, Leibniz."""
-    if f.spec != g.spec:
-        raise AlgebraError("mixed-algebra classical polynomials")
-    spec = f.spec
-    gens_f = sorted({gid for m in f.terms for gid, _ in m})
-    gens_g = sorted({gid for m in g.terms for gid, _ in m})
-    out = ClassicalPolynomial.zero(spec)
-    for ga in gens_f:
+def lie_poisson_bracket(spec: AlgebraSpec, f: ParamPolynomial,
+                        g: ParamPolynomial) -> ParamPolynomial:
+    """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b} on g*; bilinear, antisymmetric, Leibniz."""
+    dg = {gb: g.partial(gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
+    acc: dict = {}
+    for ga in sorted({gid for m in f.terms for gid, _ in m}):
         dfa = f.partial(ga)
-        if dfa.is_zero:
-            continue
-        for gb in gens_g:
+        for gb, dgb in dg.items():
             br = _coordinate_bracket(spec, ga, gb)
-            if br.is_zero:
-                continue
-            dgb = g.partial(gb)
-            if dgb.is_zero:
-                continue
-            out = out + dfa * dgb * br
-    return out
+            if br:
+                _accumulate(acc, (dfa * dgb * br).terms)
+    return ParamPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +125,10 @@ def lie_poisson_bracket(f: ClassicalPolynomial, g: ClassicalPolynomial) -> Class
 
 def coordinate_matrix(spec: AlgebraSpec, indices=None):
     idx = tuple(indices) if indices is not None else spec.index_set
-    return [[ClassicalPolynomial.coordinate(spec, i, j) for j in idx] for i in idx]
+    return [[coordinate(spec, i, j) for j in idx] for i in idx]
 
 
-def power_trace(spec: AlgebraSpec, M: int, indices=None) -> ClassicalPolynomial:
+def power_trace(spec: AlgebraSpec, M: int, indices=None) -> ParamPolynomial:
     """S^M(X) = tr(X^M) with cyclic index contraction, as a polynomial."""
     if M < 1:
         raise ValueError("power must be >= 1")
@@ -297,23 +136,25 @@ def power_trace(spec: AlgebraSpec, M: int, indices=None) -> ClassicalPolynomial:
     P = X
     for _ in range(M - 1):
         P = linalg.mat_mul(P, X)
-    return _poly_trace(spec, P)
+    return _poly_trace(P)
 
 
-def shift_pair_trace(spec: AlgebraSpec, rows, M: int, indices=None) -> ClassicalPolynomial:
+def shift_pair_trace(spec: AlgebraSpec, rows, M: int, indices=None) -> ParamPolynomial:
     """tr(A X^M): the classical image of the shifted generator (A X^M)."""
     X = coordinate_matrix(spec, indices)
-    P = [[ClassicalPolynomial.const(spec, c) for c in row] for row in rows]
+    P = rows
     for _ in range(M):
         P = linalg.mat_mul(P, X)
-    return _poly_trace(spec, P)
+    return _poly_trace(P)
 
 
-def _poly_trace(spec, P):
-    acc = ClassicalPolynomial.zero(spec)
+def _poly_trace(P) -> ParamPolynomial:
+    """The trace of a matrix whose entries are numbers or polynomials."""
+    acc: dict = {}
     for r in range(len(P)):
-        acc = acc + P[r][r]
-    return acc
+        e = P[r][r]
+        _accumulate(acc, e.terms if isinstance(e, ParamPolynomial) else {(): e})
+    return ParamPolynomial(acc)
 
 
 def shift_expand(spec: AlgebraSpec, M: int, rows, indices=None):
@@ -325,7 +166,7 @@ def shift_expand(spec: AlgebraSpec, M: int, rows, indices=None):
     if M < 1:
         raise ValueError("power must be >= 1")
     graded = _shift_powers(coordinate_matrix(spec, indices), rows, M, M)
-    return [_poly_trace(spec, graded[k]) for k in range(1, M + 1)]
+    return [_poly_trace(graded[k]) for k in range(1, M + 1)]
 
 
 def _shift_powers(X, A, M: int, kmax: int):
@@ -378,7 +219,7 @@ class _LambdaSeries:
             other = _LambdaSeries([other])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for a, ca in enumerate(self.coeffs):
-            if isinstance(ca, Fraction) and not ca:
+            if not ca:
                 continue
             for b, cb in enumerate(other.coeffs):
                 out[a + b] = out[a + b] + ca * cb
@@ -387,7 +228,9 @@ class _LambdaSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, k):
-        return _LambdaSeries([c / k for c in self.coeffs])
+        # polynomial coefficients have no division; 1/k keeps it exact
+        inv = Fraction(1, k)
+        return _LambdaSeries([c * inv for c in self.coeffs])
 
     def __bool__(self):
         return any(bool(c) for c in self.coeffs)
@@ -416,18 +259,16 @@ def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
     series = [
         [_LambdaSeries([X_rows[r][c], A_rows[r][c]]) for c in range(m)] for r in range(m)
     ]
-    cs = linalg.charpoly(series, div=lambda x, n: x / n)
+    cs = linalg.charpoly(series)
     return {(M, k): cs[M].coefficient(k) for M, k in pairs}
 
 
-def charpoly_shift_invariants(spec: AlgebraSpec, M: int, k: int, rows) -> ClassicalPolynomial:
+def charpoly_shift_invariants(spec: AlgebraSpec, M: int, k: int, rows) -> ParamPolynomial:
     """P_A^{k,M} over the coordinate functions of the algebra."""
-    X = coordinate_matrix(spec)
-    A = [[ClassicalPolynomial.const(spec, c) for c in row] for row in rows]
-    out = shifted_charpoly_coefficient(X, A, M, k)
-    if isinstance(out, Fraction):
-        return ClassicalPolynomial.const(spec, out)
-    return out
+    out = shifted_charpoly_coefficient(coordinate_matrix(spec), rows, M, k)
+    if isinstance(out, ParamPolynomial):
+        return out
+    return ParamPolynomial.const(out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +313,20 @@ class PointOnDual:
         return rows
 
     def matrix(self):
-        rows = [[Fraction(0)] * self.spec.matrix_size for _ in range(self.spec.matrix_size)]
-        for g, v in enumerate(self.values):
-            if v:
-                dm = self.spec.defining_matrix(self.spec.canonical_generators[g])
-                for r in range(self.spec.matrix_size):
-                    for c in range(self.spec.matrix_size):
-                        if dm[r][c]:
-                            rows[r][c] += v * dm[r][c]
-        return rows
+        gens = self.spec.canonical_generators
+        return coordinates_to_matrix(
+            self.spec, {gens[g]: v for g, v in enumerate(self.values) if v}
+        )
 
 
-def evaluate(f: ClassicalPolynomial, point: PointOnDual) -> Fraction:
-    return f.evaluate(point.value_map())
+def evaluate(f: ParamPolynomial, point: PointOnDual) -> Fraction:
+    return f.substitute(point.value_map())
 
 
-def gradient(f: ClassicalPolynomial, point: PointOnDual):
+def gradient(f: ParamPolynomial, point: PointOnDual):
     """Exact partial derivatives over the canonical coordinates at the point."""
     vals = point.value_map()
-    return tuple(f.partial(g).evaluate(vals) for g in range(f.spec.dim))
+    return tuple(f.partial(g).substitute(vals) for g in range(point.spec.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .chains import chain_generators, commutativity_failures, load_chain_file
 from .classical import (
     PointOnDual,
     derive_rng,
+    format_classical,
     random_rank2_point,
     shift_expand,
     shifted_charpoly_values,
@@ -364,9 +365,7 @@ def cmd_chain(args) -> int:
     def rank_check():
         cert = ind.transcendency_check(chain, trials=args.trials, seed=args.seed)
         report.parameters["certificate"] = cert.serialize()
-        return cert.verdict == "PASS", None if cert.verdict == "PASS" else str(cert.rank), (
-            f"rank {cert.rank} vs target {cert.target}"
-        )
+        return _rank_outcome(cert)
 
     _run_check(report, "transcendency-rank", rank_check)
     return _finish(report, args)
@@ -380,14 +379,25 @@ def cmd_expand(args) -> int:
         algebra=spec.designator,
         parameters={"A": args.A, "M": args.M, "seed": args.seed},
     )
-    comps = shift_expand(spec, args.M, A.numeric_rows())
-    report.parameters["components"] = {
-        f"k={k + 1}": str(c) for k, c in enumerate(comps)
-    }
-    for k, c in enumerate(comps):
-        print(f"S_A^({k + 1},{args.M}) = {c}")
-    _run_check(report, "expansion-computed", lambda: (True, None, None))
+    A_rows = A.numeric_rows()
+
+    def run():
+        texts = [format_classical(spec, c) for c in shift_expand(spec, args.M, A_rows)]
+        report.parameters["components"] = {f"k={k + 1}": t for k, t in enumerate(texts)}
+        for k, t in enumerate(texts):
+            print(f"S_A^({k + 1},{args.M}) = {t}")
+        return True, None, None
+
+    _run_check(report, "expansion-computed", run)
     return _finish(report, args)
+
+
+def _rank_outcome(cert):
+    """A rank certificate as a check result; a FAIL's residual is target - rank."""
+    ok = cert.verdict == "PASS"
+    return ok, None if ok else str(cert.target - cert.rank), (
+        f"rank {cert.rank} vs target {cert.target}"
+    )
 
 
 def cmd_rank(args) -> int:
@@ -409,8 +419,7 @@ def cmd_rank(args) -> int:
         fs, labels = ind.shift_family_classical(spec, A_rows, max_shift=args.max_power)
         cert = ind.jacobian_rank(fs, spec, trials=args.trials, seed=args.seed, labels=labels)
         report.parameters["certificate"] = cert.serialize()
-        ok = cert.verdict == "PASS"
-        return ok, None if ok else str(cert.rank), f"rank {cert.rank} vs target {cert.target}"
+        return _rank_outcome(cert)
 
     _run_check(report, "jacobian-rank", run)
     return _finish(report, args)
@@ -466,7 +475,13 @@ def cmd_classical(args) -> int:
                 pA = PointOnDual.random(spec, derive_rng(args.seed, s, "a"))
                 out = ind.brailov_duality_check(spec, args.k, args.M, pX, pA)
                 det = f"validated index conventions: {out.validated}"
-                return out.validated == ["M-k-1"], None if out.validated else "no convention holds", det
+                if out.holds_plain_index and out.holds_shifted_index:
+                    raise AlgebraError(f"{det}; the point cannot tell the readings apart")
+                if out.holds_shifted_index:
+                    return True, None, det
+                # the gradient difference as the linear form sum_g d_g X[g]
+                diff = NCPolynomial(spec, {(g,): d for g, d in enumerate(out.residual)})
+                return False, format_poly(diff), det
             _run_check(report, f"duality M={args.M} k={args.k} seed#{s}", run)
         report.parameters.update({"M": args.M, "k": args.k, "seeds": args.seeds})
     elif args.what == "tangent":
@@ -477,7 +492,7 @@ def cmd_classical(args) -> int:
 
         def run():
             lhs, rhs = ind.tangent_intersection_dim(spec, A, trials=args.trials, seed=args.seed)
-            return lhs == rhs, None if lhs == rhs else f"{lhs}", f"lhs {lhs} vs rhs {rhs}"
+            return lhs == rhs, None if lhs == rhs else str(rhs - lhs), f"lhs {lhs} vs rhs {rhs}"
 
         _run_check(report, "tangent-intersection", run)
     else:

@@ -16,10 +16,10 @@ a zero polynomial certifies the identity at that instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraError, AlgebraSpec, matrix_in_algebra
+from .algebra import AlgebraError, AlgebraSpec, coordinates_to_matrix, matrix_in_algebra
+from .params import _scalar
 from .pbw import NCPolynomial, _accumulate, commutator, multiply
 from .shifts import ShiftMatrix
 
@@ -121,9 +121,7 @@ def stabilizer_basis(spec: AlgebraSpec, A) -> list:
     Computed as the exact null space of the commutator map restricted to the
     span of the canonical generators, so so/sp constraints hold by construction.
     """
-    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else [
-        [Fraction(x) for x in row] for row in A
-    ]
+    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else _rule_rows(A)
     m = spec.matrix_size
     if len(rows_A) != m:
         raise AlgebraError("stabilizer computation needs a full-size matrix")
@@ -137,18 +135,15 @@ def stabilizer_basis(spec: AlgebraSpec, A) -> list:
         for r in range(m)
         for c in range(m)
     ]
-    basis = []
-    for vec in linalg.nullspace(system, ncols=len(gens)):
-        mat = [[Fraction(0)] * m for _ in range(m)]
-        for g, cg in enumerate(vec):
-            if cg:
-                gm = spec.defining_matrix(gens[g])
-                for r in range(m):
-                    for c in range(m):
-                        if gm[r][c]:
-                            mat[r][c] += cg * gm[r][c]
-        basis.append(mat)
-    return basis
+    return [
+        _rule_rows(coordinates_to_matrix(spec, {gens[g]: cg for g, cg in enumerate(vec) if cg}))
+        for vec in linalg.nullspace(system, ncols=len(gens))
+    ]
+
+
+def _rule_rows(rows):
+    """A numeric matrix under the coefficient rule: ints where integral."""
+    return [[_scalar(x) for x in row] for row in rows]
 
 
 def check_centralizer(spec: AlgebraSpec, A, B, N: int) -> NCPolynomial:
@@ -157,14 +152,12 @@ def check_centralizer(spec: AlgebraSpec, A, B, N: int) -> NCPolynomial:
     For so/sp the identity requires B inside the matrix algebra, and the
     pairing doubles each canonical generator, hence the factor 2.
     """
-    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else [
-        [Fraction(x) for x in row] for row in A
-    ]
-    rows_B = [[Fraction(x) for x in row] for row in B]
+    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else _rule_rows(A)
+    rows_B = _rule_rows(B)
     if not spec.is_gl and not matrix_in_algebra(spec, rows_B):
         raise AlgebraError("centralizer check requires B in the matrix algebra")
     lhs = commutator(linear_element(spec, rows_B), contract_rows(spec, rows_A, N))
-    bracket = linalg.mat_commutator(rows_A, rows_B)
+    bracket = _rule_rows(linalg.mat_commutator(rows_A, rows_B))
     factor = 1 if spec.is_gl else 2
     return lhs - contract_rows(spec, bracket, N) * factor
 

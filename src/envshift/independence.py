@@ -15,7 +15,6 @@ from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, dimension_and_index
 from .chains import ChainSpec, chain_generators
 from .classical import (
-    ClassicalPolynomial,
     PointOnDual,
     algebra_projection,
     coordinate_gradient,
@@ -26,6 +25,7 @@ from .classical import (
     shift_pair_gradient,
     top_symbol,
 )
+from .params import ParamPolynomial
 from .pbw import NCPolynomial
 from .shifts import ShiftMatrix
 
@@ -69,10 +69,10 @@ class RankCertificate:
 def _gradient_function(gen, spec):
     """point -> coordinate gradient of one generator at the point."""
     if isinstance(gen, NCPolynomial):
-        gen = top_symbol(gen)
-    if isinstance(gen, ClassicalPolynomial):
         if gen.spec != spec:
             raise AlgebraError("mixed-algebra generators")
+        gen = top_symbol(gen)
+    if isinstance(gen, ParamPolynomial):
         return lambda point: gradient(gen, point)
     if callable(gen):
         return lambda point: coordinate_gradient(spec, gen(point.coordinate_realization()))
@@ -131,6 +131,7 @@ class DualityOutcome:
     M: int
     holds_shifted_index: bool   # gradient match with index M-k-1
     holds_plain_index: bool     # gradient match with index M-k
+    residual: tuple             # lhs - shifted-index gradient, per coordinate
 
     @property
     def validated(self):
@@ -161,6 +162,7 @@ def brailov_duality_check(spec: AlgebraSpec, k: int, M: int,
         k=k, M=M,
         holds_shifted_index=(lhs == shifted),
         holds_plain_index=(lhs == plain),
+        residual=tuple(a - b for a, b in zip(lhs, shifted)),
     )
 
 

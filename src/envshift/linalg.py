@@ -137,16 +137,13 @@ def intersection_dim(u_rows, w_rows) -> int:
     return ru + rw - rank(list(u_rows) + list(w_rows))
 
 
-def charpoly(matrix, div=None):
+def charpoly(matrix):
     """Coefficients [c_0..c_n] of det(tI - B) = sum c_k t^(n-k), c_0 = 1.
 
     Faddeev-LeVerrier recursion; works over any commutative coefficient ring
-    whose elements support +, -, * and exact division by a positive integer
-    (pass ``div`` to override the default ``x / k``).
+    whose elements support +, -, * and exact division by a positive integer.
     """
     n = len(matrix)
-    if div is None:
-        div = lambda x, k: x / k
     cs = [Fraction(1)]
     aux = None  # running matrix A*(M_{k-1} + c_{k-1} I)
     for k in range(1, n + 1):
@@ -156,7 +153,7 @@ def charpoly(matrix, div=None):
             for r in range(n):
                 aux[r][r] = aux[r][r] + cs[-1]
             aux = mat_mul(matrix, aux)
-        c = div(-trace(aux), k)
+        c = -trace(aux) / k
         cs.append(c)
     return cs
 

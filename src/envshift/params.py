@@ -1,9 +1,11 @@
-"""Multivariate polynomials in named parameters with exact rational coefficients.
+"""Sparse commutative polynomials with exact rational coefficients.
 
 Used as an alternative coefficient domain so shift matrices can carry symbolic
 entries (a1, a2, ...): a single vanishing check then covers a Zariski-dense
 family of numeric shift matrices at once.  Only ring operations are needed,
-never division by a parameter.
+never division by a parameter.  The same ring, with canonical generator ids as
+variables, holds the classical images on g* (see ``classical``); one
+polynomial never mixes the two kinds of variable.
 
 Coefficient rule, shared with the PBW layer: a number is an ``int`` when it
 is integral and a ``Fraction`` only when its denominator is not 1.
@@ -27,7 +29,7 @@ def _scalar(c):
 
 
 class ParamPolynomial:
-    """Sparse polynomial: monomial tuple ((name, exp), ...) -> int or Fraction."""
+    """Sparse polynomial: monomial tuple ((var, exp), ...) sorted by var -> int or Fraction."""
 
     __slots__ = ("terms",)
 
@@ -131,8 +133,24 @@ class ParamPolynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(e for _, e in m) for m in self.terms), default=-1)
+
+    def partial(self, var) -> "ParamPolynomial":
+        """The derivative in one variable."""
+        terms = {}
+        for mono, c in self.terms.items():
+            for t, (name, e) in enumerate(mono):
+                if name == var:
+                    # distinct monomials keep distinct rests, so nothing merges
+                    rest = mono[:t] + (((name, e - 1),) if e > 1 else ()) + mono[t + 1:]
+                    terms[rest] = c * e
+                    break
+        return ParamPolynomial._of(terms)
+
     def substitute(self, values: dict) -> Fraction:
-        """Evaluate at rational parameter values (all names must be bound)."""
+        """Evaluate at rational variable values (all variables must be bound)."""
         total = Fraction(0)
         for mono, c in self.terms.items():
             v = c

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import SP, AlgebraError, AlgebraSpec
+from .algebra import SP, AlgebraError, AlgebraSpec, symmetry_signs
 from .params import ParamPolynomial, _scalar
 
 
@@ -42,58 +42,21 @@ class ShiftMatrix:
     def is_numeric(self) -> bool:
         return all(not isinstance(x, ParamPolynomial) for row in self.rows for x in row)
 
-    def entry(self, i: int, j: int):
-        return self.rows[self.indices.index(i)][self.indices.index(j)]
-
     def numeric_rows(self):
+        """The entries as fresh lists, under the coefficient rule."""
         if not self.is_numeric:
             raise AlgebraError("operation requires a numeric shift matrix")
-        return [[Fraction(x) for x in row] for row in self.rows]
+        return [list(row) for row in self.rows]
 
     def symmetry_signs(self) -> set:
         """Signs s satisfied entrywise (so/sp; empty set for gl or neither sign)."""
-        if self.spec.is_gl:
-            return set()
-        idx = {v: p for p, v in enumerate(self.indices)}
-        out = set()
-        for s in (1, -1):
-            ok = True
-            for i in self.indices:
-                for j in self.indices:
-                    if -j not in idx or -i not in idx:
-                        ok = False
-                        break
-                    lhs = self.rows[idx[i]][idx[j]]
-                    rhs = self.rows[idx[-j]][idx[-i]]
-                    e = self.spec.eps(i) * self.spec.eps(j)
-                    diff = lhs - (s * e) * rhs
-                    if diff:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.add(s)
-        return out
+        return symmetry_signs(self.spec, self.rows, self.indices)
 
     def rank(self) -> int:
         return linalg.rank(self.numeric_rows())
 
     def is_semisimple(self) -> bool:
         return linalg.is_semisimple(self.numeric_rows())
-
-    def describe(self) -> str:
-        if all(
-            not self.rows[r][c]
-            for r in range(self.size)
-            for c in range(self.size)
-            if r != c
-        ):
-            kind = "diag" if self.is_numeric else "sym-diag"
-            return kind + ":" + ",".join(str(self.rows[r][r]) for r in range(self.size))
-        return "matrix:" + ";".join(
-            ",".join(str(x) for x in row) for row in self.rows
-        )
 
 
 def _parse_entry(text: str):

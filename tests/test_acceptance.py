@@ -270,7 +270,7 @@ def test_criterion_8_engine_integrity():
         if p.is_zero or q.is_zero:
             continue
         grade = p.degree() + q.degree() - 1
-        want = lie_poisson_bracket(top_symbol(p), top_symbol(q))
+        want = lie_poisson_bracket(GL2, top_symbol(p), top_symbol(q))
         got = graded_symbol(commutator(p, q), grade)
         assert got == want
 

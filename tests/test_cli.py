@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -55,6 +57,20 @@ def test_contract_invocation_prop3_prints_coefficients():
     assert line.rstrip("]").endswith("1") and ", 1" in line
 
 
+def _assert_fail_witnesses(rep):
+    """Every FAIL residual re-parses to a nonzero polynomial."""
+    from envshift.algebra import parse_algebra
+    from envshift.pbw import parse
+
+    fails = [c for c in rep["checks"] if c["outcome"] == "FAIL"]
+    assert fails
+    spec = parse_algebra(rep["algebra"])
+    for c in fails:
+        assert c["residual"]
+        assert not parse(spec, c["residual"]).is_zero
+    return fails
+
+
 def test_exit_code_one_on_fail_with_witness(tmp_path):
     out = tmp_path / "rep.json"
     r = run_cli(
@@ -63,17 +79,49 @@ def test_exit_code_one_on_fail_with_witness(tmp_path):
         "--max-power", "3", "--out", str(out),
     )
     assert r.returncode == 1
-    rep = json.loads(out.read_text())
-    fails = [c for c in rep["checks"] if c["outcome"] == "FAIL"]
-    assert fails
-    # witness integrity: every FAIL residual re-parses to a nonzero polynomial
+    _assert_fail_witnesses(json.loads(out.read_text()))
+    # rank 7 against target 10: the residual is the shortfall 3, not the rank
+    r = run_cli("rank", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--out", str(out))
+    assert r.returncode == 1
+    fails = _assert_fail_witnesses(json.loads(out.read_text()))
+    assert [c["residual"] for c in fails] == ["3"]
+
+
+def _doubled_lhs(real):
+    # M=4, k=1: the k=1 gradient doubled, so neither index reading holds
+    from envshift import linalg
+
+    return lambda X, A, M, k: linalg.mat_scale(real(X, A, M, k), 2 if k == 1 else 1)
+
+
+def _plain_as_shifted(real):
+    # M=4, k=1: the M-k (j=3) gradient replaced by the M-k-1 (j=2) one, so both hold
+    return lambda X, A, M, k: real(X, A, M, 2 if k == 3 else k)
+
+
+@pytest.mark.parametrize("patch, outcome, code", [
+    (_doubled_lhs, "FAIL", 1),
+    (_plain_as_shifted, "ERROR", 2),
+])
+def test_duality_outcomes_when_forced(tmp_path, monkeypatch, patch, outcome, code):
+    from envshift import cli, independence
     from envshift.algebra import parse_algebra
     from envshift.pbw import parse
 
-    spec = parse_algebra("so:4")
-    for c in fails:
-        assert c["residual"]
-        assert not parse(spec, c["residual"]).is_zero
+    monkeypatch.setattr(independence, "shift_expand_gradient",
+                        patch(independence.shift_expand_gradient))
+    out = tmp_path / "rep.json"
+    argv = ["classical", "duality", "--algebra", "gl:3", "--M", "4", "--k", "1",
+            "--seeds", "2", "--out", str(out)]
+    assert cli.main(argv) == code
+    rep = json.loads(out.read_text())
+    assert [c["outcome"] for c in rep["checks"]] == [outcome] * 2
+    if outcome == "FAIL":
+        # the residual is the gradient difference, a linear form in the X[i,j]
+        for c in _assert_fail_witnesses(rep):
+            assert parse(parse_algebra("gl:3"), c["residual"]).degree() == 1
+    else:
+        assert all("cannot tell" in c["detail"] for c in rep["checks"])
 
 
 def test_exit_code_two_on_bad_input():
@@ -112,11 +160,33 @@ def test_chain_command_report(tmp_path):
     assert rep["parameters"]["certificate"]["seed"] == 7
 
 
-def test_expand_command_prints_components():
-    r = run_cli("expand", "--algebra", "gl:2", "--M", "2", "--A", "diag:1,2")
-    assert r.returncode == 0
-    assert "S_A^(1,2) = 2*X[1,1] + 4*X[2,2]" in r.stdout
-    assert "S_A^(2,2) = 5" in r.stdout
+EXPAND_GOLDEN = [
+    ("gl:2", "2", "diag:1,2", ["2*X[1,1] + 4*X[2,2]", "5"]),
+    ("sp:1", "3", "matrix:1/2,3;-2,5", [
+        "33/2*X[-1,1].X[1,-1] + 33/2*X[1,1]^2",
+        "-33*X[-1,1] + 99/2*X[1,-1] + 297/4*X[1,1]",
+        "209/8",
+    ]),
+    ("so:4", "4", "diag:-1,0,0,1", [
+        "-8*X[-1,2].X[1,1].X[2,-1] + 16*X[-1,2].X[2,-1].X[2,2] + 8*X[1,1].X[1,2].X[2,1]"
+        " + 16*X[1,2].X[2,1].X[2,2] + 8*X[2,2]^3",
+        "8*X[-1,2].X[2,-1] + 8*X[1,2].X[2,1] + 12*X[2,2]^2",
+        "8*X[2,2]",
+        "2",
+    ]),
+]
+
+
+def test_expand_command_prints_components(tmp_path):
+    out = tmp_path / "rep.json"
+    for algebra, M, A, components in EXPAND_GOLDEN:
+        r = run_cli("expand", "--algebra", algebra, "--M", M, "--A", A, "--out", str(out))
+        assert r.returncode == 0
+        for k, text in enumerate(components, start=1):
+            assert f"S_A^({k},{M}) = {text}\n" in r.stdout
+        assert json.loads(out.read_text())["parameters"]["components"] == {
+            f"k={k}": text for k, text in enumerate(components, start=1)
+        }
 
 
 def test_classical_commands():
@@ -189,3 +259,18 @@ def test_error_while_building_is_an_error_record(tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert [c["outcome"] for c in checks] == ["ERROR"]
     assert "so/sp" in checks[0]["detail"]
+
+
+def test_error_while_expanding_is_an_error_record(tmp_path, monkeypatch):
+    from envshift import cli
+    from envshift.algebra import AlgebraError
+
+    def broken(spec, M, rows):
+        raise AlgebraError("expansion failed")
+
+    monkeypatch.setattr(cli, "shift_expand", broken)
+    out = tmp_path / "rep.json"
+    argv = ["expand", "--algebra", "gl:2", "--M", "2", "--A", "diag:1,2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    checks = json.loads(out.read_text())["checks"]
+    assert [(c["outcome"], c["detail"]) for c in checks] == [("ERROR", "expansion failed")]

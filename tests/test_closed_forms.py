@@ -85,7 +85,7 @@ def test_point_realizations_differ_only_on_sp():
         X = coordinate_matrix(spec)
         vals = point.value_map()
         assert point.coordinate_realization() == [
-            [x.evaluate(vals) for x in row] for row in X
+            [x.substitute(vals) for x in row] for row in X
         ]
 
 

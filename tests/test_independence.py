@@ -15,7 +15,6 @@ from envshift.algebra import (
 )
 from envshift.chains import make_chain
 from envshift.classical import (
-    ClassicalPolynomial,
     PointOnDual,
     coordinate_gradient,
     derive_rng,
@@ -29,6 +28,7 @@ from envshift.independence import (
     tangent_intersection_dim,
     transcendency_check,
 )
+from envshift.params import ParamPolynomial
 from envshift.shifts import canonical_shift, shift_from_designator
 
 GL2 = make_algebra(GL, 2)
@@ -43,7 +43,7 @@ def test_rank_certificate_examples():
     assert cert.rank == 3 and cert.target == 3 and cert.verdict == "PASS"
     assert cert.stable and len(cert.ranks) == 3
 
-    single = jacobian_rank([ClassicalPolynomial.const(GL2, 5)], GL2, trials=2, seed=1)
+    single = jacobian_rank([ParamPolynomial.const(5)], GL2, trials=2, seed=1)
     assert single.rank == 0 and single.verdict == "FAIL"
 
     with pytest.raises(AlgebraError):
@@ -54,6 +54,8 @@ def test_rank_accepts_quantum_generators():
     gens = [el.casimir(GL2, 1), el.casimir(GL2, 2)]
     cert = jacobian_rank(gens, GL2, trials=3, seed=7)
     assert cert.rank == 2
+    with pytest.raises(AlgebraError):
+        jacobian_rank([el.casimir(GL3, 2)], GL2)
 
 
 def test_rank_negative_control():

@@ -36,3 +36,14 @@ def test_str_forms():
     assert str(a * a) == "a1^2"
     assert coeff_to_str(a + 1) == "(1 + a1)"
     assert coeff_to_str(Fraction(-3, 2)) == "-3/2"
+
+
+def test_degree_and_partial():
+    a = ParamPolynomial.variable("a1")
+    b = ParamPolynomial.variable("a2")
+    p = a * a * b * 3 + b * Fraction(1, 2) + 7
+    assert p.degree() == 3 and ParamPolynomial.const(4).degree() == 0
+    assert ParamPolynomial().degree() == -1
+    assert p.partial("a1") == a * b * 6
+    assert p.partial("a2") == a * a * 3 + Fraction(1, 2)
+    assert p.partial("a3").is_zero

@@ -6,8 +6,9 @@
 * The cache-free bubble rewriter: multiply(p, q) equals the normal form of
   the concatenated words under both rewrite strategies, including q's whose
   words share prefixes and q's with the empty word.
-* The coefficient rule: integral numbers come out as ints, and the text
-  format round-trips byte for byte.
+* The coefficient rule: integral numbers come out as ints, shift rows and
+  stabilizer matrices reach the PBW layer as ints, exact linear algebra on
+  int input yields no float, and the text format round-trips byte for byte.
 """
 
 from fractions import Fraction
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envshift import linalg
+from envshift import elements as el
+from envshift import linalg, pbw
 from envshift.algebra import parse_algebra
+from envshift.classical import shifted_charpoly_values
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, bubble_normal_form, format_poly, multiply, parse
 from envshift.shifts import shift_from_designator
@@ -184,6 +187,46 @@ def test_param_polynomial_coefficients_follow_the_rule():
     assert not _integral_fractions(a.terms.values())
     # the scalar fast path: scaling builds no constant polynomial
     assert a * 1 is a and (a * 0).is_zero and (a * 3).terms == {(("a", 1),): 3}
+
+
+@pytest.mark.parametrize(
+    "designator, diag, outside",
+    [
+        ("gl:4", "diag:1,2,0,0", [[0, 1, 0, 0], [3, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+        ("so:4", "diag:-1,0,0,1", None),
+    ],
+)
+def test_centralizer_operands_follow_the_rule(designator, diag, outside, monkeypatch):
+    spec = parse_algebra(designator)
+    A = shift_from_designator(spec, diag)
+    assert all(type(x) is int for row in A.numeric_rows() for x in row)
+    basis = el.stabilizer_basis(spec, A)
+    assert basis and all(type(x) is int for B in basis for row in B for x in row)
+    seen = []
+    real = pbw.multiply
+
+    def spy(p, q):
+        seen.extend(p.terms.values())
+        seen.extend(q.terms.values())
+        return real(p, q)
+
+    # the commutators inside check_centralizer multiply through pbw.multiply
+    monkeypatch.setattr(pbw, "multiply", spy)
+    for B in basis + ([outside] if outside else []):
+        assert el.check_centralizer(spec, A, B, 2).is_zero
+    assert seen and all(type(c) is int for c in seen)
+
+
+def test_linalg_stays_exact_on_int_input():
+    X = [[2, 1, 0], [1, 3, 0], [0, 0, 0]]
+    A = [[1, 0, 0], [0, 2, 0], [0, 0, 0]]
+    exact = (int, Fraction)
+    assert all(isinstance(c, exact) for c in linalg.charpoly(X))
+    assert linalg.charpoly(X) == [1, -5, 5, 0]
+    assert linalg.is_semisimple(X) and linalg.is_semisimple(A)
+    assert not linalg.is_semisimple([[0, 1], [0, 0]])
+    values = shifted_charpoly_values(X, A, [(2, 1), (3, 1), (3, 2)])
+    assert all(isinstance(v, exact) for v in values.values())
 
 
 @pytest.mark.parametrize(
