@@ -21,6 +21,7 @@ BATTERY = [
     ["verify", "theorem1", "--algebra", "gl:3", "--max-power", "4"],
     ["verify", "theorem1", "--algebra", "gl:3", "--A", "diag:1,1,0", "--max-power", "4"],
     ["verify", "theorem1", "--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"],
+    ["verify", "theorem1", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:3", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:4", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:5", "--max-power", "3"],
@@ -28,6 +29,7 @@ BATTERY = [
     ["verify", "theorem2", "--algebra", "sp:2", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:4", "--A", "symbolic", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "sp:2", "--A", "symbolic", "--max-power", "3"],
+    ["verify", "theorem2", "--algebra", "so:6", "--A", "symbolic"],
     # centralizer / tensoriality / centrality
     ["verify", "centralizer", "--algebra", "gl:3", "--max-power", "3"],
     ["verify", "centralizer", "--algebra", "gl:3", "--A", "diag:1,1,0", "--max-power", "3"],

@@ -26,6 +26,7 @@ from .elements import (
     check_centralizer,
     check_proposition,
     matrix_power_element,
+    shift_commutator_residual,
     shift_generator,
     stabilizer_basis,
 )

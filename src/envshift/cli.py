@@ -91,6 +91,9 @@ def _run_check(report: SuiteReport, check_id: str, fn):
         outcome = "PASS" if ok else "FAIL"
     except AlgebraError as exc:
         outcome, residual, detail = "ERROR", None, str(exc)
+    except Exception as exc:  # internal error; a traceback would embed checkout paths
+        outcome, residual = "ERROR", None
+        detail = f"internal error: {type(exc).__name__}: {exc}"
     wall = (time.perf_counter() - t0) * 1000.0
     report.checks.append(CheckRecord(check_id, outcome, residual, detail, wall))
     print(f"check {check_id}: {outcome}", file=sys.stderr)
@@ -120,14 +123,15 @@ def _proposition_check(check_fn):
 
 def _suite_shift_commutativity(report, spec, shifts, max_power):
     for name, A in shifts:
+        built: dict = {}  # (B_m X^K) of this A, shared by its checks
         for M in range(1, max_power + 1):
             for N in range(M, max_power + 1):
                 _run_check(
                     report,
                     f"[(AX^{M}),(AX^{N})]=0 A={name}",
                     _residual_check(
-                        lambda A=A, M=M, N=N: commutator(
-                            el.shift_generator(spec, A, M), el.shift_generator(spec, A, N)
+                        lambda A=A, M=M, N=N, built=built: el.shift_commutator_residual(
+                            spec, A, M, N, built
                         )
                     ),
                 )
@@ -570,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rank", help="Jacobian rank certificate of the shift family")
     common(r)
     r.add_argument("--A")
-    r.add_argument("--max-power", type=int, default=None, dest="max_power")
+    r.add_argument("--max-power", type=_positive_int, default=None, dest="max_power")
     r.add_argument("--trials", type=_positive_int, default=3)
     r.set_defaults(fn=cmd_rank)
 
@@ -593,11 +597,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except AlgebraError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # internal error: exit 2 with one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

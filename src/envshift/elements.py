@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, coordinates_to_matrix, matrix_in_algebra
-from .params import _scalar
+from .params import ParamPolynomial, _mono_mul, _scalar
 from .pbw import NCPolynomial, _accumulate, commutator, multiply
 from .shifts import ShiftMatrix
 
@@ -104,6 +104,45 @@ def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int, declared_sign=Non
     if declared_sign is not None and declared_sign not in A.symmetry_signs():
         raise AlgebraError(f"shift matrix violates symmetry sign {declared_sign:+d}")
     return contract_rows(spec, A.rows, M, A.indices)
+
+
+def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
+                              built=None) -> NCPolynomial:
+    """[(A X^M), (A X^N)] from numeric commutators, by polarization in A's parameters.
+
+    With A = sum_m m*B_m over parameter monomials (``ShiftMatrix.parts``), the
+    commutator is sum_mu mu*R_mu with R_mu = sum_{m*m' = mu} [(B_m X^M), (B_m' X^N)].
+    Each R_mu is numeric, and the result vanishes exactly when every R_mu
+    does; it is assembled with parametric coefficients only where it does not.
+    A numeric A is the single part 1: one commutator, as computed directly.
+    ``built`` caches the (B_m X^K) across calls with the same A.
+    """
+    if A.spec != spec:
+        raise AlgebraError("shift matrix belongs to a different algebra")
+    if built is None:
+        built = {}
+    parts = A.parts()
+
+    def element(m, K):
+        out = built.get((m, K))
+        if out is None:
+            out = built[m, K] = contract_rows(spec, parts[m], K, A.indices)
+        return out
+
+    groups: dict = {}
+    for m in parts:
+        for m2 in parts:
+            _accumulate(groups.setdefault(_mono_mul(m, m2), {}),
+                        commutator(element(m, M), element(m2, N)).terms)
+    coeffs: dict = {}   # word -> {mu: nonzero coefficient of the word in R_mu}
+    for mu, terms in groups.items():
+        for w, c in terms.items():
+            if c:
+                coeffs.setdefault(w, {})[mu] = c
+    return NCPolynomial(spec, {
+        w: cs[()] if len(cs) == 1 and () in cs else ParamPolynomial(cs)
+        for w, cs in coeffs.items()
+    }, normalized=True)
 
 
 def linear_element(spec: AlgebraSpec, rows) -> NCPolynomial:

@@ -417,7 +417,7 @@ def _parse_param_poly(lex: _Lexer):
             ch = lex.peek()
             if ch is not None and (ch.isdigit() or ch == "-"):
                 part = part * _parse_rational(lex)
-            elif ch is not None and ch.isalpha():
+            elif ch is not None and (ch.isalpha() or ch == "_"):
                 name = lex.take_name()
                 exp = 1
                 if lex.peek() == "^":

@@ -13,6 +13,7 @@ is detected on construction; the in-algebra case is s = -1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,24 @@ class ShiftMatrix:
             raise AlgebraError("operation requires a numeric shift matrix")
         return [list(row) for row in self.rows]
 
+    def parts(self) -> dict:
+        """A as sum_m m*B_m: parameter monomial m (``()`` for 1) -> numeric rows B_m.
+
+        The rows follow the coefficient rule; a monomial is listed only with
+        a nonzero B_m, and a numeric matrix is the single part ``()``.
+        """
+        size = self.size
+        out: dict = {}
+        for r, row in enumerate(self.rows):
+            for c, x in enumerate(row):
+                terms = x.terms.items() if isinstance(x, ParamPolynomial) else (((), x),)
+                for mono, coef in terms:
+                    if coef:
+                        if mono not in out:
+                            out[mono] = [[0] * size for _ in range(size)]
+                        out[mono][r][c] = coef
+        return out
+
     def symmetry_signs(self) -> set:
         """Signs s satisfied entrywise (so/sp; empty set for gl or neither sign)."""
         return symmetry_signs(self.spec, self.rows, self.indices)
@@ -59,6 +78,9 @@ class ShiftMatrix:
         return linalg.is_semisimple(self.numeric_rows())
 
 
+_PARAMETER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _parse_entry(text: str):
     text = text.strip()
     try:
@@ -68,7 +90,7 @@ def _parse_entry(text: str):
         return int(text)
     except (ValueError, ZeroDivisionError):
         pass
-    if text and (text[0].isalpha() or text[0] == "_"):
+    if _PARAMETER.fullmatch(text):
         return ParamPolynomial.variable(text)
     raise AlgebraError(f"bad shift matrix entry {text!r}")
 

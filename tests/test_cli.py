@@ -80,6 +80,15 @@ def test_exit_code_one_on_fail_with_witness(tmp_path):
     )
     assert r.returncode == 1
     _assert_fail_witnesses(json.loads(out.read_text()))
+    # numbers beside parameters: a parameter-free coefficient prints as a number
+    r = run_cli(
+        "verify", "theorem2", "--algebra", "so:4",
+        "--A", "matrix:1,0,0,a;0,b,0,0;0,0,0,0;2,0,0,0",
+        "--max-power", "2", "--out", str(out),
+    )
+    assert r.returncode == 1
+    fails = _assert_fail_witnesses(json.loads(out.read_text()))
+    assert [c["residual"] for c in fails] == ["-8*X[-1,2].X[1,2] + (4*a)*X[2,-1].X[2,1]"]
     # rank 7 against target 10: the residual is the shortfall 3, not the rank
     r = run_cli("rank", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--out", str(out))
     assert r.returncode == 1
@@ -234,6 +243,12 @@ def test_bad_arguments_exit_two_without_traceback():
         ("classical", "duality", "--algebra", "sp:2", "--M", "3", "--k", "1"),
         ("expand", "--algebra", "gl:2", "--A", "diag:1,2", "--M", "0"),
         ("classical", "lemma2", "--algebra", "gl:4", "--points", "0"),
+        ("rank", "--algebra", "gl:3", "--A", "diag:1,2,3", "--max-power", "0"),
+        ("rank", "--algebra", "gl:3", "--A", "diag:1,2,3", "--max-power", "-2"),
+        # a parameter is one identifier, never an expression
+        ("verify", "theorem2", "--algebra", "so:4", "--max-power", "2",
+         "--A", "matrix:b+1,0,0,b+1;0,0,0,0;0,0,0,0;0,0,0,0"),
+        ("verify", "theorem1", "--algebra", "gl:2", "--A", "sym-diag:a*b,0"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
@@ -274,3 +289,26 @@ def test_error_while_expanding_is_an_error_record(tmp_path, monkeypatch):
     assert cli.main(argv) == 2
     checks = json.loads(out.read_text())["checks"]
     assert [(c["outcome"], c["detail"]) for c in checks] == [("ERROR", "expansion failed")]
+
+
+def test_internal_errors_exit_two_without_traceback(tmp_path, monkeypatch, capsys):
+    from envshift import cli
+
+    def broken(*args):
+        raise ZeroDivisionError("broken builder")
+
+    out = tmp_path / "rep.json"
+    argv = ["verify", "theorem1", "--algebra", "gl:2", "--max-power", "2", "--out", str(out)]
+    # raised inside a check: an ERROR record, and the suite goes on
+    monkeypatch.setattr(cli.el, "shift_commutator_residual", broken)
+    assert cli.main(argv) == 2
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["outcome"] for c in checks] == ["ERROR"] * 3
+    assert all(c["detail"] == "internal error: ZeroDivisionError: broken builder"
+               for c in checks)
+    # raised while building a suite, outside any check: one error line
+    monkeypatch.setattr(cli.el, "stabilizer_basis", broken)
+    capsys.readouterr()
+    assert cli.main(["verify", "centralizer", "--algebra", "gl:2"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == ["error: internal error: ZeroDivisionError: broken builder"]

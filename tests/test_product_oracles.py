@@ -235,8 +235,10 @@ def test_linalg_stays_exact_on_int_input():
         "3*X[1,2].X[2,1] + -1*X[1,1] + 7",
         "3/2*X[1,2].X[2,1] + -1/3*X[2,2] + 5/7",
         "(3/2*a1^2 + -1*a2)*X[1,2] + (2*a1)*X[2,2] + (1 + a2)",
+        # a shift parameter may start with an underscore
+        "(_a^2 + -1*_a*b_1)*X[1,2] + (2*_a)",
     ],
-    ids=["integral", "rational", "parametric"],
+    ids=["integral", "rational", "parametric", "underscore-parameters"],
 )
 def test_text_format_round_trips_byte_for_byte(text):
     spec = parse_algebra("gl:2")

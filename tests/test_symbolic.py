@@ -8,8 +8,9 @@ import pytest
 
 from envshift import elements as el
 from envshift.algebra import parse_algebra
+from envshift.params import ParamPolynomial
 from envshift.pbw import commutator
-from envshift.shifts import symbolic_shift
+from envshift.shifts import shift_from_designator, shift_from_rows, symbolic_shift
 
 
 @pytest.mark.parametrize("name", ["gl:2", "gl:3"])
@@ -68,3 +69,75 @@ def test_recursion_identities_so5():
             for N in (1, 2):
                 chk = el.check_proposition(spec, 5, M, N, A=A, sign=sign)
                 assert chk.ok, (sign, M, N, chk.first_failure())
+
+
+# ---------------------------------------------------------------------------
+# the polarized residual against the direct parametric commutator
+
+
+def _assert_polarized_matches_direct(spec, A, max_power=3):
+    """Equal polynomials for M <= N <= max_power; returns whether any is nonzero."""
+    built: dict = {}
+    nonzero = False
+    for M in range(1, max_power + 1):
+        for N in range(M, max_power + 1):
+            direct = commutator(el.shift_generator(spec, A, M), el.shift_generator(spec, A, N))
+            polarized = el.shift_commutator_residual(spec, A, M, N, built)
+            assert polarized == direct, (spec.designator, M, N)
+            nonzero = nonzero or not direct.is_zero
+    return nonzero
+
+
+@pytest.mark.parametrize("name", ["gl:2", "gl:3"])
+def test_polarized_residual_matches_direct_gl(name):
+    spec = parse_algebra(name)
+    assert not _assert_polarized_matches_direct(spec, symbolic_shift(spec))
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:4", "so:5", "sp:1", "sp:2"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_polarized_residual_matches_direct_signed(name, sign):
+    spec = parse_algebra(name)
+    assert not _assert_polarized_matches_direct(spec, symbolic_shift(spec, sign))
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:4", "sp:2"])
+def test_polarized_residual_matches_direct_on_generic_fails(name):
+    spec = parse_algebra(name)
+    assert _assert_polarized_matches_direct(spec, symbolic_shift(spec), max_power=2)
+
+
+def test_polarized_residual_matches_direct_on_mixed_shift():
+    # numbers beside parameters: the part of the monomial 1 pairs with each
+    spec = parse_algebra("so:4")
+    A = shift_from_designator(spec, "matrix:1,0,0,a;0,b,0,0;0,0,0,0;2,0,0,0")
+    assert set(A.parts()) == {(), (("a", 1),), (("b", 1),)}
+    assert _assert_polarized_matches_direct(spec, A)
+
+
+def test_polarized_residual_groups_by_product_monomial():
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    gl3 = parse_algebra("gl:3")
+    A = shift_from_rows(gl3, [[a * a, 1, 0], [a * b, a, 0], [0, 2 * b, 3]])
+    assert len(A.parts()) == 5
+    assert not _assert_polarized_matches_direct(gl3, A)
+    # a^2 arises as a^2*1, 1*a^2 and a*a; on so:4 both kinds of pair
+    # contribute to the coefficient of a^2, and neither cancels the other
+    so4 = parse_algebra("so:4")
+    B = shift_from_rows(so4, [[a + 2 * a * a, 0, 0, a + a * a], [0, a * b, 0, 0],
+                              [0, 0, 0, 0], [1, 0, 0, b + 1]])
+    assert _assert_polarized_matches_direct(so4, B)
+    P = {(m, K): el.contract_rows(so4, rows, K) for m, rows in B.parts().items() for K in (1, 2)}
+    one, lin, quad = (), (("a", 1),), (("a", 2),)
+    square_pairs = commutator(P[quad, 1], P[one, 2]) + commutator(P[one, 1], P[quad, 2])
+    linear_pair = commutator(P[lin, 1], P[lin, 2])
+    assert not square_pairs.is_zero and not linear_pair.is_zero
+    assert not (square_pairs + linear_pair).is_zero
+
+
+def test_numeric_shift_is_one_part():
+    spec = parse_algebra("gl:3")
+    A = shift_from_designator(spec, "matrix:1,2,0;0,1/2,0;3,0,-1")
+    assert list(A.parts()) == [()]
+    assert A.parts()[()] == A.numeric_rows()
+    assert not _assert_polarized_matches_direct(spec, A)
