@@ -24,7 +24,6 @@ from .classical import (
 from .elements import (
     casimir,
     check_centralizer,
-    check_proposition,
     matrix_power_element,
     shift_commutator_residual,
     shift_generator,

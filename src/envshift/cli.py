@@ -10,11 +10,12 @@ shown on stdout only.  Exit code 0 = all checks pass, 1 = some check failed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
+from pathlib import Path
 
 from . import elements as el
 from . import independence as ind
@@ -29,7 +30,7 @@ from .classical import (
     shifted_charpoly_values,
 )
 from .pbw import NCPolynomial, commutator, format_poly
-from .shifts import ShiftMatrix, canonical_shift, shift_from_designator, symbolic_shift
+from .shifts import canonical_shift, shift_from_designator, symbolic_shift
 
 
 @dataclass
@@ -99,22 +100,18 @@ def _run_check(report: SuiteReport, check_id: str, fn):
     print(f"check {check_id}: {outcome}", file=sys.stderr)
 
 
+def _first_nonzero(residuals):
+    """A check over lazily computed (detail, residual) pairs; FAIL at the first nonzero."""
+    def run():
+        for detail, r in residuals():
+            if not r.is_zero:
+                return False, format_poly(r), detail
+        return True, None, None
+    return run
+
+
 def _residual_check(poly_fn):
-    def run():
-        r = poly_fn()
-        if r.is_zero:
-            return True, None, None
-        return False, format_poly(r), None
-    return run
-
-
-def _proposition_check(check_fn):
-    def run():
-        bad = check_fn().first_failure()
-        if bad is None:
-            return True, None, None
-        return False, format_poly(bad[1]), bad[0]
-    return run
+    return _first_nonzero(lambda: ((None, poly_fn()),))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +120,7 @@ def _proposition_check(check_fn):
 
 def _suite_shift_commutativity(report, spec, shifts, max_power):
     for name, A in shifts:
-        built: dict = {}  # (B_m X^K) of this A, shared by its checks
+        built: dict = {}  # A's parts and their elements, shared by its checks
         for M in range(1, max_power + 1):
             for N in range(M, max_power + 1):
                 _run_check(
@@ -137,21 +134,18 @@ def _suite_shift_commutativity(report, spec, shifts, max_power):
                 )
 
 
-def _theorem1_shifts(spec, args):
+def _gl_shifts(spec, args, default):
+    """theorem1 / prop2 shifts as (name, A): ``--A symbolic`` is every gl matrix at once."""
     if args.A == "symbolic":
-        # every numeric matrix at once
         return [("symbolic-full", symbolic_shift(spec))]
     if args.A:
-        A = shift_from_designator(spec, args.A)
-        return [(args.A, A)]
-    names = [f"a{k+1}" for k in range(min(2, spec.matrix_size))]
-    desig = "sym-diag:" + ",".join(names + ["0"] * (spec.matrix_size - len(names)))
-    return [(desig, shift_from_designator(spec, desig))]
+        return [(args.A, shift_from_designator(spec, args.A))]
+    return [default(spec)]
 
 
-def _theorem2_shifts(spec, args):
+def _signed_shifts(spec, args):
+    """theorem2 / prop5 shifts as (name, A): ``--A symbolic`` is every matrix of either sign."""
     if args.A == "symbolic":
-        # every matrix of either symmetry sign at once
         return [
             ("symbolic-sign-minus", symbolic_shift(spec, -1)),
             ("symbolic-sign-plus", symbolic_shift(spec, 1)),
@@ -162,6 +156,12 @@ def _theorem2_shifts(spec, args):
         ("canonical-sign-minus", canonical_shift(spec, -1)),
         ("canonical-sign-plus", canonical_shift(spec, 1)),
     ]
+
+
+def _diagonal_symbolic_shift(spec):
+    names = [f"a{k+1}" for k in range(min(2, spec.matrix_size))]
+    desig = "sym-diag:" + ",".join(names + ["0"] * (spec.matrix_size - len(names)))
+    return desig, shift_from_designator(spec, desig)
 
 
 def _suite_centralizer(report, spec, A, max_power):
@@ -208,75 +208,82 @@ def _suite_casimir_central(report, spec, max_power):
             )
 
 
-def _dense_numeric_shift(spec) -> ShiftMatrix:
+def _dense_numeric_shift(spec):
     m = spec.matrix_size
-    rows = [[Fraction(r * m + c + 1) for c in range(m)] for r in range(m)]
-    return shift_from_designator(
-        spec, "matrix:" + ";".join(",".join(str(x) for x in row) for row in rows)
-    )
+    rows = [[r * m + c + 1 for c in range(m)] for r in range(m)]
+    desig = "matrix:" + ";".join(",".join(str(x) for x in row) for row in rows)
+    return desig, shift_from_designator(spec, desig)
 
 
-def _suite_propositions(report, spec, pid, max_power, args):
-    if pid in (1, 4):
-        for M in range(1, max_power + 1):
-            for N in range(1, max_power + 1):
-                _run_check(
-                    report,
-                    f"expansion M={M} N={N} all index tuples",
-                    _proposition_check(lambda M=M, N=N: el.check_proposition(spec, pid, M, N)),
-                )
-    elif pid == 2:
-        A = shift_from_designator(spec, args.A) if args.A else _dense_numeric_shift(spec)
-        for M in range(1, max_power + 1):
-            for N in range(1, max_power + 1):
-                _run_check(
-                    report,
-                    f"contracted recursion M={M} N={N}",
-                    _residual_check(
-                        lambda M=M, N=N: el.shift_bracket_recursion_residual(spec, M, N, A)
-                    ),
-                )
-    elif pid == 3:
-        for M in range(0, max_power + 1):
-            def run(M=M):
-                chk = el.check_proposition(spec, 3, M)
-                coeff_texts = [format_poly(c) for c in chk.central_coeffs]
-                report.parameters.setdefault("central_coeffs", {})[f"M+1={M + 1}"] = coeff_texts
-                print(f"C_p for X^{M + 1}: [{', '.join(coeff_texts)}]")
-                lead = chk.central_coeffs[-1]
-                expected = NCPolynomial.scalar(spec, (-1) ** (M + 1))
-                bad = chk.first_failure()
-                if bad is not None:
-                    return False, format_poly(bad[1]), bad[0]
-                if lead != expected:
-                    return False, format_poly(lead - expected), "leading coefficient"
-                return True, None, None
-            _run_check(report, f"flip expansion of X^{M + 1}", run)
-    elif pid == 5:
-        if args.A:
-            A = shift_from_designator(spec, args.A)
-            signs = sorted(A.symmetry_signs())
-            if not signs:
-                raise AlgebraError("identity 5 needs a shift matrix with a symmetry sign")
-            shifts = [(args.A, A, s) for s in signs]
-        else:
-            shifts = [
-                ("canonical-sign-minus", canonical_shift(spec, -1), -1),
-                ("canonical-sign-plus", canonical_shift(spec, 1), 1),
-            ]
-        for name, A, s in shifts:
+def _suite_power_brackets(report, spec, max_power):
+    """prop1 (gl) / prop4 (so/sp): the bracket-of-powers expansion at every index tuple."""
+    tuples = list(itertools.product(spec.index_set, repeat=4))
+    for M in range(1, max_power + 1):
+        for N in range(1, max_power + 1):
+            _run_check(
+                report,
+                f"expansion M={M} N={N} all index tuples",
+                _first_nonzero(lambda M=M, N=N: (
+                    (f"(M={M},N={N},ijkl={t})", el.power_bracket_residual(spec, M, N, *t))
+                    for t in tuples
+                )),
+            )
+
+
+def _suite_recursion_gl(report, spec, A, max_power):
+    """prop2: the gl contracted recursion."""
+    built: dict = {}
+    for M in range(1, max_power + 1):
+        for N in range(1, max_power + 1):
+            _run_check(
+                report,
+                f"contracted recursion M={M} N={N}",
+                _residual_check(
+                    lambda M=M, N=N: el.shift_bracket_recursion_residual(spec, M, N, A, built)
+                ),
+            )
+
+
+def _suite_flip(report, spec, max_power):
+    """prop3: the so/sp flip expansion of X^{M+1}, printing its central coefficients."""
+    pairs = list(itertools.product(spec.index_set, repeat=2))
+    for M in range(0, max_power + 1):
+        def run(M=M):
+            coeffs = el.power_flip_coefficients(spec, M + 1)
+            lead = coeffs[-1] - NCPolynomial.scalar(spec, (-1) ** (M + 1))
+            outcome = _first_nonzero(lambda: itertools.chain(
+                ((f"(M+1={M + 1},ij={t})", el.flip_residual(spec, M + 1, *t)) for t in pairs),
+                [("leading coefficient", lead)],
+            ))()
+            coeff_texts = [format_poly(c) for c in coeffs]
+            report.parameters.setdefault("central_coeffs", {})[f"M+1={M + 1}"] = coeff_texts
+            print(f"C_p for X^{M + 1}: [{', '.join(coeff_texts)}]")
+            return outcome
+        _run_check(report, f"flip expansion of X^{M + 1}", run)
+
+
+def _suite_recursions_so_sp(report, spec, shifts, max_power):
+    """prop5: both so/sp contraction recursions, once per symmetry sign of each shift."""
+    for name, A in shifts:
+        signs = sorted(A.symmetry_signs())
+        if not signs:
+            raise AlgebraError("identity 5 needs a shift matrix with a symmetry sign")
+        built: dict = {}
+        for s in signs:
             for M in range(1, max_power + 1):
                 for N in range(1, max_power + 1):
-                    _run_check(
-                        report,
-                        f"recursions M={M} N={N} A={name}",
-                        _proposition_check(
-                            lambda A=A, s=s, M=M, N=N: el.check_proposition(
-                                spec, 5, M, N, A=A, sign=s
-                            )
-                        ),
-                    )
+                    def residuals(M=M, N=N, s=s):
+                        r1, r2 = el.contracted_recursion_residuals(spec, A, M, N, s, built)
+                        return ((f"straight(M={M},N={N})", r1), (f"crossed(M={M},N={N})", r2))
+                    _run_check(report, f"recursions M={M} N={N} A={name}",
+                               _first_nonzero(residuals))
 
+
+# the family each family-specific suite's identity is stated for
+_SUITE_FAMILY = {
+    "theorem1": "gl", "prop1": "gl", "prop2": "gl",
+    "theorem2": "so/sp", "prop3": "so/sp", "prop4": "so/sp", "prop5": "so/sp",
+}
 
 VERIFY_SUITES = (
     "theorem1",
@@ -303,16 +310,15 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
         },
     )
+    family = _SUITE_FAMILY.get(args.suite)
+    if family is not None and (family == "gl") != spec.is_gl:
+        raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
     if args.suite == "theorem1":
-        if not spec.is_gl:
-            raise AlgebraError("theorem1 is the gl suite; use theorem2 for so/sp")
-        shifts = _theorem1_shifts(spec, args)
+        shifts = _gl_shifts(spec, args, _diagonal_symbolic_shift)
         report.parameters["A"] = shifts[0][0] if not args.A else args.A
         _suite_shift_commutativity(report, spec, shifts, args.max_power)
     elif args.suite == "theorem2":
-        if spec.is_gl:
-            raise AlgebraError("theorem2 is the so/sp suite; use theorem1 for gl")
-        shifts = _theorem2_shifts(spec, args)
+        shifts = _signed_shifts(spec, args)
         report.parameters["A"] = args.A or "canonical-both-signs"
         _suite_shift_commutativity(report, spec, shifts, args.max_power)
     elif args.suite == "centralizer":
@@ -327,9 +333,15 @@ def cmd_verify(args) -> int:
         _suite_tensorial(report, spec, args.max_power)
     elif args.suite == "casimir-central":
         _suite_casimir_central(report, spec, args.max_power)
-    elif args.suite.startswith("prop"):
-        pid = int(args.suite[4:])
-        _suite_propositions(report, spec, pid, args.max_power, args)
+    elif args.suite in ("prop1", "prop4"):
+        _suite_power_brackets(report, spec, args.max_power)
+    elif args.suite == "prop2":
+        [(_, A)] = _gl_shifts(spec, args, _dense_numeric_shift)
+        _suite_recursion_gl(report, spec, A, args.max_power)
+    elif args.suite == "prop3":
+        _suite_flip(report, spec, args.max_power)
+    elif args.suite == "prop5":
+        _suite_recursions_so_sp(report, spec, _signed_shifts(spec, args), args.max_power)
     else:
         raise AlgebraError(f"unknown suite {args.suite!r}")
     return _finish(report, args)
@@ -337,6 +349,17 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 # chain / expand / rank / classical commands
+
+
+def _report_path(path: str) -> str:
+    """A path as a report records it: relative to the working directory when
+    it lies below it, so the report is the same on any checkout; else as given."""
+    if Path(path).is_absolute():
+        try:
+            return Path(path).resolve().relative_to(Path.cwd().resolve()).as_posix()
+        except ValueError:
+            pass
+    return path
 
 
 def cmd_chain(args) -> int:
@@ -347,7 +370,7 @@ def cmd_chain(args) -> int:
         suite="chain",
         algebra=spec.designator,
         parameters={
-            "file": args.file,
+            "file": _report_path(args.file),
             "trials": args.trials,
             "seed": args.seed,
             "steps": [s.k for s in chain.steps],
@@ -555,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run an identity suite")
     v.add_argument("suite", choices=VERIFY_SUITES)
     common(v)
-    v.add_argument("--A", help="diag:...|sym-diag:...|matrix:r;r;...")
+    v.add_argument("--A", help="diag:...|sym-diag:...|matrix:r;r;...|symbolic")
     v.add_argument("--max-power", type=int, default=3, dest="max_power")
     v.set_defaults(fn=cmd_verify)
 

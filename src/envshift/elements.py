@@ -15,8 +15,6 @@ a zero polynomial certifies the identity at that instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, coordinates_to_matrix, matrix_in_algebra
 from .params import ParamPolynomial, _mono_mul, _scalar
@@ -93,47 +91,71 @@ def contract_rows(spec: AlgebraSpec, rows, M: int, indices=None) -> NCPolynomial
     return NCPolynomial(spec, acc, normalized=True)
 
 
-def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int, declared_sign=None) -> NCPolynomial:
-    """(A X^M) over A's index subset.
-
-    When a symmetry sign is declared for so/sp, the matrix must satisfy it;
-    commutativity of the shifted family is only claimed under that condition.
-    """
+def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int) -> NCPolynomial:
+    """(A X^M) over A's index subset."""
     if A.spec != spec:
         raise AlgebraError("shift matrix belongs to a different algebra")
-    if declared_sign is not None and declared_sign not in A.symmetry_signs():
-        raise AlgebraError(f"shift matrix violates symmetry sign {declared_sign:+d}")
     return contract_rows(spec, A.rows, M, A.indices)
 
 
-def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
-                              built=None) -> NCPolynomial:
-    """[(A X^M), (A X^N)] from numeric commutators, by polarization in A's parameters.
+class _ShiftPart:
+    """One numeric part B of a shift, with each (B X^K) and B*X^a built once."""
 
-    With A = sum_m m*B_m over parameter monomials (``ShiftMatrix.parts``), the
-    commutator is sum_mu mu*R_mu with R_mu = sum_{m*m' = mu} [(B_m X^M), (B_m' X^N)].
-    Each R_mu is numeric, and the result vanishes exactly when every R_mu
-    does; it is assembled with parametric coefficients only where it does not.
-    A numeric A is the single part 1: one commutator, as computed directly.
-    ``built`` caches the (B_m X^K) across calls with the same A.
+    __slots__ = ("spec", "rows", "indices", "_elements", "_scaled")
+
+    def __init__(self, spec: AlgebraSpec, rows, indices):
+        self.spec, self.rows, self.indices = spec, rows, indices
+        self._elements: dict = {}
+        self._scaled: dict = {}
+
+    def element(self, K: int) -> NCPolynomial:
+        """(B X^K) over the index subset."""
+        out = self._elements.get(K)
+        if out is None:
+            out = self._elements[K] = contract_rows(self.spec, self.rows, K, self.indices)
+        return out
+
+    def scaled_power(self, a: int) -> list:
+        """B * X^a as a U-valued matrix over the index subset."""
+        out = self._scaled.get(a)
+        if out is None:
+            spec, rows, idx = self.spec, self.rows, self.indices
+            pm = [[matrix_power_element(spec, a, i, j, idx) for j in idx] for i in idx]
+            out = []
+            for row in rows:
+                line = []
+                for c in range(len(idx)):
+                    acc: dict = {}
+                    for t, coef in enumerate(row):
+                        if coef:
+                            _accumulate(acc, pm[t][c].terms, coef)
+                    line.append(NCPolynomial(spec, acc, normalized=True))
+                out.append(line)
+            self._scaled[a] = out
+        return out
+
+
+def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomial:
+    """F(A, A) for a form F bilinear in the shift, from numeric products only.
+
+    With A = sum_m m*B_m over parameter monomials (``ShiftMatrix.parts``),
+    F(A, A) = sum_mu mu*R_mu with R_mu = sum_{m*m' = mu} F(B_m, B_m'), where
+    ``form(P, Q)`` evaluates F on two numeric parts (``_ShiftPart``).  Each
+    R_mu is numeric, and the result vanishes exactly when every R_mu does;
+    it is assembled with parametric coefficients only where it does not.
+    A numeric A is the single part 1: one evaluation, as computed directly.
+    ``built`` caches A's parts, with their elements, across calls with the same A.
     """
     if A.spec != spec:
         raise AlgebraError("shift matrix belongs to a different algebra")
     if built is None:
         built = {}
-    parts = A.parts()
-
-    def element(m, K):
-        out = built.get((m, K))
-        if out is None:
-            out = built[m, K] = contract_rows(spec, parts[m], K, A.indices)
-        return out
-
+    if not built:
+        built.update((m, _ShiftPart(spec, rows, A.indices)) for m, rows in A.parts().items())
     groups: dict = {}
-    for m in parts:
-        for m2 in parts:
-            _accumulate(groups.setdefault(_mono_mul(m, m2), {}),
-                        commutator(element(m, M), element(m2, N)).terms)
+    for m, P in built.items():
+        for m2, Q in built.items():
+            _accumulate(groups.setdefault(_mono_mul(m, m2), {}), form(P, Q).terms)
     coeffs: dict = {}   # word -> {mu: nonzero coefficient of the word in R_mu}
     for mu, terms in groups.items():
         for w, c in terms.items():
@@ -143,6 +165,12 @@ def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
         w: cs[()] if len(cs) == 1 and () in cs else ParamPolynomial(cs)
         for w, cs in coeffs.items()
     }, normalized=True)
+
+
+def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
+                              built=None) -> NCPolynomial:
+    """[(A X^M), (A X^N)], polarized: the form [(P X^M), (Q X^N)]."""
+    return polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)), built)
 
 
 def linear_element(spec: AlgebraSpec, rows) -> NCPolynomial:
@@ -333,73 +361,49 @@ def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k:
     return lhs - NCPolynomial(spec, rhs, normalized=True)
 
 
-def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: ShiftMatrix) -> NCPolynomial:
-    """gl recursion: [(AX^M),(AX^N)] = sum_{S=1..M} sum_{P=1..S-1} [(AX^{P-1}),(AX^{M+N-P-1})]."""
+def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: ShiftMatrix,
+                                     built=None) -> NCPolynomial:
+    """gl recursion: [(AX^M),(AX^N)] = sum_{S=1..M} sum_{P=1..S-1} [(AX^{P-1}),(AX^{M+N-P-1})].
+
+    Both sides are quadratic in A, so the residual is polarized (``polarize``).
+    """
     if not spec.is_gl:
         raise AlgebraError("the contracted recursion in this form is the gl case")
-    lhs = commutator(shift_generator(spec, A, M), shift_generator(spec, A, N))
-    rhs: dict = {}
-    for S in range(1, M + 1):
-        for P in range(1, S):
-            _accumulate(rhs, commutator(
-                shift_generator(spec, A, P - 1),
-                shift_generator(spec, A, M + N - P - 1),
-            ).terms)
-    return lhs - NCPolynomial(spec, rhs, normalized=True)
+
+    def form(P, Q):
+        acc = dict(commutator(P.element(M), Q.element(N)).terms)
+        for S in range(1, M + 1):
+            for p in range(1, S):
+                _accumulate(acc, commutator(P.element(p - 1), Q.element(M + N - p - 1)).terms, -1)
+        return NCPolynomial(spec, acc, normalized=True)
+
+    return polarize(spec, A, form, built)
 
 
 # ---------------------------------------------------------------------------
 # so/sp contracted recursions (straight and crossed shift contractions)
 
 
-def _power_matrix(spec, a, idx):
-    return [[matrix_power_element(spec, a, i, j, idx) for j in idx] for i in idx]
-
-
-def _scaled_power_matrix(spec, A: ShiftMatrix, a):
-    """A * X^a as a U-valued matrix over A's index subset."""
-    idx = A.indices
-    m = len(idx)
-    pm = _power_matrix(spec, a, idx)
-    out = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            acc: dict = {}
-            for t in range(m):
-                coef = A.rows[r][t]
-                if coef:
-                    _accumulate(acc, pm[t][c].terms, coef)
-            row.append(NCPolynomial(spec, acc, normalized=True))
-        out.append(row)
-    return out
-
-
-def trace_chain(spec: AlgebraSpec, A: ShiftMatrix, a: int, b: int) -> NCPolynomial:
-    """W(a,b) = sum A[j,i]A[l,k] (X^a)[i,l](X^b)[k,j] = tr(A X^a A X^b) in U-order."""
-    t1 = _scaled_power_matrix(spec, A, a)
-    t2 = _scaled_power_matrix(spec, A, b)
-    m = len(A.indices)
+def trace_chain(P: _ShiftPart, Q: _ShiftPart, a: int, b: int) -> NCPolynomial:
+    """W(a,b) = sum P[j,i]Q[l,k] (X^a)[i,l](X^b)[k,j] = tr(P X^a Q X^b) in U-order."""
+    t1 = P.scaled_power(a)
+    t2 = Q.scaled_power(b)
     acc: dict = {}
-    for r in range(m):
-        for s in range(m):
-            if t1[r][s].is_zero or t2[s][r].is_zero:
-                continue
-            _accumulate(acc, multiply(t1[r][s], t2[s][r]).terms)
-    return NCPolynomial(spec, acc, normalized=True)
+    for r, row in enumerate(t1):
+        for s, x in enumerate(row):
+            y = t2[s][r]
+            if not x.is_zero and not y.is_zero:
+                _accumulate(acc, multiply(x, y).terms)
+    return NCPolynomial(P.spec, acc, normalized=True)
 
 
-def crossed_contraction(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int) -> NCPolynomial:
-    """sum A[j,k]A[l,i] [(X^M)[i,j],(X^N)[k,l]] = W(M,N) - W(N,M)."""
-    return trace_chain(spec, A, M, N) - trace_chain(spec, A, N, M)
+def crossed_contraction(P: _ShiftPart, Q: _ShiftPart, M: int, N: int) -> NCPolynomial:
+    """sum P[j,k]Q[l,i] [(X^M)[i,j],(X^N)[k,l]] = W(M,N) - W(N,M)."""
+    return trace_chain(P, Q, M, N) - trace_chain(P, Q, N, M)
 
 
-def straight_contraction(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int) -> NCPolynomial:
-    """sum A[j,i]A[l,k] [(X^M)[i,j],(X^N)[k,l]] = [(AX^M),(AX^N)]."""
-    return commutator(shift_generator(spec, A, M), shift_generator(spec, A, N))
-
-
-def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int, sign: int):
+def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int, sign: int,
+                                   built=None):
     """Residuals of the two so/sp contraction recursions for a shift matrix
     with symmetry sign ``sign``; both must vanish identically.
 
@@ -407,6 +411,9 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
               + sign * sum_P C_P^(N) sum_S L2(S-1, P+M-S)                  (straight)
       L2(M,N) + sum_S L1(S-1, M+N-S)
               + sigma*sign * sum_{P,S,Q} C_P^(N) C_Q^(S-1) L2(Q, M+P-S)     (crossed)
+
+    L1 is the straight contraction [(AX^a),(AX^b)] and L2 the crossed one;
+    both are quadratic in A, so each residual is polarized (``polarize``).
     """
     if spec.is_gl:
         raise AlgebraError("the contraction recursions in this form are so/sp")
@@ -415,113 +422,36 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
     sigma = spec.pair_sign
     cN = power_flip_coefficients(spec, N)
 
-    res1 = dict(straight_contraction(spec, A, M, N).terms)
-    for S in range(1, M + 1):
-        _accumulate(res1, crossed_contraction(spec, A, S - 1, N + M - S).terms)
-    for P, cp in enumerate(cN):
-        if cp.is_zero:
-            continue
-        part: dict = {}
+    def straight(P, Q):
+        acc = dict(commutator(P.element(M), Q.element(N)).terms)
         for S in range(1, M + 1):
-            _accumulate(part, crossed_contraction(spec, A, S - 1, P + M - S).terms)
-        part = NCPolynomial(spec, part, normalized=True)
-        _accumulate(res1, multiply(cp, part).terms, sign)
+            _accumulate(acc, crossed_contraction(P, Q, S - 1, N + M - S).terms)
+        for p, cp in enumerate(cN):
+            if cp.is_zero:
+                continue
+            part: dict = {}
+            for S in range(1, M + 1):
+                _accumulate(part, crossed_contraction(P, Q, S - 1, p + M - S).terms)
+            part = NCPolynomial(spec, part, normalized=True)
+            _accumulate(acc, multiply(cp, part).terms, sign)
+        return NCPolynomial(spec, acc, normalized=True)
 
-    res2 = dict(crossed_contraction(spec, A, M, N).terms)
-    for S in range(1, M + 1):
-        _accumulate(res2, straight_contraction(spec, A, S - 1, M + N - S).terms)
-    for P, cp in enumerate(cN):
-        if cp.is_zero:
-            continue
+    def crossed(P, Q):
+        acc = dict(crossed_contraction(P, Q, M, N).terms)
         for S in range(1, M + 1):
-            cS = power_flip_coefficients(spec, S - 1)
-            for Q, cq in enumerate(cS):
-                if cq.is_zero:
-                    continue
-                term = crossed_contraction(spec, A, Q, M + P - S)
-                if term.is_zero:
-                    continue
-                _accumulate(res2, multiply(multiply(cp, cq), term).terms, sigma * sign)
-    res1 = NCPolynomial(spec, res1, normalized=True)
-    res2 = NCPolynomial(spec, res2, normalized=True)
-    return res1, res2
+            _accumulate(acc, commutator(P.element(S - 1), Q.element(M + N - S)).terms)
+        for p, cp in enumerate(cN):
+            if cp.is_zero:
+                continue
+            for S in range(1, M + 1):
+                for q, cq in enumerate(power_flip_coefficients(spec, S - 1)):
+                    if cq.is_zero:
+                        continue
+                    term = crossed_contraction(P, Q, q, M + p - S)
+                    if not term.is_zero:
+                        _accumulate(acc, multiply(multiply(cp, cq), term).terms, sigma * sign)
+        return NCPolynomial(spec, acc, normalized=True)
 
-
-# ---------------------------------------------------------------------------
-# numbered proposition dispatcher (the identity suite ids used by the CLI)
-
-
-@dataclass
-class PropositionCheck:
-    residuals: list            # list of (description, NCPolynomial)
-    central_coeffs: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(r.is_zero for _, r in self.residuals)
-
-    def first_failure(self):
-        for desc, r in self.residuals:
-            if not r.is_zero:
-                return desc, r
-        return None
-
-
-def check_proposition(spec: AlgebraSpec, pid: int, M: int, N: int = 0,
-                      index_tuple=None, A: ShiftMatrix = None, sign: int = None) -> PropositionCheck:
-    """Run one numbered identity check at a concrete instance.
-
-    1: gl bracket-of-powers expansion at an index 4-tuple
-    2: gl contracted recursion for a shift matrix
-    3: so/sp flip expansion of (X^{M+1}); also returns the central coefficients
-    4: so/sp bracket-of-powers expansion at an index 4-tuple
-    5: so/sp contracted recursions (both identities) for a signed shift matrix
-    """
-    if pid in (1, 2) and not spec.is_gl:
-        raise AlgebraError(f"identity {pid} is stated for gl")
-    if pid in (3, 4, 5) and spec.is_gl:
-        raise AlgebraError(f"identity {pid} is stated for so/sp")
-
-    if pid in (1, 4):
-        tuples = [index_tuple] if index_tuple else [
-            (i, j, k, l)
-            for i in spec.index_set for j in spec.index_set
-            for k in spec.index_set for l in spec.index_set
-        ]
-        res = [
-            (f"(M={M},N={N},ijkl={t})", power_bracket_residual(spec, M, N, *t))
-            for t in tuples
-        ]
-        return PropositionCheck(res)
-
-    if pid == 2:
-        if A is None:
-            raise AlgebraError("identity 2 needs a shift matrix")
-        return PropositionCheck(
-            [(f"(M={M},N={N})", shift_bracket_recursion_residual(spec, M, N, A))]
-        )
-
-    if pid == 3:
-        coeffs = power_flip_coefficients(spec, M + 1)
-        pairs = [index_tuple] if index_tuple else [
-            (i, j) for i in spec.index_set for j in spec.index_set
-        ]
-        res = [
-            (f"(M+1={M + 1},ij={t})", flip_residual(spec, M + 1, *t)) for t in pairs
-        ]
-        return PropositionCheck(res, central_coeffs=list(coeffs))
-
-    if pid == 5:
-        if A is None:
-            raise AlgebraError("identity 5 needs a shift matrix")
-        if sign is None:
-            signs = A.symmetry_signs()
-            if len(signs) != 1:
-                raise AlgebraError("identity 5 needs an unambiguous symmetry sign")
-            sign = signs.pop()
-        r1, r2 = contracted_recursion_residuals(spec, A, M, N, sign)
-        return PropositionCheck(
-            [(f"straight(M={M},N={N})", r1), (f"crossed(M={M},N={N})", r2)]
-        )
-
-    raise AlgebraError(f"unknown proposition id {pid}")
+    if built is None:
+        built = {}
+    return polarize(spec, A, straight, built), polarize(spec, A, crossed, built)

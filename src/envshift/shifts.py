@@ -95,7 +95,7 @@ def _parse_entry(text: str):
     raise AlgebraError(f"bad shift matrix entry {text!r}")
 
 
-def shift_from_designator(spec: AlgebraSpec, text: str, indices=None, declared_sign=None):
+def shift_from_designator(spec: AlgebraSpec, text: str, indices=None):
     """Build a ShiftMatrix from ``diag:...``, ``sym-diag:...`` or ``matrix:r;r;...``."""
     indices = tuple(indices) if indices is not None else spec.index_set
     m = len(indices)
@@ -117,16 +117,16 @@ def shift_from_designator(spec: AlgebraSpec, text: str, indices=None, declared_s
         )
     else:
         raise AlgebraError(f"bad shift matrix designator {text!r}")
-    return make_shift(spec, rows, indices=indices, declared_sign=declared_sign)
+    return make_shift(spec, rows, indices=indices)
 
 
-def shift_from_rows(spec: AlgebraSpec, rows, indices=None, declared_sign=None):
+def shift_from_rows(spec: AlgebraSpec, rows, indices=None):
     indices = tuple(indices) if indices is not None else spec.index_set
     parsed = tuple(
         tuple(x if isinstance(x, ParamPolynomial) else _scalar(x) for x in row)
         for row in rows
     )
-    return make_shift(spec, parsed, indices=indices, declared_sign=declared_sign)
+    return make_shift(spec, parsed, indices=indices)
 
 
 def canonical_shift(spec: AlgebraSpec, sign: int) -> ShiftMatrix:
@@ -148,7 +148,7 @@ def canonical_shift(spec: AlgebraSpec, sign: int) -> ShiftMatrix:
     return make_shift(spec, rows, spec.index_set, declared_sign=sign)
 
 
-def symbolic_shift(spec: AlgebraSpec, sign=None, prefix="a") -> ShiftMatrix:
+def symbolic_shift(spec: AlgebraSpec, sign=None) -> ShiftMatrix:
     """A fully symbolic shift matrix: one parameter per free entry.
 
     sign None leaves every entry free (for gl, or as an unconstrained so/sp
@@ -161,7 +161,7 @@ def symbolic_shift(spec: AlgebraSpec, sign=None, prefix="a") -> ShiftMatrix:
     if sign is None:
         for r in range(m):
             for c in range(m):
-                rows[r][c] = ParamPolynomial.variable(f"{prefix}{r}_{c}")
+                rows[r][c] = ParamPolynomial.variable(f"a{r}_{c}")
         return make_shift(spec, rows, spec.index_set)
     if spec.is_gl:
         raise AlgebraError("symmetry signs only apply to so/sp")
@@ -175,13 +175,11 @@ def symbolic_shift(spec: AlgebraSpec, sign=None, prefix="a") -> ShiftMatrix:
             if (i, j) == (-j, -i):
                 # self-paired entry: forced to zero unless the sign fixes it
                 if sign * spec.eps(i) * spec.eps(j) == 1:
-                    rows[spec.position(i)][spec.position(j)] = ParamPolynomial.variable(
-                        f"{prefix}{count}"
-                    )
+                    rows[spec.position(i)][spec.position(j)] = ParamPolynomial.variable(f"a{count}")
                     count += 1
                 continue
             seen.add((-j, -i))
-            p = ParamPolynomial.variable(f"{prefix}{count}")
+            p = ParamPolynomial.variable(f"a{count}")
             count += 1
             rows[spec.position(i)][spec.position(j)] = p
             rows[spec.position(-j)][spec.position(-i)] = p * (

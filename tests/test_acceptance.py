@@ -4,6 +4,7 @@ All checks are exact (rational arithmetic, zero tolerance).  Each test prints
 one PASS line on success; pytest reports the failures.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -123,8 +124,9 @@ def test_criterion_4_propositions_gl():
     for spec in (GL2, GL3):
         for M in range(1, 4):
             for N in range(1, 4):
-                chk = el.check_proposition(spec, 1, M, N)
-                assert chk.ok, (spec.designator, M, N, chk.first_failure())
+                for t in itertools.product(spec.index_set, repeat=4):
+                    r = el.power_bracket_residual(spec, M, N, *t)
+                    assert r.is_zero, (spec.designator, M, N, t, format_poly(r))
     # contracted recursion for dense numeric and diagonal shift matrices
     for spec in (GL2, GL3):
         m = spec.matrix_size
@@ -145,15 +147,18 @@ def test_criterion_4_propositions_so_sp():
     # flip expansion with extracted central coefficients, leading (-1)^(M+1)
     for spec in specs:
         for M in range(0, 4):  # expansions of X^1 .. X^4
-            chk = el.check_proposition(spec, 3, M)
-            assert chk.ok, (spec.designator, M, chk.first_failure())
-            assert chk.central_coeffs[-1] == NCPolynomial.scalar(spec, (-1) ** (M + 1))
+            for t in itertools.product(spec.index_set, repeat=2):
+                r = el.flip_residual(spec, M + 1, *t)
+                assert r.is_zero, (spec.designator, M, t, format_poly(r))
+            coeffs = el.power_flip_coefficients(spec, M + 1)
+            assert coeffs[-1] == NCPolynomial.scalar(spec, (-1) ** (M + 1))
     # bracket-of-powers expansion, exhaustive index tuples, M,N <= 3
     for spec in specs:
         for M in range(1, 4):
             for N in range(1, 4):
-                chk = el.check_proposition(spec, 4, M, N)
-                assert chk.ok, (spec.designator, M, N, chk.first_failure())
+                for t in itertools.product(spec.index_set, repeat=4):
+                    r = el.power_bracket_residual(spec, M, N, *t)
+                    assert r.is_zero, (spec.designator, M, N, t, format_poly(r))
     # contracted recursions for both signs, canonical and random signed shifts
     rng = random.Random(424)
     for spec in specs:
@@ -162,8 +167,8 @@ def test_criterion_4_propositions_so_sp():
             for A in shifts:
                 for M in range(1, 4):
                     for N in range(1, 4):
-                        chk = el.check_proposition(spec, 5, M, N, A=A, sign=sign)
-                        assert chk.ok, (spec.designator, sign, M, N, chk.first_failure())
+                        for r in el.contracted_recursion_residuals(spec, A, M, N, sign):
+                            assert r.is_zero, (spec.designator, sign, M, N, format_poly(r))
     _report("4b (so/sp expansions and recursions, M,N <= 3; leading coeff (-1)^(M+1))")
 
 

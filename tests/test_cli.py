@@ -48,6 +48,21 @@ def test_symbolic_whole_subspace_runs():
     assert r.returncode == 0 and "symbolic-sign-minus" in r.stdout
 
 
+def test_symbolic_recursion_suites(tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli("verify", "prop2", "--algebra", "gl:2", "--A", "symbolic",
+                "--max-power", "2", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(out.read_text())
+    assert rep["parameters"]["A"] == "symbolic" and rep["summary"]["pass"] == 4
+    r = run_cli("verify", "prop5", "--algebra", "sp:1", "--A", "symbolic",
+                "--max-power", "2", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    ids = [c["id"] for c in json.loads(out.read_text())["checks"]]
+    assert ids == [f"recursions M={M} N={N} A=symbolic-sign-{s}"
+                   for s in ("minus", "plus") for M in (1, 2) for N in (1, 2)]
+
+
 def test_contract_invocation_prop3_prints_coefficients():
     r = run_cli("verify", "prop3", "--algebra", "so:3", "--max-power", "3")
     assert r.returncode == 0
@@ -153,6 +168,29 @@ def test_reports_are_byte_identical(tmp_path):
     r2 = run_cli(*args, "--out", str(b))
     assert r1.returncode == r2.returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_chain_records_paths_below_the_working_directory_relative(tmp_path, monkeypatch):
+    from envshift import cli
+
+    chain = tmp_path / "chains" / "gl3.json"
+    chain.parent.mkdir()
+    chain.write_text((REPO / "scripts" / "chains" / "gl3.json").read_text())
+    (tmp_path / "sub").mkdir()
+
+    def recorded(cwd, given):
+        monkeypatch.chdir(cwd)
+        assert cli.main(["chain", "--file", given, "--out", str(tmp_path / "rep.json")]) == 0
+        return (tmp_path / "rep.json").read_bytes()
+
+    relative = recorded(tmp_path, "chains/gl3.json")
+    assert json.loads(relative)["parameters"]["file"] == "chains/gl3.json"
+    # an absolute path below the working directory: the same report bytes
+    assert recorded(tmp_path, str(chain)) == relative
+    # outside the working directory, and relative paths, are recorded as given
+    assert json.loads(recorded(tmp_path / "sub", str(chain)))["parameters"]["file"] == str(chain)
+    rep = json.loads(recorded(tmp_path / "sub", "../chains/gl3.json"))
+    assert rep["parameters"]["file"] == "../chains/gl3.json"
 
 
 def test_chain_command_report(tmp_path):
@@ -266,14 +304,18 @@ def test_suite_without_checks_does_not_pass(tmp_path):
         assert "Traceback" not in r.stderr
 
 
-def test_error_while_building_is_an_error_record(tmp_path):
+def test_wrong_family_prop_suites_exit_two(tmp_path):
+    # each identity is stated for one family; without this guard prop1 on
+    # so:3 would run prop4's identity through the shared expansion
     out = tmp_path / "rep.json"
-    r = run_cli("verify", "prop4", "--algebra", "gl:2", "--max-power", "1",
-                "--out", str(out))
-    assert r.returncode == 2 and "Traceback" not in r.stderr
-    checks = json.loads(out.read_text())["checks"]
-    assert [c["outcome"] for c in checks] == ["ERROR"]
-    assert "so/sp" in checks[0]["detail"]
+    for suite, algebra in (("prop1", "so:3"), ("prop2", "so:3"), ("prop3", "gl:2"),
+                           ("prop4", "gl:2"), ("prop5", "gl:2")):
+        r = run_cli("verify", suite, "--algebra", algebra, "--max-power", "1",
+                    "--out", str(out))
+        assert r.returncode == 2, (suite, algebra)
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (suite, lines)
+        assert "Traceback" not in r.stderr and not out.exists(), (suite, algebra)
 
 
 def test_error_while_expanding_is_an_error_record(tmp_path, monkeypatch):

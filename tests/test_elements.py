@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, commutator, format_poly
 from envshift.shifts import (
     canonical_shift,
+    make_shift,
     shift_from_designator,
     shift_from_rows,
     violating_shift,
@@ -112,7 +114,7 @@ def test_shift_generator_validates():
         el.shift_generator(GL2, A, 1)
     bad = violating_shift(SO4)
     with pytest.raises(AlgebraError):
-        el.shift_generator(SO4, bad, 1, declared_sign=-1)
+        make_shift(SO4, bad.rows, bad.indices, declared_sign=-1)
 
 
 def test_stabilizer_basis_examples():
@@ -199,42 +201,45 @@ def test_flip_coefficients_examples():
         el.power_flip_coefficients(GL2, 2)
 
 
+def _index_tuples(spec, n):
+    return itertools.product(spec.index_set, repeat=n)
+
+
 @pytest.mark.parametrize("spec", [SO3, SO4, SP1], ids=lambda s: s.designator)
 def test_flip_expansion_and_leading_coefficient(spec):
     for M in range(0, 4):
-        chk = el.check_proposition(spec, 3, M)
-        assert chk.ok, chk.first_failure()
-        assert chk.central_coeffs[-1] == NCPolynomial.scalar(spec, (-1) ** (M + 1))
+        for i, j in _index_tuples(spec, 2):
+            assert el.flip_residual(spec, M + 1, i, j).is_zero, (M, i, j)
+        coeffs = el.power_flip_coefficients(spec, M + 1)
+        assert coeffs[-1] == NCPolynomial.scalar(spec, (-1) ** (M + 1))
 
 
 def test_power_bracket_expansion_gl_exhaustive_small():
     for M in (1, 2):
         for N in (1, 2):
-            chk = el.check_proposition(GL2, 1, M, N)
-            assert chk.ok, chk.first_failure()
-    chk = el.check_proposition(GL3, 1, 2, 2, index_tuple=(1, 2, 3, 1))
-    assert chk.ok
+            for t in _index_tuples(GL2, 4):
+                assert el.power_bracket_residual(GL2, M, N, *t).is_zero, (M, N, t)
+    assert el.power_bracket_residual(GL3, 2, 2, 1, 2, 3, 1).is_zero
 
 
 def test_power_bracket_expansion_so_sp_small():
     for spec in (SO3, SP1):
         for M in (1, 2):
             for N in (0, 1, 2):
-                chk = el.check_proposition(spec, 4, M, N)
-                assert chk.ok, (spec.designator, M, N, chk.first_failure())
+                for t in _index_tuples(spec, 4):
+                    r = el.power_bracket_residual(spec, M, N, *t)
+                    assert r.is_zero, (spec.designator, M, N, t)
 
 
 def test_contracted_recursion_gl():
     A = shift_from_rows(GL2, [[1, 2], [3, 5]])
     for M in (1, 2):
         for N in (1, 2, 3):
-            chk = el.check_proposition(GL2, 2, M, N, A=A)
-            assert chk.ok, (M, N)
+            assert el.shift_bracket_recursion_residual(GL2, M, N, A).is_zero, (M, N)
     # also with a fully symbolic matrix: one run covers all numeric A at once
     a, b, c, d = (ParamPolynomial.variable(x) for x in "abcd")
     S = shift_from_rows(GL2, [[a, b], [c, d]])
-    chk = el.check_proposition(GL2, 2, 2, 2, A=S)
-    assert chk.ok
+    assert el.shift_bracket_recursion_residual(GL2, 2, 2, S).is_zero
 
 
 def test_contracted_recursions_so_sp():
@@ -243,17 +248,18 @@ def test_contracted_recursions_so_sp():
             A = canonical_shift(spec, sign)
             for M in (1, 2):
                 for N in (1, 2):
-                    chk = el.check_proposition(spec, 5, M, N, A=A, sign=sign)
-                    assert chk.ok, (spec.designator, sign, M, N)
+                    r1, r2 = el.contracted_recursion_residuals(spec, A, M, N, sign)
+                    assert r1.is_zero and r2.is_zero, (spec.designator, sign, M, N)
 
 
 def test_proposition_family_preconditions():
     with pytest.raises(AlgebraError):
-        el.check_proposition(SO3, 1, 1, 1)
+        el.shift_bracket_recursion_residual(SO3, 1, 1, canonical_shift(SO3, -1))
     with pytest.raises(AlgebraError):
-        el.check_proposition(GL2, 4, 1, 1)
+        el.contracted_recursion_residuals(GL2, shift_from_designator(GL2, "diag:1,2"), 1, 1, -1)
     with pytest.raises(AlgebraError):
-        el.check_proposition(SO3, 5, 1, 1)  # needs a shift matrix
+        # the recursions need a shift of the declared symmetry sign
+        el.contracted_recursion_residuals(SO3, violating_shift(SO3), 1, 1, -1)
 
 
 def test_shift_commutativity_small_instances():

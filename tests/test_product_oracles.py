@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from envshift import cli
 from envshift import elements as el
 from envshift import linalg, pbw
 from envshift.algebra import parse_algebra
@@ -215,6 +216,39 @@ def test_centralizer_operands_follow_the_rule(designator, diag, outside, monkeyp
     for B in basis + ([outside] if outside else []):
         assert el.check_centralizer(spec, A, B, 2).is_zero
     assert seen and all(type(c) is int for c in seen)
+
+
+@pytest.mark.parametrize("suite, algebra, shift", [
+    ("prop2", "gl:3", "symbolic"),
+    ("prop2", "gl:3", "sym-diag:a,b,c"),
+    ("prop5", "so:4", "symbolic"),
+    ("prop5", "so:4", "sym-diag:a,b,b,a"),
+    ("theorem2", "so:4", "symbolic"),
+])
+def test_symbolic_suites_multiply_numbers_only(suite, algebra, shift, tmp_path, monkeypatch):
+    # a symbolic shift is polarized: every product the suite takes has
+    # numeric coefficients, and parameters appear only in a FAIL witness
+    operands = []
+    real_multiply, real_commutator = pbw.multiply, el.commutator
+
+    def parametric(p):
+        return any(isinstance(c, ParamPolynomial) for c in p.terms.values())
+
+    def spy_multiply(p, q):
+        operands.append(parametric(p) or parametric(q))
+        return real_multiply(p, q)
+
+    def spy_commutator(p, q):
+        operands.append(parametric(p) or parametric(q))
+        return real_commutator(p, q)
+
+    monkeypatch.setattr(pbw, "multiply", spy_multiply)
+    monkeypatch.setattr(el, "multiply", spy_multiply)
+    monkeypatch.setattr(el, "commutator", spy_commutator)
+    out = tmp_path / "rep.json"
+    argv = ["verify", suite, "--algebra", algebra, "--A", shift, "--max-power", "2"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert operands and not any(operands)
 
 
 def test_linalg_stays_exact_on_int_input():

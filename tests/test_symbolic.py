@@ -9,7 +9,7 @@ import pytest
 from envshift import elements as el
 from envshift.algebra import parse_algebra
 from envshift.params import ParamPolynomial
-from envshift.pbw import commutator
+from envshift.pbw import commutator, format_poly
 from envshift.shifts import shift_from_designator, shift_from_rows, symbolic_shift
 
 
@@ -67,8 +67,8 @@ def test_recursion_identities_so5():
         A = canonical_shift(spec, sign)
         for M in (1, 2):
             for N in (1, 2):
-                chk = el.check_proposition(spec, 5, M, N, A=A, sign=sign)
-                assert chk.ok, (sign, M, N, chk.first_failure())
+                for r in el.contracted_recursion_residuals(spec, A, M, N, sign):
+                    assert r.is_zero, (sign, M, N, format_poly(r))
 
 
 # ---------------------------------------------------------------------------
@@ -141,3 +141,78 @@ def test_numeric_shift_is_one_part():
     assert list(A.parts()) == [()]
     assert A.parts()[()] == A.numeric_rows()
     assert not _assert_polarized_matches_direct(spec, A)
+
+
+# ---------------------------------------------------------------------------
+# the polarized recursions against the same forms evaluated once at (A, A)
+
+
+def _direct(spec, A, form, built=None):
+    """The form at (A, A) itself, with parametric coefficients: the unpolarized value."""
+    whole = el._ShiftPart(spec, A.rows, A.indices)
+    return form(whole, whole)
+
+
+def _assert_matches_direct(monkeypatch, residual):
+    """residual() with the polarizer equals residual() with ``_direct``; returns the value."""
+    polarized = residual()
+    with monkeypatch.context() as m:
+        m.setattr(el, "polarize", _direct)
+        direct = residual()
+    assert polarized == direct
+    return polarized
+
+
+def _a2_ab_shift(spec):
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    return shift_from_rows(spec, [[a * a, 1, 0], [a * b, a, 0], [0, 2 * b, 3]])
+
+
+@pytest.mark.parametrize("name", ["gl:2", "gl:3", "gl:3 a^2 a*b"])
+def test_polarized_gl_recursion_matches_direct(name, monkeypatch):
+    spec = parse_algebra(name.split()[0])
+    A = _a2_ab_shift(spec) if " " in name else symbolic_shift(spec)
+    for M in range(1, 4):
+        for N in range(1, 4):
+            r = _assert_matches_direct(
+                monkeypatch, lambda: el.shift_bracket_recursion_residual(spec, M, N, A))
+            assert r.is_zero, (name, M, N)
+
+
+def _signed_mixed_shift(spec, sign):
+    """Numbers beside parameters, placed in pairs so that the shift keeps ``sign``."""
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    rows = [[0] * spec.matrix_size for _ in spec.index_set]
+    n = spec.n
+    for (i, j), x in (((n, n), 1), ((n, -n), a), ((1, n), b * 2 + 1)):
+        if (i, j) == (-j, -i) and sign * spec.eps(i) * spec.eps(j) != 1:
+            continue  # a self-paired entry that this sign forces to zero
+        rows[spec.position(i)][spec.position(j)] = x
+        rows[spec.position(-j)][spec.position(-i)] = x * (sign * spec.eps(i) * spec.eps(j))
+    A = shift_from_rows(spec, rows)
+    assert A.symmetry_signs() == {sign}
+    return A
+
+
+@pytest.mark.parametrize("name", ["so:3", "so:4", "sp:1", "sp:2", "so:4 mixed"])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_polarized_so_sp_recursions_match_direct(name, sign, monkeypatch):
+    spec = parse_algebra(name.split()[0])
+    A = _signed_mixed_shift(spec, sign) if " " in name else symbolic_shift(spec, sign)
+    max_power = 3 if spec.matrix_size < 4 else 2
+    for M in range(1, max_power + 1):
+        for N in range(1, max_power + 1):
+            r1, r2 = _assert_matches_direct(
+                monkeypatch, lambda: el.contracted_recursion_residuals(spec, A, M, N, sign))
+            assert r1.is_zero and r2.is_zero, (name, sign, M, N)
+
+
+def test_polarized_contractions_match_direct(monkeypatch):
+    # the recursions vanish, so compare their nonzero bilinear parts too, on
+    # a shift without a symmetry sign that mixes numbers and parameters
+    spec = parse_algebra("so:4")
+    A = shift_from_designator(spec, "matrix:1,0,0,a;0,b,0,0;0,0,0,0;2,0,0,0")
+    for form in (lambda P, Q: el.trace_chain(P, Q, 1, 1),
+                 lambda P, Q: el.crossed_contraction(P, Q, 1, 2)):
+        r = _assert_matches_direct(monkeypatch, lambda: el.polarize(spec, A, form))
+        assert any(isinstance(c, ParamPolynomial) for c in r.terms.values())
