@@ -18,7 +18,7 @@ from fractions import Fraction
 from .algebra import GL, SP, AlgebraError, AlgebraSpec, parse_algebra
 from .elements import casimir, matrix_power_element, shift_generator
 from .pbw import NCPolynomial, commutator
-from .shifts import ShiftMatrix, shift_from_designator, shift_from_rows
+from .shifts import ShiftMatrix, _parse_entry, shift_from_designator, shift_from_rows
 
 
 @dataclass(frozen=True)
@@ -257,40 +257,40 @@ def commutativity_failures(family: CommutativeFamily):
 
 def chain_from_dict(data: dict) -> ChainSpec:
     try:
-        spec = parse_algebra(data["algebra"])
+        text = data["algebra"]
         raw_steps = data["steps"]
     except (KeyError, TypeError):
         raise AlgebraError("chain file needs 'algebra' and 'steps'") from None
+    if not isinstance(text, str) or not isinstance(raw_steps, list):
+        raise AlgebraError("chain file needs an 'algebra' string and a 'steps' list")
+    spec = parse_algebra(text)
     steps = []
     sizes = [spec.matrix_size]
     for entry in raw_steps:
         if not isinstance(entry, dict) or "k" not in entry:
             raise AlgebraError("each chain step needs a step size 'k'")
         k = entry["k"]
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise AlgebraError("step size must be an integer")
         shift = entry.get("shift")
         if shift is not None and shift != "auto":
             idx = level_indices(spec, sizes[-1])
             if isinstance(shift, str):
                 shift = shift_from_designator(spec, shift, indices=idx)
-            elif isinstance(shift, list):
-                shift = shift_from_rows(spec, [[_entry_to_frac(x) for x in row] for row in shift], indices=idx)
+            elif isinstance(shift, list) and all(
+                isinstance(row, list) and all(type(x) in (int, str) for x in row)
+                for row in shift
+            ):
+                rows = [[_parse_entry(str(x)) for x in row] for row in shift]
+                shift = shift_from_rows(spec, rows, indices=idx)
             else:
-                raise AlgebraError("shift must be a designator string or row lists")
+                raise AlgebraError(
+                    "shift must be a designator string or row lists of integers and strings"
+                )
         step_drop = 2 if spec.family == SP else k
         sizes.append(sizes[-1] - step_drop)
         steps.append((k, shift))
     return make_chain(spec, steps)
-
-
-def _entry_to_frac(x):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    raise AlgebraError(f"bad matrix entry {x!r}")
 
 
 def load_chain_file(path) -> ChainSpec:

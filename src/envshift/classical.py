@@ -17,12 +17,11 @@ from . import linalg
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
-    bracket_structure,
     coordinates_to_matrix,
     matrix_to_coordinates,
 )
 from .params import ParamPolynomial
-from .pbw import NCPolynomial, _accumulate
+from .pbw import NCPolynomial, _accumulate, _tables
 
 
 def coordinate(spec: AlgebraSpec, i: int, j: int) -> ParamPolynomial:
@@ -89,33 +88,19 @@ def top_symbol(p: NCPolynomial) -> ParamPolynomial:
 # ---------------------------------------------------------------------------
 # Lie-Poisson bracket
 
-_CLASSICAL_BRACKETS: dict = {}
-
-
-def _coordinate_bracket(spec: AlgebraSpec, ga: int, gb: int) -> ParamPolynomial:
-    key = (spec, ga, gb)
-    out = _CLASSICAL_BRACKETS.get(key)
-    if out is None:
-        pa = spec.canonical_generators[ga]
-        pb = spec.canonical_generators[gb]
-        out = _CLASSICAL_BRACKETS[key] = ParamPolynomial({
-            ((spec.generator_ids[pair], 1),): c
-            for pair, c in bracket_structure(spec, pa, pb).items()
-        })
-    return out
-
-
 def lie_poisson_bracket(spec: AlgebraSpec, f: ParamPolynomial,
                         g: ParamPolynomial) -> ParamPolynomial:
     """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b} on g*; bilinear, antisymmetric, Leibniz."""
+    tables = _tables(spec)
     dg = {gb: g.partial(gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
     acc: dict = {}
     for ga in sorted({gid for m in f.terms for gid, _ in m}):
         dfa = f.partial(ga)
         for gb, dgb in dg.items():
-            br = _coordinate_bracket(spec, ga, gb)
+            br = tables.bracket(ga, gb)
             if br:
-                _accumulate(acc, (dfa * dgb * br).terms)
+                linear = ParamPolynomial._of({((gid, 1),): c for gid, c in br})
+                _accumulate(acc, (dfa * dgb * linear).terms)
     return ParamPolynomial(acc)
 
 
@@ -165,13 +150,17 @@ def shift_expand(spec: AlgebraSpec, M: int, rows, indices=None):
     """
     if M < 1:
         raise ValueError("power must be >= 1")
-    graded = _shift_powers(coordinate_matrix(spec, indices), rows, M, M)
+    graded = _shift_power(coordinate_matrix(spec, indices), rows, M, M)
     return [_poly_trace(graded[k]) for k in range(1, M + 1)]
 
 
 def _shift_powers(X, A, M: int, kmax: int):
-    """The t^0 .. t^kmax parts of (X + t A)^M; entries numbers or polynomials."""
+    """Yield the t^0 .. t^kmax parts of (X + t A)^j for j = 0 .. M.
+
+    Entries are numbers or polynomials.
+    """
     graded = [linalg.identity(len(X))]
+    yield graded
     for _ in range(M):
         nxt = [linalg.mat_mul(graded[0], X)]
         for k in range(1, min(len(graded), kmax) + 1):
@@ -180,6 +169,13 @@ def _shift_powers(X, A, M: int, kmax: int):
                 term = linalg.mat_add(linalg.mat_mul(graded[k], X), term)
             nxt.append(term)
         graded = nxt
+        yield graded
+
+
+def _shift_power(X, A, M: int, kmax: int):
+    """The t^0 .. t^kmax parts of (X + t A)^M, holding no earlier power."""
+    for graded in _shift_powers(X, A, M, kmax):
+        pass
     return graded
 
 
@@ -187,85 +183,39 @@ def _shift_powers(X, A, M: int, kmax: int):
 # characteristic-polynomial shift invariants (sums of minors)
 
 
-class _LambdaSeries:
-    """Truncated polynomial in the shift parameter with ring-element coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-
-    def _pad(self, n):
-        return self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, _LambdaSeries):
-            other = _LambdaSeries([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return _LambdaSeries([a + b for a, b in zip(self._pad(n), other._pad(n))])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _LambdaSeries([-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, _LambdaSeries):
-            other = _LambdaSeries([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, _LambdaSeries):
-            other = _LambdaSeries([other])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for a, ca in enumerate(self.coeffs):
-            if not ca:
-                continue
-            for b, cb in enumerate(other.coeffs):
-                out[a + b] = out[a + b] + ca * cb
-        return _LambdaSeries(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        # polynomial coefficients have no division; 1/k keeps it exact
-        inv = Fraction(1, k)
-        return _LambdaSeries([c * inv for c in self.coeffs])
-
-    def __bool__(self):
-        return any(bool(c) for c in self.coeffs)
-
-    def coefficient(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-
-def shifted_charpoly_coefficient(X_rows, A_rows, M: int, k: int):
-    """The t^k part of the M-th characteristic-polynomial coefficient of X + t A.
-
-    Entries may be numbers or polynomials; the result is a linear combination
-    of order-(M-k) minors of X against order-k minors of A.
-    """
-    return shifted_charpoly_values(X_rows, A_rows, [(M, k)])[(M, k)]
-
-
 def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
-    """{(M, k): shifted_charpoly_coefficient(X, A, M, k)} from one charpoly run."""
+    """{(M, k): [t^k] c_M(X + t A)}, c_M the coefficient of s^(m-M) in det(sI - X - t A).
+
+    Entries may be numbers or polynomials; each value is a linear combination
+    of order-(M-k) minors of X against order-k minors of A.  All values come
+    from Newton's identities j c_j = -sum_{i=1..j} p_i c_{j-i} on the graded
+    traces p_i = tr((X + t A)^i), truncated at the largest k requested.
+    """
     m = len(X_rows)
     for M, k in pairs:
         if not (1 <= k < M <= m):
             raise ValueError("need 1 <= k < M <= matrix size")
-    series = [
-        [_LambdaSeries([X_rows[r][c], A_rows[r][c]]) for c in range(m)] for r in range(m)
-    ]
-    cs = linalg.charpoly(series)
-    return {(M, k): cs[M].coefficient(k) for M, k in pairs}
+    kmax = max((k for _, k in pairs), default=0)
+    powers = _shift_powers(X_rows, A_rows, max((M for M, _ in pairs), default=0), kmax)
+    next(powers)  # the identity
+    traces = [None]  # traces[i][a] = [t^a] p_i
+    cs = [[1] + [0] * kmax]  # cs[j][a] = [t^a] c_j
+    for j, graded in enumerate(powers, 1):
+        traces.append([linalg.trace(g) for g in graded])
+        c = [0] * (kmax + 1)
+        for i in range(1, j + 1):
+            for a, pa in enumerate(traces[i]):
+                if pa:
+                    for b, cb in enumerate(cs[j - i][: kmax + 1 - a]):
+                        if cb:
+                            c[a + b] -= pa * cb
+        cs.append([x * Fraction(1, j) for x in c])
+    return {(M, k): cs[M][k] for M, k in pairs}
 
 
 def charpoly_shift_invariants(spec: AlgebraSpec, M: int, k: int, rows) -> ParamPolynomial:
     """P_A^{k,M} over the coordinate functions of the algebra."""
-    out = shifted_charpoly_coefficient(coordinate_matrix(spec), rows, M, k)
+    out = shifted_charpoly_values(coordinate_matrix(spec), rows, [(M, k)])[(M, k)]
     if isinstance(out, ParamPolynomial):
         return out
     return ParamPolynomial.const(out)
@@ -350,14 +300,14 @@ def power_trace_gradient(X, M: int):
     """Matrix gradient M X^(M-1) of tr(X^M) at a numeric X."""
     if M < 1:
         raise ValueError("power must be >= 1")
-    return linalg.mat_scale(_shift_powers(X, None, M - 1, 0)[0], M)
+    return linalg.mat_scale(_shift_power(X, None, M - 1, 0)[0], M)
 
 
 def shift_pair_gradient(X, A, N: int):
     """Matrix gradient sum_k X^k A X^(N-1-k) of tr(A X^N) at a numeric X."""
     if N < 1:
         raise ValueError("power must be >= 1")
-    return _shift_powers(X, A, N, 1)[1]
+    return _shift_power(X, A, N, 1)[1]
 
 
 def shift_expand_gradient(X, A, M: int, k: int):
@@ -367,7 +317,7 @@ def shift_expand_gradient(X, A, M: int, k: int):
     """
     if not (M >= 1 and 0 <= k <= M):
         raise ValueError("need M >= 1 and 0 <= k <= M")
-    graded = _shift_powers(X, A, M - 1, k)
+    graded = _shift_power(X, A, M - 1, k)
     if k == len(graded):
         return linalg.mat_scale(X, 0)
     return linalg.mat_scale(graded[k], M)

@@ -131,12 +131,6 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def intersection_dim(u_rows, w_rows) -> int:
-    """dim(span U  intersect  span W) = rk U + rk W - rk (U stacked on W)."""
-    ru, rw = rank(u_rows), rank(w_rows)
-    return ru + rw - rank(list(u_rows) + list(w_rows))
-
-
 def charpoly(matrix):
     """Coefficients [c_0..c_n] of det(tI - B) = sum c_k t^(n-k), c_0 = 1.
 
@@ -158,74 +152,19 @@ def charpoly(matrix):
     return cs
 
 
-def poly_gcd(a, b):
-    """Monic gcd of two univariate rational polynomials (coefficient lists, low->high)."""
-    a = _trim(a)
-    b = _trim(b)
-    while b:
-        a, b = b, _trim(_poly_mod(a, b))
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _trim(p):
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and any(a):
-        shift = len(a) - 1 - db
-        f = a[-1] / lb
-        for k in range(len(b)):
-            a[shift + k] -= f * b[k]
-        a = _trim(a)
-        if not a:
-            break
-    return a
-
-
-def poly_derivative(p):
-    return [k * p[k] for k in range(1, len(p))]
-
-
-def squarefree_part(p):
-    """p / gcd(p, p') for a univariate rational polynomial."""
-    g = poly_gcd(p, poly_derivative(p))
-    if len(g) <= 1:
-        return _trim(p)
-    return _poly_div_exact(_trim(p), g)
-
-
-def _poly_div_exact(a, b):
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = list(a)
-    while len(a) >= len(b) and any(a):
-        shift = len(a) - len(b)
-        f = a[-1] / b[-1]
-        out[shift] = f
-        for k in range(len(b)):
-            a[shift + k] -= f * b[k]
-        a = _trim(a)
-    return out
-
-
 def is_semisimple(matrix) -> bool:
-    """Diagonalizable over C: the squarefree part of the char poly kills the matrix."""
+    """Diagonalizable over C: deg of the minimal polynomial = number of distinct eigenvalues.
+
+    deg mu_B is the rank of the flattened powers B^0 .. B^(n-1).  With p the
+    characteristic polynomial, the number of distinct eigenvalues is
+    n - deg gcd(p, p') = rank Sylvester(p, p') - n + 1.
+    """
     n = len(matrix)
-    cs = charpoly(matrix)
-    # det(tI - B) = sum cs[k] t^(n-k); as a low->high coefficient list:
-    p = [cs[n - d] for d in range(n + 1)]
-    sf = squarefree_part(p)
-    acc = [[Fraction(int(r == s)) * sf[0] for s in range(n)] for r in range(n)]
-    power = identity(n)
-    for d in range(1, len(sf)):
-        power = mat_mul(power, matrix)
-        acc = mat_add(acc, mat_scale(power, sf[d]))
-    return is_zero_matrix(acc)
+    powers = [identity(n)]
+    for _ in range(n - 1):
+        powers.append(mat_mul(powers[-1], matrix))
+    p = charpoly(matrix)  # high -> low
+    dp = [(n - d) * c for d, c in enumerate(p[:n])]
+    sylvester = [[0] * s + p + [0] * (n - 2 - s) for s in range(n - 1)]
+    sylvester += [[0] * s + dp + [0] * (n - 1 - s) for s in range(n)]
+    return rank([[x for row in B for x in row] for B in powers]) == rank(sylvester) - n + 1

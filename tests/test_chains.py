@@ -119,6 +119,23 @@ def test_chain_from_dict_and_file(tmp_path):
     assert len(fam.generators) == 6
 
 
+def _gl3_rows(entry):
+    return [[entry, 0, 0], [0, 2, 0], [0, 0, 0]]
+
+
+# chain files that are bad input; none may surface as another exception type
+MALFORMED_CHAINS = (
+    {"algebra": "gl:3", "steps": [{"k": 2, "shift": _gl3_rows("1/0")}]},
+    {"algebra": "gl:3", "steps": [{"k": 2, "shift": _gl3_rows("x")}]},
+    {"algebra": "gl:3", "steps": [{"k": 2, "shift": _gl3_rows(1.5)}]},
+    {"algebra": "gl:3", "steps": [{"k": 2, "shift": _gl3_rows(True)}]},
+    {"algebra": "gl:3", "steps": [{"k": 2, "shift": [1, 2, 3]}]},
+    {"algebra": "gl:3", "steps": 5},
+    {"algebra": 5, "steps": []},
+    {"algebra": "gl:2", "steps": [{"k": True}]},
+)
+
+
 def test_chain_file_errors(tmp_path):
     with pytest.raises(AlgebraError):
         chain_from_dict({"steps": []})
@@ -128,6 +145,21 @@ def test_chain_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(AlgebraError):
         load_chain_file(str(bad))
+    for data in MALFORMED_CHAINS:
+        with pytest.raises(AlgebraError):
+            chain_from_dict(data)
+
+
+def test_malformed_chain_files_exit_two_without_internal_error(tmp_path, capsys):
+    from envshift import cli
+
+    f, out = tmp_path / "bad.json", tmp_path / "rep.json"
+    for data in MALFORMED_CHAINS:
+        f.write_text(json.dumps(data))
+        assert cli.main(["chain", "--file", str(f), "--out", str(out)]) == 2, data
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (data, lines)
+        assert "internal error" not in lines[0] and not out.exists(), (data, lines)
 
 
 def test_default_chains_cover_all_families():

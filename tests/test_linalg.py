@@ -2,10 +2,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envshift import linalg
+from envshift.classical import shifted_charpoly_values
 
 
 def _brute_det(m):
@@ -73,21 +75,89 @@ def test_semisimple_detection():
     assert not linalg.is_semisimple(jordan)
 
 
-def test_intersection_dim():
-    e1 = [Fraction(1), Fraction(0), Fraction(0)]
-    e2 = [Fraction(0), Fraction(1), Fraction(0)]
-    e3 = [Fraction(0), Fraction(0), Fraction(1)]
-    plus = [[a + b for a, b in zip(e1, e2)]]
-    assert linalg.intersection_dim([e1, e2], [e2, e3]) == 1
-    assert linalg.intersection_dim([e1], [e2]) == 0
-    assert linalg.intersection_dim([e1, e2], plus) == 1
+def _conjugate(J, P):
+    """P J P^-1 for an integer P with unit determinant; P^-1 by the adjugate."""
+    n = len(J)
+    det = _brute_det(P)
+    assert det in (1, -1)
+
+    def minor(r, c):
+        return _brute_det([row[:c] + row[c + 1:] for k, row in enumerate(P) if k != r])
+
+    inv = [[det * (-1) ** (r + c) * minor(c, r) for c in range(n)] for r in range(n)]
+    return linalg.mat_mul(linalg.mat_mul(P, J), inv)
 
 
-def test_poly_gcd_and_squarefree():
-    # p = (x-1)^2 (x+2) = x^3 - 3x + 2
-    p = [Fraction(2), Fraction(-3), Fraction(0), Fraction(1)]
-    sf = linalg.squarefree_part(p)
-    # squarefree part should be proportional to (x-1)(x+2) = x^2 + x - 2
-    lead = sf[-1]
-    monic = [c / lead for c in sf]
-    assert monic == [Fraction(-2), Fraction(1), Fraction(1)]
+def _jordan(*blocks):
+    """Block-diagonal matrix; a block is (eigenvalue, size) or a square row list."""
+    rows = []
+    for blk in blocks:
+        if isinstance(blk, tuple):
+            lam, size = blk
+            blk = [[lam if r == c else int(c == r + 1) for c in range(size)] for r in range(size)]
+        rows.append(blk)
+    n = sum(len(b) for b in rows)
+    out, o = [[0] * n for _ in range(n)], 0
+    for blk in rows:
+        for r, row in enumerate(blk):
+            out[o + r][o : o + len(row)] = row
+        o += len(blk)
+    return out
+
+
+ROT = [[0, 1], [-1, 0]]  # eigenvalues +i, -i
+
+# (Jordan form, diagonalizable over C); each is also checked conjugated
+SEMISIMPLE_TABLE = [
+    (_jordan((7, 1)), True),
+    (_jordan((Fraction(1, 2), 1)), True),
+    (_jordan((3, 1), (3, 1), (3, 1)), True),  # scalar
+    (_jordan((0, 2)), False),  # nilpotent
+    (_jordan((0, 3)), False),
+    (_jordan((0, 1), (0, 1)), True),  # zero matrix
+    (_jordan((2, 1), (2, 1), (-1, 1)), True),  # repeated eigenvalue
+    (_jordan((1, 1), (1, 1), (0, 1), (0, 1)), True),
+    (_jordan(ROT), True),
+    (_jordan(ROT, ROT), True),
+    # the rotation in a 2-block: eigenvalues +-i, each of multiplicity 2
+    (_jordan([[0, 1, 1, 0], [-1, 0, 0, 1], [0, 0, 0, 1], [0, 0, -1, 0]]), False),
+    (_jordan(ROT, (5, 1)), True),
+    (_jordan((1, 2), (2, 1)), False),
+    (_jordan((2, 1), (2, 2), (Fraction(-1, 3), 1), (4, 1)), False),  # 5x5, one 2-block
+    (_jordan((2, 1), (2, 1), (Fraction(-1, 3), 1), (4, 1), (4, 1)), True),
+    (_jordan((1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1)), True),
+    (_jordan((0, 3), (0, 3)), False),
+]
+
+
+@pytest.mark.parametrize("J, expected", SEMISIMPLE_TABLE)
+def test_semisimplicity_of_conjugated_jordan_forms(J, expected):
+    n = len(J)
+    assert linalg.is_semisimple(J) is expected
+    rng = random.Random(n)
+    for _ in range(3):
+        P = [[int(r == c) for c in range(n)] for r in range(n)]
+        for _ in range(2 * n):  # row operations keep det P = 1
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                f = rng.randint(-2, 2)
+                P[i] = [a + f * b for a, b in zip(P[i], P[j])]
+        assert linalg.is_semisimple(_conjugate(J, P)) is expected
+
+
+def test_shifted_charpoly_values_match_brute_force_minors():
+    # [t^k] c_M(X + t A) = (-1)^M sum over principal M-subsets S and k-subsets
+    # T of S of det(X_S with the columns in T taken from A_S)
+    rng = random.Random(17)
+    for m in (2, 3, 4):
+        for _ in range(4):
+            X, A = ([[Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3))) for _ in range(m)]
+                     for _ in range(m)] for _ in range(2))
+            pairs = [(M, k) for M in range(2, m + 1) for k in range(1, M)]
+            got = shifted_charpoly_values(X, A, pairs)
+            for M, k in pairs:
+                total = Fraction(0)
+                for S in itertools.combinations(range(m), M):
+                    for T in itertools.combinations(S, k):
+                        total += _brute_det([[(A if c in T else X)[r][c] for c in S] for r in S])
+                assert got[(M, k)] == (-1) ** M * total, (m, M, k)
