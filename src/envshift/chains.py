@@ -14,9 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import GL, SP, AlgebraError, AlgebraSpec, parse_algebra
-from .elements import casimir, matrix_power_element, shift_generator
+from .classical import shift_pair_gradient
+from .elements import contract_rows
+from .linalg import identity
 from .pbw import NCPolynomial, commutator
 from .shifts import ShiftMatrix, _parse_entry, shift_from_designator, shift_from_rows
 
@@ -35,9 +38,34 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class FamilyGenerator:
+    """The chain member (B X^N) = sum B[j,i] (X^N)[i,j] over a level block.
+
+    B, aligned with ``indices``, is the block identity for a Casimir, the
+    step's shift for a shifted generator and the unit E_ii for a terminal
+    abelian X[i,i].  The U(g) element is built on first use; the top symbol
+    tr(B X^N) is ranked through its closed-form gradient alone.
+    """
+
+    spec: AlgebraSpec
     label: str
     provenance: str
-    poly: NCPolynomial
+    B: tuple
+    N: int
+    indices: tuple
+
+    @cached_property
+    def poly(self) -> NCPolynomial:
+        return contract_rows(self.spec, self.B, self.N, self.indices)
+
+    def matrix_gradient(self, X):
+        """Matrix gradient of tr(B X^N) at the full coordinate matrix X."""
+        pos = [self.spec.position(i) for i in self.indices]
+        G = shift_pair_gradient([[X[r][c] for c in pos] for r in pos], self.B, self.N)
+        out = [[0] * len(X) for _ in X]
+        for a, r in enumerate(pos):
+            for b, c in enumerate(pos):
+                out[r][c] = G[a][b]
+        return out
 
 
 @dataclass(frozen=True)
@@ -49,10 +77,6 @@ class CommutativeFamily:
     @property
     def labels(self):
         return [g.label for g in self.generators]
-
-    @property
-    def polys(self):
-        return [g.poly for g in self.generators]
 
 
 # ---------------------------------------------------------------------------
@@ -166,38 +190,28 @@ def _validate_chain_shift(spec, shift: ShiftMatrix, level_idx):
 # generator emission
 
 
+def _abelian(spec, i, name):
+    """The terminal linear generator X[i,i], as (E_ii X^1) on the block (i,)."""
+    return FamilyGenerator(spec, f"X[{i},{i}]", f"abelian@{name}", ((1,),), 1, (i,))
+
+
 def _level_casimirs(spec, size, idx):
     name = _level_name(spec, size)
-    out = []
     if spec.family == GL:
         if size == 1:
-            i = idx[0]
-            out.append(
-                FamilyGenerator(
-                    f"X[{i},{i}]", f"abelian@{name}", matrix_power_element(spec, 1, i, i, idx)
-                )
-            )
-        else:
-            for M in range(1, size + 1):
-                out.append(
-                    FamilyGenerator(f"tr(X^{M})@{name}", f"casimir@{name}", casimir(spec, M, idx))
-                )
-        return out
-    if spec.family != SP and size == 2:
+            return [_abelian(spec, idx[0], name)]
+        degrees = range(1, size + 1)
+    elif spec.family != SP and size == 2:
         # terminal so(2): the single linear generator
-        i = max(idx)
-        out.append(
-            FamilyGenerator(
-                f"X[{i},{i}]", f"abelian@{name}", matrix_power_element(spec, 1, i, i, idx)
-            )
-        )
-        return out
-    # so/sp levels: even trace powers, one per unit of the level's rank
-    for M in range(2, 2 * (size // 2) + 1, 2):
-        out.append(
-            FamilyGenerator(f"tr(X^{M})@{name}", f"casimir@{name}", casimir(spec, M, idx))
-        )
-    return out
+        return [_abelian(spec, max(idx), name)]
+    else:
+        # so/sp levels: even trace powers, one per unit of the level's rank
+        degrees = range(2, 2 * (size // 2) + 1, 2)
+    ident = tuple(map(tuple, identity(size)))
+    return [
+        FamilyGenerator(spec, f"tr(X^{M})@{name}", f"casimir@{name}", ident, M, idx)
+        for M in degrees
+    ]
 
 
 def _shift_powers(spec, size):
@@ -223,18 +237,13 @@ def chain_generators(chain: ChainSpec) -> CommutativeFamily:
                 for N in _shift_powers(spec, size):
                     gens.append(
                         FamilyGenerator(
-                            f"tr(A.X^{N})@{name}",
-                            f"shift@{name}",
-                            shift_generator(spec, shift, N),
+                            spec, f"tr(A.X^{N})@{name}", f"shift@{name}",
+                            shift.rows, N, shift.indices,
                         )
                     )
     if spec.family == SP:
         # the torus below sp(1): the terminal abelian generator X[1,1]
-        gens.append(
-            FamilyGenerator(
-                "X[1,1]", "abelian@gl(1)", matrix_power_element(spec, 1, 1, 1, (1,))
-            )
-        )
+        gens.append(_abelian(spec, 1, "gl(1)"))
     name = spec.designator + " chain " + "-".join(str(s.k) for s in chain.steps)
     return CommutativeFamily(name, spec, tuple(gens))
 

@@ -245,7 +245,7 @@ class PointOnDual:
 
     @classmethod
     def random(cls, spec, rng: random.Random, lo=-10, hi=10):
-        return cls(spec, tuple(Fraction(rng.randint(lo, hi)) for _ in range(spec.dim)))
+        return cls(spec, tuple(rng.randint(lo, hi) for _ in range(spec.dim)))
 
     def value_map(self) -> dict:
         return {g: v for g, v in enumerate(self.values)}
@@ -257,7 +257,7 @@ class PointOnDual:
         self-paired entries (see AlgebraSpec.coordinate_pattern).
         """
         m = self.spec.matrix_size
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         for r, c, sign, g in self.spec.coordinate_pattern:
             rows[r][c] = sign * self.values[g]
         return rows
@@ -290,7 +290,7 @@ def gradient(f: ParamPolynomial, point: PointOnDual):
 
 def coordinate_gradient(spec: AlgebraSpec, G) -> tuple:
     """The coordinate partials (tr(G P_g))_g of a function with matrix gradient G."""
-    out = [Fraction(0)] * spec.dim
+    out = [0] * spec.dim
     for r, c, sign, g in spec.coordinate_pattern:
         out[g] += sign * G[c][r]
     return tuple(out)

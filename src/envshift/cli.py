@@ -158,6 +158,13 @@ def _signed_shifts(spec, args):
     ]
 
 
+def _shift_or_canonical(spec, args):
+    """centralizer / rank / lemma2 shift as (name, A): ``--A``, else the canonical sign -1 one."""
+    if args.A:
+        return args.A, shift_from_designator(spec, args.A)
+    return "canonical-sign-minus", canonical_shift(spec, -1)
+
+
 def _diagonal_symbolic_shift(spec):
     names = [f"a{k+1}" for k in range(min(2, spec.matrix_size))]
     desig = "sym-diag:" + ",".join(names + ["0"] * (spec.matrix_size - len(names)))
@@ -322,12 +329,7 @@ def cmd_verify(args) -> int:
         report.parameters["A"] = args.A or "canonical-both-signs"
         _suite_shift_commutativity(report, spec, shifts, args.max_power)
     elif args.suite == "centralizer":
-        A = (
-            shift_from_designator(spec, args.A)
-            if args.A
-            else canonical_shift(spec, -1)
-        )
-        report.parameters["A"] = args.A or "canonical-sign-minus"
+        report.parameters["A"], A = _shift_or_canonical(spec, args)
         _suite_centralizer(report, spec, A, args.max_power)
     elif args.suite == "tensorial":
         _suite_tensorial(report, spec, args.max_power)
@@ -429,15 +431,11 @@ def _rank_outcome(cert):
 
 def cmd_rank(args) -> int:
     spec = parse_algebra(args.algebra)
-    A = (
-        shift_from_designator(spec, args.A)
-        if args.A
-        else canonical_shift(spec, -1)
-    )
+    name, A = _shift_or_canonical(spec, args)
     report = SuiteReport(
         suite="rank",
         algebra=spec.designator,
-        parameters={"A": args.A or "canonical-sign-minus", "seed": args.seed,
+        parameters={"A": name, "seed": args.seed,
                     "trials": args.trials, "max_power": args.max_power},
     )
     A_rows = A.numeric_rows()
@@ -460,12 +458,8 @@ def cmd_classical(args) -> int:
         parameters={"seed": args.seed},
     )
     if args.what == "lemma2":
-        A = (
-            shift_from_designator(spec, args.A)
-            if args.A
-            else canonical_shift(spec, -1)
-        )
-        report.parameters.update({"A": args.A or "canonical-sign-minus", "points": args.points})
+        name, A = _shift_or_canonical(spec, args)
+        report.parameters.update({"A": name, "points": args.points})
         m = spec.matrix_size
         pairs = [
             (M, k)

@@ -1,6 +1,7 @@
 """Transcendency-degree certificates via exact Jacobian ranks at random points.
 
-Quantum generators are ranked through their top-degree classical images, so a
+Every generator is ranked through the closed-form matrix gradient of a
+classical function (for a chain member, of its top symbol tr(B X^N)), so a
 certified rank is a Schwartz-Zippel style lower bound on the number of
 algebraically independent generators; the upper bound (dim g + ind g)/2 comes
 from the theory, so PASS means the bound is attained.
@@ -19,14 +20,10 @@ from .classical import (
     algebra_projection,
     coordinate_gradient,
     derive_rng,
-    gradient,
     power_trace_gradient,
     shift_expand_gradient,
     shift_pair_gradient,
-    top_symbol,
 )
-from .params import ParamPolynomial
-from .pbw import NCPolynomial
 from .shifts import ShiftMatrix
 
 
@@ -66,33 +63,20 @@ class RankCertificate:
         }
 
 
-def _gradient_function(gen, spec):
-    """point -> coordinate gradient of one generator at the point."""
-    if isinstance(gen, NCPolynomial):
-        if gen.spec != spec:
-            raise AlgebraError("mixed-algebra generators")
-        gen = top_symbol(gen)
-    if isinstance(gen, ParamPolynomial):
-        return lambda point: gradient(gen, point)
-    if callable(gen):
-        return lambda point: coordinate_gradient(spec, gen(point.coordinate_realization()))
-    raise AlgebraError(f"cannot rank generator of type {type(gen).__name__}")
-
-
-def jacobian_rank(generators, spec: AlgebraSpec, trials=3, seed=42,
+def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
                   target=None, labels=None, family="") -> RankCertificate:
     """Stack exact gradients at ``trials`` random rational points and rank them.
 
-    A generator is a quantum element (ranked through its top symbol), a
-    classical polynomial, or a closed-form matrix gradient: a function taking
-    the coordinate realization X of a point to G with df = tr(G dX), as
-    shift_family_classical returns.
+    Each generator is given by its closed-form matrix gradient: a function
+    taking the coordinate realization X of a point to G with df = tr(G dX),
+    as shift_family_classical and FamilyGenerator.matrix_gradient provide.
     """
-    if not generators:
+    if not gradients:
         raise AlgebraError("empty generator list")
+    if not all(callable(g) for g in gradients):
+        raise AlgebraError("generators must be closed-form matrix gradients")
     if trials < 1:
         raise AlgebraError("need at least one trial")
-    gradients = [_gradient_function(g, spec) for g in generators]
     dim, ind = dimension_and_index(spec)
     if target is None:
         target = (dim + ind) // 2
@@ -100,8 +84,8 @@ def jacobian_rank(generators, spec: AlgebraSpec, trials=3, seed=42,
         labels = [f"g{k}" for k in range(len(gradients))]
     ranks = []
     for t in range(trials):
-        point = PointOnDual.random(spec, derive_rng(seed, t))
-        ranks.append(linalg.rank([list(grad(point)) for grad in gradients]))
+        X = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
+        ranks.append(linalg.rank([coordinate_gradient(spec, grad(X)) for grad in gradients]))
     return RankCertificate(
         family=family or spec.designator,
         labels=tuple(labels),
@@ -113,11 +97,11 @@ def jacobian_rank(generators, spec: AlgebraSpec, trials=3, seed=42,
 
 
 def transcendency_check(chain: ChainSpec, trials=3, seed=42) -> RankCertificate:
-    """Rank the classical images of a chain family against (dim g + ind g)/2."""
+    """Rank the top symbols of a chain family against (dim g + ind g)/2."""
     fam = chain_generators(chain)
     return jacobian_rank(
-        fam.polys, chain.algebra, trials=trials, seed=seed,
-        labels=fam.labels, family=fam.name,
+        [g.matrix_gradient for g in fam.generators], chain.algebra, trials=trials,
+        seed=seed, labels=fam.labels, family=fam.name,
     )
 
 

@@ -8,12 +8,12 @@ deterministic pivoting so bases come out canonical.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for r in range(n):
         ar = a[r]
         for t in range(k):
@@ -35,7 +35,7 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 def identity(n):
-    return [[Fraction(int(r == s)) for s in range(n)] for r in range(n)]
+    return [[int(r == s) for s in range(n)] for r in range(n)]
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
@@ -44,15 +44,13 @@ def mat_commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 def trace(a):
-    return sum((a[r][r] for r in range(len(a))), Fraction(0))
+    return sum(a[r][r] for r in range(len(a)))
 
 
 def _clear_denominators(row):
-    den = 1
-    for x in row:
-        f = Fraction(x)
-        den = den * f.denominator // gcd(den, f.denominator)
-    return [int(Fraction(x) * den) for x in row]
+    """An int or Fraction row scaled to integers by its common denominator."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def rank(rows) -> int:
@@ -138,7 +136,7 @@ def charpoly(matrix):
     whose elements support +, -, * and exact division by a positive integer.
     """
     n = len(matrix)
-    cs = [Fraction(1)]
+    cs = [1]
     aux = None  # running matrix A*(M_{k-1} + c_{k-1} I)
     for k in range(1, n + 1):
         if aux is None:
@@ -147,8 +145,9 @@ def charpoly(matrix):
             for r in range(n):
                 aux[r][r] = aux[r][r] + cs[-1]
             aux = mat_mul(matrix, aux)
-        c = -trace(aux) / k
-        cs.append(c)
+        c = -trace(aux)
+        # integer input keeps integer coefficients: k divides tr(aux) exactly
+        cs.append(c // k if type(c) is int else c / k)
     return cs
 
 

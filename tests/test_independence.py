@@ -1,9 +1,13 @@
 import random
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
 from envshift import elements as el
+from envshift import linalg, pbw
 from envshift.algebra import (
     GL,
     SO_EVEN,
@@ -12,14 +16,19 @@ from envshift.algebra import (
     AlgebraError,
     dimension_and_index,
     make_algebra,
+    parse_algebra,
 )
-from envshift.chains import make_chain
+from envshift.chains import chain_generators, default_chain, load_chain_file, make_chain
 from envshift.classical import (
     PointOnDual,
     coordinate_gradient,
     derive_rng,
+    gradient,
     power_trace,
+    power_trace_gradient,
+    shift_pair_gradient,
     shift_pair_trace,
+    top_symbol,
 )
 from envshift.independence import (
     brailov_duality_check,
@@ -36,39 +45,66 @@ GL3 = make_algebra(GL, 3)
 SO4 = make_algebra(SO_EVEN, 2)
 
 
+def _zero_gradient(X):
+    return linalg.mat_scale(X, 0)
+
+
+def _square_of_trace_gradient(X):
+    """Matrix gradient 2 tr(X) I of tr(X)^2."""
+    return linalg.mat_scale(linalg.identity(len(X)), 2 * linalg.trace(X))
+
+
+def _assert_rows_match(spec, fs, polys, seed, trials=3):
+    """The closed-form rows equal the symbolic gradients at jacobian_rank's points."""
+    for t in range(trials):
+        point = PointOnDual.random(spec, derive_rng(seed, t))
+        X = point.coordinate_realization()
+        assert [coordinate_gradient(spec, f(X)) for f in fs] == [
+            gradient(p, point) for p in polys
+        ]
+
+
 def test_rank_certificate_examples():
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [power_trace(GL2, 1), power_trace(GL2, 2), shift_pair_trace(GL2, A, 1)]
+    gens = [partial(power_trace_gradient, M=1), partial(power_trace_gradient, M=2),
+            partial(shift_pair_gradient, A=A, N=1)]
+    _assert_rows_match(
+        GL2, gens, [power_trace(GL2, 1), power_trace(GL2, 2), shift_pair_trace(GL2, A, 1)], 42
+    )
     cert = jacobian_rank(gens, GL2, trials=3, seed=42)
     assert cert.rank == 3 and cert.target == 3 and cert.verdict == "PASS"
     assert cert.stable and len(cert.ranks) == 3
 
-    single = jacobian_rank([ParamPolynomial.const(5)], GL2, trials=2, seed=1)
+    _assert_rows_match(GL2, [_zero_gradient], [ParamPolynomial.const(5)], 1, trials=2)
+    single = jacobian_rank([_zero_gradient], GL2, trials=2, seed=1)
     assert single.rank == 0 and single.verdict == "FAIL"
 
     with pytest.raises(AlgebraError):
         jacobian_rank([], GL2)
 
 
-def test_rank_accepts_quantum_generators():
-    gens = [el.casimir(GL2, 1), el.casimir(GL2, 2)]
-    cert = jacobian_rank(gens, GL2, trials=3, seed=7)
-    assert cert.rank == 2
-    with pytest.raises(AlgebraError):
-        jacobian_rank([el.casimir(GL3, 2)], GL2)
+def test_rank_rejects_symbolic_generators():
+    for gen in (el.casimir(GL2, 2), power_trace(GL2, 2)):
+        with pytest.raises(AlgebraError):
+            jacobian_rank([gen], GL2)
 
 
 def test_rank_negative_control():
     t = power_trace(GL2, 1)
-    cert = jacobian_rank([t, t * t], GL2, trials=3, seed=3)
+    gens = [partial(power_trace_gradient, M=1), _square_of_trace_gradient]
+    _assert_rows_match(GL2, gens, [t, t * t], 3)
+    cert = jacobian_rank(gens, GL2, trials=3, seed=3)
     assert cert.rank == 1 and cert.verdict == "FAIL"
 
 
 def test_rank_monotonicity_and_duplication():
-    rng = random.Random(10)
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    base = [power_trace(GL2, 1), shift_pair_trace(GL2, A, 2)]
-    extra = power_trace(GL2, 2)
+    base = [partial(power_trace_gradient, M=1), partial(shift_pair_gradient, A=A, N=2)]
+    extra = partial(power_trace_gradient, M=2)
+    _assert_rows_match(
+        GL2, base + [extra],
+        [power_trace(GL2, 1), shift_pair_trace(GL2, A, 2), power_trace(GL2, 2)], 5,
+    )
     r_base = jacobian_rank(base, GL2, trials=3, seed=5).rank
     r_more = jacobian_rank(base + [extra], GL2, trials=3, seed=5).rank
     r_dup = jacobian_rank(base + [base[0]], GL2, trials=3, seed=5).rank
@@ -90,10 +126,57 @@ def test_transcendency_check_chain_targets():
         assert cert.rank <= len(cert.labels)
 
 
+CHAIN_FILES = sorted((Path(__file__).resolve().parent.parent / "scripts" / "chains").glob("*.json"))
+ORACLE_CHAINS = [(name, lambda name=name: default_chain(parse_algebra(name)))
+                 for name in ("gl:3", "gl:4", "gl:5", "so:4", "so:5", "so:6", "sp:2", "sp:3")]
+ORACLE_CHAINS += [(path.name, lambda path=path: load_chain_file(path)) for path in CHAIN_FILES]
+
+
+@pytest.mark.parametrize("name, build", ORACLE_CHAINS, ids=[n for n, _ in ORACLE_CHAINS])
+def test_chain_member_gradients_match_top_symbols(name, build):
+    chain = build()
+    spec = chain.algebra
+    fam = chain_generators(chain)
+    symbols = [top_symbol(g.poly) for g in fam.generators]
+    for s in range(3):
+        point = PointOnDual.random(spec, derive_rng("chain-oracle", name, s))
+        X = point.coordinate_realization()
+        for g, f in zip(fam.generators, symbols):
+            row = coordinate_gradient(spec, g.matrix_gradient(X))
+            assert any(row), (name, g.label)
+            assert row == gradient(f, point), (name, g.label)
+
+
+def test_transcendency_check_builds_no_enveloping_element(monkeypatch):
+    calls = []
+    modules = [m for n, m in sys.modules.items() if n == "envshift" or n.startswith("envshift.")]
+    for target in (pbw.multiply, el.contract_rows):
+        def spy(*args, _target=target, **kwargs):
+            calls.append(_target.__name__)
+            return _target(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is target:
+                    monkeypatch.setattr(mod, attr, spy)
+    for name in ("gl:3", "so:5", "sp:2"):
+        cert = transcendency_check(default_chain(parse_algebra(name)), trials=2, seed=5)
+        assert cert.verdict == "PASS", name
+    assert calls == []
+
+
+@pytest.mark.parametrize("name, target", [
+    ("gl:6", 21), ("gl:7", 28), ("so:7", 12), ("so:8", 16), ("sp:4", 20),
+])
+def test_default_chains_reach_their_targets_at_larger_rank(name, target):
+    cert = transcendency_check(default_chain(parse_algebra(name)), trials=1, seed=42)
+    assert cert.target == target and cert.ranks == (target,), name
+
+
 def test_certificate_serialization_is_deterministic():
     spec = GL2
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [power_trace(spec, 1), shift_pair_trace(spec, A, 1)]
+    gens = [partial(power_trace_gradient, M=1), partial(shift_pair_gradient, A=A, N=1)]
     a = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     b = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     assert a == b

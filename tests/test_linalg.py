@@ -62,6 +62,31 @@ def test_charpoly_matches_brute_determinant():
             assert cs[n] == (-1) ** n * _brute_det(m)
 
 
+def _all_ints(values):
+    return all(type(x) is int for x in values)
+
+
+def test_integer_input_gives_integer_output():
+    a = [[1, 2], [3, 4]]
+    prod = linalg.mat_mul(a, linalg.identity(2))
+    assert prod == a and _all_ints(x for row in prod for x in row)
+    assert _all_ints(x for row in linalg.identity(3) for x in row)
+    assert type(linalg.trace(a)) is int and type(linalg.trace([])) is int
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(5):
+            m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            cs = linalg.charpoly(m)
+            assert _all_ints(cs)
+            assert cs == linalg.charpoly([[Fraction(x) for x in row] for row in m])
+            assert cs[n] == (-1) ** n * _brute_det(m)
+    # rational input stays rational, exactly
+    assert linalg.charpoly([[Fraction(1, 2), 1], [0, Fraction(1, 3)]]) == [
+        1, Fraction(-5, 6), Fraction(1, 6)
+    ]
+    assert linalg._clear_denominators([3, Fraction(1, 2), Fraction(-2, 3), 0]) == [18, 3, -4, 0]
+
+
 def test_semisimple_detection():
     I2 = linalg.identity(2)
     assert linalg.is_semisimple(I2)

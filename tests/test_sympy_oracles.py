@@ -12,10 +12,15 @@ sympy = pytest.importorskip("sympy")
 
 from envshift import linalg  # noqa: E402
 from envshift.algebra import parse_algebra  # noqa: E402
+from envshift.chains import chain_generators, default_chain  # noqa: E402
 from envshift.classical import (  # noqa: E402
     PointOnDual,
+    coordinate_gradient,
     coordinate_matrix,
+    power_trace_gradient,
     shift_expand,
+    shift_expand_gradient,
+    shift_pair_gradient,
     shifted_charpoly_values,
 )
 from envshift.params import ParamPolynomial  # noqa: E402
@@ -83,6 +88,67 @@ def test_shift_expand_matches_sympy(name):
             want = {e[:-1]: c for e, c in trace.items() if e[-1] == k}
             got = sympy.Poly(_expr(component, xs), *xs, domain="QQ").as_dict()
             assert got == want, (M, k)
+
+
+def _poly_matmul(a, b, zero):
+    return [[sum((a[r][q] * b[q][c] for q in range(len(b))), zero)
+             for c in range(len(b[0]))] for r in range(len(a))]
+
+
+def _trace_against(B, P, zero):
+    """tr(B P) for a numeric B and a matrix P of Polys."""
+    return sum((_number(B[r][q]) * P[q][r] for r in range(len(B)) for q in range(len(B))
+                if B[r][q]), zero)
+
+
+@pytest.mark.parametrize("name", ("gl:3", "gl:4", "so:5", "sp:2"))
+def test_closed_form_gradients_match_sympy(name):
+    spec = parse_algebra(name)
+    m = spec.matrix_size
+    xs = sympy.symbols(f"x0:{spec.dim}")
+    rng = random.Random("sympy-gradient" + name)
+    point = PointOnDual.random(spec, rng)
+    X = point.coordinate_realization()
+    A = PointOnDual.random(spec, rng, lo=-3, hi=3).matrix()
+    at = {x: _number(v) for x, v in zip(xs, point.values)}
+
+    def differentiated(f):
+        return tuple(f.diff(x).eval(at) for x in xs)
+
+    def closed(G):
+        return tuple(_number(c) for c in coordinate_gradient(spec, G))
+
+    def poly(e, *gens):
+        return sympy.Poly(e, *xs, *gens, domain="QQ")
+
+    zero = poly(0)
+    coords = _matrix(coordinate_matrix(spec), xs)
+    shifted = (coords + t * _matrix(A)).applyfunc(sympy.expand)
+    shifted = [[poly(shifted[r, c], t) for c in range(m)] for r in range(m)]
+    power = [[poly(int(r == c), t) for c in range(m)] for r in range(m)]
+    for M in range(1, m + 1):
+        if M > 1:
+            # tr(A X^(M-1)) from the t^0 part of (X + tA)^(M-1)
+            pair = _trace_against(A, [[e.eval(t, 0) for e in row] for row in power], zero)
+            assert closed(shift_pair_gradient(X, A, M - 1)) == differentiated(pair), M - 1
+        power = _poly_matmul(power, shifted, poly(0, t))
+        trace = sum((power[r][r] for r in range(m)), poly(0, t)).as_dict()
+        for k in range(M + 1):
+            part = {tuple(e): c for (*e, d), c in trace.items() if d == k}
+            f = sympy.Poly.from_dict(part, *xs, domain="QQ")
+            assert closed(shift_expand_gradient(X, A, M, k)) == differentiated(f), (M, k)
+            if k == 0:
+                assert closed(power_trace_gradient(X, M)) == differentiated(f), M
+
+    # every default-chain member: tr(B X_blk^N) on its level block
+    for g in chain_generators(default_chain(spec)).generators:
+        pos = [spec.position(i) for i in g.indices]
+        block = [[poly(coords[r, c]) for c in pos] for r in pos]
+        P = block
+        for _ in range(g.N - 1):
+            P = _poly_matmul(P, block, zero)
+        f = _trace_against(g.B, P, zero)
+        assert closed(g.matrix_gradient(X)) == differentiated(f), g.label
 
 
 def _random_conjugated_jordan(rng, n):
