@@ -22,6 +22,7 @@ BATTERY = [
     ["verify", "theorem1", "--algebra", "gl:3", "--A", "diag:1,1,0", "--max-power", "4"],
     ["verify", "theorem1", "--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"],
     ["verify", "theorem1", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "3"],
+    ["verify", "theorem1", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "4"],
     ["verify", "theorem2", "--algebra", "so:3", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:4", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:5", "--max-power", "3"],
@@ -58,6 +59,9 @@ BATTERY = [
     ["chain", "--file", "scripts/chains/so4.json"],
     ["chain", "--file", "scripts/chains/so5.json"],
     ["chain", "--file", "scripts/chains/sp2.json"],
+    ["chain", "--file", "scripts/chains/gl5.json"],
+    ["chain", "--file", "scripts/chains/so6.json"],
+    ["chain", "--file", "scripts/chains/sp3.json"],
     # classical side
     ["classical", "lemma2", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--points", "5"],
     ["classical", "lemma2", "--algebra", "so:5", "--points", "5"],

@@ -9,10 +9,18 @@ from .algebra import (
     AlgebraSpec,
     bracket_structure,
     dimension_and_index,
+    lie_generating_set,
     make_algebra,
     parse_algebra,
 )
-from .chains import ChainSpec, chain_generators, commutativity_failures, load_chain_file, make_chain
+from .chains import (
+    ChainSpec,
+    chain_generators,
+    commutativity_failures,
+    load_chain_file,
+    make_chain,
+    noncommuting_pairs,
+)
 from .classical import (
     PointOnDual,
     lie_poisson_bracket,

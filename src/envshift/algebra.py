@@ -140,7 +140,7 @@ class AlgebraSpec:
         """The generator as a matrix over the index set (rows/cols by position)."""
         i, j = pair
         m = self.matrix_size
-        rows = [[Fraction(0)] * m for _ in range(m)]
+        rows = [[0] * m for _ in range(m)]
         rows[self.position(i)][self.position(j)] += 1
         if self.family != GL:
             rows[self.position(-j)][self.position(-i)] -= self.eps(i) * self.eps(j)
@@ -207,6 +207,58 @@ def bracket_structure(spec: AlgebraSpec, a, b) -> dict:
     return acc
 
 
+def lie_generating_set(spec: AlgebraSpec, indices) -> tuple:
+    """Canonical generators that generate, as a Lie algebra, those of an index block.
+
+    The block's linear generators are the canonical forms of X[i,j] with i, j
+    in ``indices``.  They are taken in PBW order, and each one is kept when it
+    lies outside the Lie subalgebra generated by those kept before; that
+    subalgebra is held as an echelon basis, closed under the brackets of
+    ``bracket_structure``.  gl(n) keeps the 2n-1 generators X[1,j] and X[i,1].
+    """
+    order = spec.generator_ids.get
+    block = sorted({spec.canonicalize_pair(i, j)[1] for i in indices for j in indices} - {None},
+                   key=order)
+    basis: dict = {}  # pivot -> vector {pair: coefficient} whose first pair in PBW order is the pivot
+    kept = []
+
+    def reduce(vec):
+        while True:
+            pivots = [q for q in vec if q in basis]
+            if not pivots:
+                return vec
+            # eliminating the first pivot brings in only pairs after it
+            q = min(pivots, key=order)
+            c = vec[q]
+            for r, d in basis[q].items():
+                vec[r] = vec.get(r, 0) - c * d
+                if not vec[r]:
+                    del vec[r]
+
+    def close(todo):
+        while todo:
+            vec = reduce(todo.pop())
+            if vec:
+                pivot = min(vec, key=order)
+                basis[pivot] = {q: Fraction(d) / vec[pivot] for q, d in vec.items()}
+                todo.extend(_bracket_with(spec, g, vec) for g in kept)
+
+    for pair in block:
+        if reduce({pair: 1}):
+            kept.append(pair)
+            close([{pair: 1}] + [_bracket_with(spec, pair, v) for v in basis.values()])
+    return tuple(kept)
+
+
+def _bracket_with(spec: AlgebraSpec, pair, vec: dict) -> dict:
+    """[X[pair], v] for v = sum_q vec[q] X[q]."""
+    out: dict = {}
+    for q, c in vec.items():
+        for r, d in bracket_structure(spec, pair, q).items():
+            out[r] = out.get(r, 0) + c * d
+    return {r: c for r, c in out.items() if c}
+
+
 def dimension_and_index(spec: AlgebraSpec) -> tuple[int, int]:
     """(dim g, ind g); the index equals the rank for these families."""
     return spec.dim, spec.n
@@ -217,7 +269,7 @@ def dimension_and_index(spec: AlgebraSpec) -> tuple[int, int]:
 
 
 def zero_matrix(m: int):
-    return [[Fraction(0)] * m for _ in range(m)]
+    return [[0] * m for _ in range(m)]
 
 
 def matrix_in_algebra(spec: AlgebraSpec, rows) -> bool:

@@ -6,7 +6,9 @@ symmetric inner block.  Every level contributes its Casimir elements (trace
 powers; even ones for so/sp), every size-2 step (and every sp level of rank
 >= 2) contributes shifted generators for its attached rank-2 semisimple shift
 matrix, and the terminal abelian level contributes its linear generator.
-Pairwise commutativity of the emitted family is checked, never assumed.
+Pairwise commutativity of the emitted family is checked, never assumed: by
+multiplying every pair, or by the generator-level certificate of
+``noncommuting_pairs``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
-from .algebra import GL, SP, AlgebraError, AlgebraSpec, parse_algebra
+from .algebra import GL, SP, AlgebraError, AlgebraSpec, lie_generating_set, parse_algebra
 from .classical import shift_pair_gradient
 from .elements import contract_rows
 from .linalg import identity
@@ -258,6 +261,44 @@ def commutativity_failures(family: CommutativeFamily):
             if not r.is_zero:
                 out.append((gens[a].label, gens[b].label, r))
     return out
+
+
+def noncommuting_pairs(family: CommutativeFamily):
+    """``commutativity_failures(family)``, certified from Lie generators when it is empty.
+
+    A member on the level block I lies in U(h_I), h_I the Lie algebra generated
+    by the block's linear generators, and the blocks of a chain are nested.
+    The family commutes when
+      (a) each Casimir and terminal abelian member commutes with a Lie
+          generating set of h_I, so it is central in U(h_I);
+      (b) each shift commutes with a Lie generating set of h_J, J the next
+          smaller block, so it commutes with every member below its level;
+      (c) the shifts on one block commute pairwise;
+    because ad is a derivation, the centralizer of an element meets g in a Lie
+    subalgebra, and U(h) is generated by h.  If a step fails, or the blocks
+    are not nested, the all-pairs result is returned.
+    """
+    spec, gens = family.algebra, family.generators
+    blocks = sorted({g.indices for g in gens}, key=len, reverse=True)
+    if any(not set(b) <= set(a) for a, b in zip(blocks, blocks[1:])):
+        return commutativity_failures(family)
+    below = dict(zip(blocks, blocks[1:]))
+    lie: dict = {}  # block -> its Lie generating set, as elements
+
+    def centralizes(g, block):
+        if block not in lie:
+            lie[block] = [NCPolynomial.generator(spec, *p) for p in lie_generating_set(spec, block)]
+        return all(commutator(g.poly, x).is_zero for x in lie[block])
+
+    shifts = [g for g in gens if g.provenance.startswith("shift@")]
+    central = [g for g in gens if not g.provenance.startswith("shift@")]
+    certified = (
+        all(centralizes(g, g.indices) for g in central)
+        and all(centralizes(g, below[g.indices]) for g in shifts if g.indices in below)
+        and all(commutator(a.poly, b.poly).is_zero
+                for a, b in combinations(shifts, 2) if a.indices == b.indices)
+    )
+    return [] if certified else commutativity_failures(family)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .algebra import (
     coordinates_to_matrix,
     matrix_to_coordinates,
 )
-from .params import ParamPolynomial
+from .params import ParamPolynomial, _scalar
 from .pbw import NCPolynomial, _accumulate, _tables
 
 
@@ -234,9 +234,9 @@ class PointOnDual:
 
     @classmethod
     def from_coordinates(cls, spec, coords: dict):
-        vals = [Fraction(0)] * spec.dim
+        vals = [0] * spec.dim
         for pair, c in coords.items():
-            vals[spec.generator_ids[pair]] = Fraction(c)
+            vals[spec.generator_ids[pair]] = _scalar(c)
         return cls(spec, tuple(vals))
 
     @classmethod
@@ -357,12 +357,10 @@ def random_rank2_point(spec: AlgebraSpec, seed, retries=64) -> PointOnDual:
     m = spec.matrix_size
     for _ in range(retries):
         if spec.is_gl:
-            u, v, w, z = (
-                [Fraction(rng.randint(-10, 10)) for _ in range(m)] for _ in range(4)
-            )
+            u, v, w, z = ([rng.randint(-10, 10) for _ in range(m)] for _ in range(4))
             rows = [[u[r] * v[c] + w[r] * z[c] for c in range(m)] for r in range(m)]
         else:
-            u, v = ([Fraction(rng.randint(-10, 10)) for _ in range(m)] for _ in range(2))
+            u, v = ([rng.randint(-10, 10) for _ in range(m)] for _ in range(2))
             dyad = [[u[r] * v[c] for c in range(m)] for r in range(m)]
             rows = linalg.mat_add(dyad, _involution_partner(spec, dyad))
         if linalg.rank(rows) == 2:

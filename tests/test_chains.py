@@ -1,8 +1,19 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra, parse_algebra
+from envshift import linalg
+from envshift.algebra import (
+    GL,
+    SO_EVEN,
+    SO_ODD,
+    SP,
+    AlgebraError,
+    lie_generating_set,
+    make_algebra,
+    parse_algebra,
+)
 from envshift.chains import (
     chain_from_dict,
     chain_generators,
@@ -11,6 +22,7 @@ from envshift.chains import (
     level_indices,
     load_chain_file,
     make_chain,
+    noncommuting_pairs,
 )
 
 GL3 = make_algebra(GL, 3)
@@ -198,3 +210,81 @@ def test_auto_shift_stabilizers_contain_next_level():
                     ]
                     assert linalg.is_zero_matrix(linalg.mat_commutator(A, B)), (name, pair)
             size = nxt
+
+
+CHAIN_DIR = Path(__file__).resolve().parent.parent / "scripts" / "chains"
+# the all-pairs oracle is affordable on these; gl5, so6 and sp3 take minutes
+ORACLE_CHAINS = [(name, lambda name=name: default_chain(parse_algebra(name)))
+                 for name in ("gl:3", "gl:4", "so:4", "so:5", "sp:2")]
+ORACLE_CHAINS += [(f"{name}.json", lambda name=name: load_chain_file(CHAIN_DIR / f"{name}.json"))
+                  for name in ("gl3", "gl4", "so4", "so5", "sp2")]
+# shifts that do not fix the next level: the certificate fails, all pairs decide
+MOVED_CHAINS = [
+    ("gl:4 moved", lambda: chain_from_dict({"algebra": "gl:4", "steps": [
+        {"k": 2, "shift": "diag:0,0,1,2"}, {"k": 2, "shift": "diag:1,2"}]})),
+    ("so:5 moved", lambda: chain_from_dict({"algebra": "so:5", "steps": [
+        {"k": 2, "shift": "diag:0,-1,0,1,0"}, {"k": 1}]})),
+]
+ORACLE_CHAINS += MOVED_CHAINS
+
+
+@pytest.mark.parametrize("name, build", ORACLE_CHAINS, ids=[n for n, _ in ORACLE_CHAINS])
+def test_certificate_matches_all_pairs(name, build):
+    fam = chain_generators(build())
+    assert noncommuting_pairs(fam) == commutativity_failures(fam), name
+
+
+@pytest.mark.parametrize("name", ["gl:3", "gl:4", "gl:5", "so:4", "so:5", "so:6", "sp:2", "sp:3"])
+def test_default_chains_are_certified_without_all_pairs(name, monkeypatch):
+    from envshift import chains
+
+    def all_pairs(family):
+        raise AssertionError("fell back to all pairs")
+
+    monkeypatch.setattr(chains, "commutativity_failures", all_pairs)
+    assert noncommuting_pairs(chain_generators(default_chain(parse_algebra(name)))) == []
+
+
+def test_moved_shifts_do_not_commute():
+    for name, build in MOVED_CHAINS:
+        assert noncommuting_pairs(chain_generators(build())), name
+
+
+def _independent(mats):
+    """A maximal independent subset of the matrices, earliest first."""
+    columns = list(zip(*[[x for row in m for x in row] for m in mats]))
+    return [mats[c] for c in linalg.rref(columns)[1]]
+
+
+def _lie_closure_rank(mats):
+    """dim of the Lie algebra generated by matrices, by brackets and ranks alone."""
+    basis = frontier = _independent(mats)
+    while frontier:
+        grown = _independent(basis + [linalg.mat_commutator(a, b) for a in mats for b in frontier])
+        basis, frontier = grown, grown[len(basis):]
+    return len(basis)
+
+
+def _block_generators(spec, block):
+    return {spec.canonicalize_pair(i, j)[1] for i in block for j in block} - {None}
+
+
+LIE_ALGEBRAS = ([f"gl:{n}" for n in range(1, 6)] + [f"so:{m}" for m in range(3, 9)]
+                + [f"sp:{n}" for n in range(1, 4)])
+
+
+@pytest.mark.parametrize("name", LIE_ALGEBRAS)
+def test_lie_generating_sets_span_their_blocks(name):
+    spec = parse_algebra(name)
+    gens = lie_generating_set(spec, spec.index_set)
+    assert len(set(gens)) == len(gens)
+    assert _lie_closure_rank([spec.defining_matrix(p) for p in gens]) == spec.dim
+    if spec.is_gl:
+        assert len(gens) == 2 * spec.n - 1
+    # every member block of the default chain, against all of its linear generators
+    for block in {g.indices for g in chain_generators(default_chain(spec)).generators}:
+        sub = lie_generating_set(spec, block)
+        assert set(sub) <= _block_generators(spec, block)
+        whole = [spec.defining_matrix(p) for p in sorted(_block_generators(spec, block))]
+        assert (_lie_closure_rank([spec.defining_matrix(p) for p in sub])
+                == _lie_closure_rank(whole)), (name, block)

@@ -341,16 +341,76 @@ def test_internal_errors_exit_two_without_traceback(tmp_path, monkeypatch, capsy
 
     out = tmp_path / "rep.json"
     argv = ["verify", "theorem1", "--algebra", "gl:2", "--max-power", "2", "--out", str(out)]
-    # raised inside a check: an ERROR record, and the suite goes on
+    # raised inside a check: an ERROR record, and the suite goes on (the
+    # M = N checks are decided by antisymmetry and never call the builder)
     monkeypatch.setattr(cli.el, "shift_commutator_residual", broken)
     assert cli.main(argv) == 2
     checks = json.loads(out.read_text())["checks"]
-    assert [c["outcome"] for c in checks] == ["ERROR"] * 3
-    assert all(c["detail"] == "internal error: ZeroDivisionError: broken builder"
-               for c in checks)
+    assert [c["outcome"] for c in checks] == ["PASS", "ERROR", "PASS"]
+    assert checks[1]["detail"] == "internal error: ZeroDivisionError: broken builder"
     # raised while building a suite, outside any check: one error line
     monkeypatch.setattr(cli.el, "stabilizer_basis", broken)
     capsys.readouterr()
     assert cli.main(["verify", "centralizer", "--algebra", "gl:2"]) == 2
     err = capsys.readouterr().err
     assert err.strip().splitlines() == ["error: internal error: ZeroDivisionError: broken builder"]
+
+
+NEGATIVE_CONTROL_CHAIN = {"algebra": "gl:4", "steps": [
+    {"k": 2, "shift": "diag:0,0,1,2"}, {"k": 2, "shift": "diag:1,2"}]}
+
+
+def test_chain_whose_shift_moves_the_next_level_fails(tmp_path, monkeypatch):
+    # diag(0,0,1,2) does not fix the gl(2) block, so the generator-level
+    # certificate fails and every pair is multiplied
+    from envshift import cli
+    from envshift.algebra import parse_algebra
+    from envshift.pbw import parse
+
+    (tmp_path / "neg.json").write_text(json.dumps(NEGATIVE_CONTROL_CHAIN))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["chain", "--file", "neg.json", "--out", "rep.json"]) == 1
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    check = rep["checks"][0]
+    assert (check["id"], check["outcome"]) == ("pairwise-commutativity", "FAIL")
+    assert check["detail"] == "[tr(A.X^2)@gl(4),tr(X^2)@gl(2)] != 0 (2 failing pairs)"
+    assert check["residual"] == (
+        "2*X[1,3].X[3,4].X[4,1] + -2*X[1,4].X[3,1].X[4,3] + 2*X[2,3].X[3,4].X[4,2]"
+        " + -2*X[2,4].X[3,2].X[4,3] + -2*X[1,4].X[4,1] + -2*X[2,4].X[4,2]"
+    )
+    assert not parse(parse_algebra("gl:4"), check["residual"]).is_zero
+    assert rep["summary"] == {"pass": 0, "fail": 2, "error": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1", "--algebra", "gl:3", "--A", "matrix:3,1,-1;4,1,-1;-4,4,-3"],
+    ["verify", "theorem2", "--algebra", "sp:2", "--A", "symbolic", "--max-power", "2"],
+    ["verify", "theorem2", "--algebra", "so:4", "--A", "matrix:1,0,0,1;0,0,0,0;0,0,0,0;0,0,0,0"],
+])
+def test_equal_power_checks_multiply_nothing(argv, monkeypatch):
+    import re
+
+    from envshift import cli, pbw
+
+    calls = []
+    real = pbw.multiply
+
+    def spy(p, q):
+        calls.append(None)
+        return real(p, q)
+
+    for mod in (pbw, cli.el):
+        monkeypatch.setattr(mod, "multiply", spy)
+    per_check = {}
+    run_check = cli._run_check
+
+    def counted(report, check_id, fn):
+        before = len(calls)
+        run_check(report, check_id, fn)
+        per_check[check_id] = len(calls) - before
+
+    monkeypatch.setattr(cli, "_run_check", counted)
+    assert cli.main(argv) in (0, 1)
+    for check_id, n in per_check.items():
+        M, N = re.match(r"\[\(AX\^(\d+)\),\(AX\^(\d+)\)\]", check_id).groups()
+        assert (n == 0) == (M == N), (check_id, n)

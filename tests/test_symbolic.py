@@ -35,6 +35,21 @@ def test_shift_families_commute_for_every_signed_matrix(name, sign):
             assert commutator(elems[M], elems[N]).is_zero, (name, sign, M, N)
 
 
+@pytest.mark.parametrize("name, A", [
+    ("gl:3", lambda spec: shift_from_designator(spec, "matrix:3,1,-1;4,1,-1;-4,4,-3")),
+    ("gl:3", symbolic_shift),
+    ("sp:2", lambda spec: symbolic_shift(spec, -1)),
+    ("sp:2", lambda spec: symbolic_shift(spec, 1)),
+], ids=["gl:3-dense", "gl:3-symbolic", "sp:2-symbolic-minus", "sp:2-symbolic-plus"])
+def test_equal_power_residuals_vanish(name, A):
+    # the suites decide M = N by antisymmetry; the polarized residual agrees
+    spec = parse_algebra(name)
+    A = A(spec)
+    built: dict = {}
+    for M in range(1, 4):
+        assert el.shift_commutator_residual(spec, A, M, M, built).is_zero, (name, M)
+
+
 @pytest.mark.parametrize("name", ["so:3", "so:4", "sp:2"])
 def test_generic_unconstrained_matrix_fails_symbolically(name):
     # without the symmetry condition the family is provably non-commutative:
