@@ -2,18 +2,23 @@
 """Drive the full verification battery through the CLI and collect reports.
 
 Writes one JSON report per suite into reports/ (created next to this script's
-repository root) and prints a one-line outcome per suite.  Exits nonzero if
-any suite fails.  Runtime is a few minutes; progress streams to stderr.
-Every suite runs from the repository root with relative chain paths, so the
-reports do not depend on where the checkout lives.
+repository root) and prints a one-line outcome per suite: PASS (exit 0), FAIL
+(exit 1 with its report written) or ERROR (any other exit, or an exit 1 that
+wrote no report, such as a crash on import).  Exits 0 if every suite passes,
+1 if some suite fails and 2 if some suite errors.  Runtime is a few minutes.
+Every suite runs from the repository root with ``src`` first on its
+PYTHONPATH and relative chain paths, so it needs no install and the reports
+do not depend on where the checkout lives.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REPORTS = ROOT / "reports"
+STATUS_CODES = {"PASS": 0, "FAIL": 1, "ERROR": 2}
 
 BATTERY = [
     # shift-family commutativity
@@ -76,26 +81,43 @@ BATTERY = [
     ["expand", "--algebra", "sp:1", "--M", "3", "--A", "matrix:1/2,3;-2,5"],
     ["expand", "--algebra", "so:4", "--M", "4", "--A", "diag:-1,0,0,1"],
     ["rank", "--algebra", "gl:2", "--A", "diag:1,2"],
+    ["rank", "--algebra", "gl:3", "--A", "diag:1,2,3"],
+    ["rank", "--algebra", "gl:4", "--A", "diag:1,2,3,4"],
+    ["rank", "--algebra", "gl:6", "--A", "diag:1,2,3,4,5,6"],
+    ["rank", "--algebra", "so:5", "--A", "diag:-2,-1,0,1,2"],
+    ["rank", "--algebra", "so:8", "--A", "diag:-4,-3,-2,-1,1,2,3,4"],
+    ["rank", "--algebra", "sp:2", "--A", "diag:-2,-1,1,2"],
 ]
 
 
 def main() -> int:
     REPORTS.mkdir(exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     worst = 0
     for idx, args in enumerate(BATTERY):
         name = f"{idx:02d}_" + "_".join(
             a.replace(":", "").replace("/", "-") for a in args if not a.startswith("--")
         )[:60]
         out = REPORTS / f"{name}.json"
+        out.unlink(missing_ok=True)
         proc = subprocess.run(
             [sys.executable, "-m", "envshift", *args, "--out", str(out)],
             cwd=ROOT,
+            env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
-        status = {0: "PASS", 1: "FAIL"}.get(proc.returncode, "ERROR")
+        if proc.returncode == 0:
+            status = "PASS"
+        elif proc.returncode == 1 and out.exists():
+            status = "FAIL"
+        else:
+            status = "ERROR"
         print(f"{status}  envshift {' '.join(args)}")
-        worst = max(worst, proc.returncode)
+        worst = max(worst, STATUS_CODES[status])
     print(f"reports written to {REPORTS}")
     return worst
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -24,7 +23,13 @@ from .classical import shift_pair_gradient
 from .elements import contract_rows
 from .linalg import identity
 from .pbw import NCPolynomial, commutator
-from .shifts import ShiftMatrix, _parse_entry, shift_from_designator, shift_from_rows
+from .shifts import (
+    ShiftMatrix,
+    _parse_entry,
+    canonical_shift,
+    shift_from_designator,
+    shift_from_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -116,20 +121,6 @@ def _level_name(spec: AlgebraSpec, size: int) -> str:
     return f"so({size})"
 
 
-def _auto_shift(spec: AlgebraSpec, idx) -> ShiftMatrix:
-    """Canonical rank-2 semisimple shift on a level block, fixing the deeper block."""
-    m = len(idx)
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    if spec.family == GL:
-        rows[0][0] = Fraction(1)
-        rows[1][1] = Fraction(2)
-    else:
-        top = max(idx)
-        rows[idx.index(top)][idx.index(top)] = Fraction(1)
-        rows[idx.index(-top)][idx.index(-top)] = Fraction(-1)
-    return shift_from_rows(spec, rows, indices=idx)
-
-
 def make_chain(spec: AlgebraSpec, steps) -> ChainSpec:
     """Validate and assemble a chain; steps are (k, shift-or-None-or-'auto')."""
     parsed = []
@@ -155,7 +146,7 @@ def make_chain(spec: AlgebraSpec, steps) -> ChainSpec:
             spec.family != SP and k == 2
         )
         if shift == "auto":
-            shift = _auto_shift(spec, level_idx) if wants_shift else None
+            shift = canonical_shift(spec, -1, level_idx) if wants_shift else None
         if wants_shift and shift is None:
             raise AlgebraError(
                 f"step from {_level_name(spec, sizes[-1])} needs a shift matrix"

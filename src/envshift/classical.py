@@ -296,13 +296,6 @@ def coordinate_gradient(spec: AlgebraSpec, G) -> tuple:
     return tuple(out)
 
 
-def power_trace_gradient(X, M: int):
-    """Matrix gradient M X^(M-1) of tr(X^M) at a numeric X."""
-    if M < 1:
-        raise ValueError("power must be >= 1")
-    return linalg.mat_scale(_shift_power(X, None, M - 1, 0)[0], M)
-
-
 def shift_pair_gradient(X, A, N: int):
     """Matrix gradient sum_k X^k A X^(N-1-k) of tr(A X^N) at a numeric X."""
     if N < 1:

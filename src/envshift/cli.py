@@ -441,13 +441,12 @@ def cmd_rank(args) -> int:
     report = SuiteReport(
         suite="rank",
         algebra=spec.designator,
-        parameters={"A": name, "seed": args.seed,
-                    "trials": args.trials, "max_power": args.max_power},
+        parameters={"A": name, "seed": args.seed, "trials": args.trials},
     )
     A_rows = A.numeric_rows()
 
     def run():
-        fs, labels = ind.shift_family_classical(spec, A_rows, max_shift=args.max_power)
+        fs, labels = ind.shift_family(spec, A_rows)
         cert = ind.jacobian_rank(fs, spec, trials=args.trials, seed=args.seed, labels=labels)
         report.parameters["certificate"] = cert.serialize()
         return _rank_outcome(cert)
@@ -597,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rank", help="Jacobian rank certificate of the shift family")
     common(r)
     r.add_argument("--A")
-    r.add_argument("--max-power", type=_positive_int, default=None, dest="max_power")
     r.add_argument("--trials", type=_positive_int, default=3)
     r.set_defaults(fn=cmd_rank)
 

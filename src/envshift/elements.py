@@ -414,6 +414,14 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
 
     L1 is the straight contraction [(AX^a),(AX^b)] and L2 the crossed one;
     both are quadratic in A, so each residual is polarized (``polarize``).
+
+    At a signed shift L2 vanishes, so both recursions read as Theorem 2:
+    L2(0,b) = ((PQ - QP).X^b) cancels under polarization, and L2(b,0) =
+    -L2(0,b).  The crossed recursion writes L2(M,N) through L1 terms and
+    L2(q,.) with q < M; Theorem 2 makes every L1 zero, so L2 == 0 by
+    induction on the first argument.  (On gl, contracting prop1 gives
+    L2(M,N) = sum_S L1(M+N-S, S-1) directly.)  The residuals still evaluate
+    every term: the suite tests the recursions as stated and skips none.
     """
     if spec.is_gl:
         raise AlgebraError("the contraction recursions in this form are so/sp")

@@ -20,9 +20,7 @@ from .classical import (
     algebra_projection,
     coordinate_gradient,
     derive_rng,
-    power_trace_gradient,
     shift_expand_gradient,
-    shift_pair_gradient,
 )
 from .shifts import ShiftMatrix
 
@@ -69,7 +67,7 @@ def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
 
     Each generator is given by its closed-form matrix gradient: a function
     taking the coordinate realization X of a point to G with df = tr(G dX),
-    as shift_family_classical and FamilyGenerator.matrix_gradient provide.
+    as shift_family and FamilyGenerator.matrix_gradient provide.
     """
     if not gradients:
         raise AlgebraError("empty generator list")
@@ -103,6 +101,21 @@ def transcendency_check(chain: ChainSpec, trials=3, seed=42) -> RankCertificate:
         [g.matrix_gradient for g in fam.generators], chain.algebra, trials=trials,
         seed=seed, labels=fam.labels, family=fam.name,
     )
+
+
+def shift_family(spec: AlgebraSpec, A_rows):
+    """The argument-shift family of A as (gradients, labels).
+
+    Its members are the components [t^k] tr((X + tA)^M) for 0 <= k < M <= m,
+    m the matrix size (Mishchenko-Fomenko), each given by its closed-form
+    matrix gradient X -> G with df = tr(G dX).  The k = 0 members are the
+    trace powers tr(X^M); members that vanish on g (odd M on so/sp, for A in
+    g) add only zero rows.  For a regular A the family reaches
+    (dim g + ind g)/2; for a singular one, Bolsinov's criterion decides.
+    """
+    pairs = [(M, k) for M in range(1, spec.matrix_size + 1) for k in range(M)]
+    fs = [partial(shift_expand_gradient, A=A_rows, M=M, k=k) for M, k in pairs]
+    return fs, [f"[t^{k}]tr((X+tA)^{M})" for M, k in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -163,32 +176,6 @@ def _matrix_gradient_rows(spec, fs, X):
     return rows
 
 
-def _casimir_degrees(spec):
-    return range(1, spec.n + 1) if spec.is_gl else range(2, 2 * spec.n + 1, 2)
-
-
-def shift_family_classical(spec: AlgebraSpec, A_rows, max_shift=None):
-    """The shift family's trace powers and shifted traces, as (gradients, labels).
-
-    Each member is given by its closed-form matrix gradient, a function
-    X -> G with df = tr(G dX): tr(X^M) over the Casimir degrees, then
-    tr(A.X^N) for N up to ``max_shift`` (odd N only for so/sp).  For these N,
-    tr(A.X^N) restricted to g depends only on the trace-form projection of A
-    onto g, and vanishes exactly when it is zero (A = 0 for gl, A + tau(A) = 0
-    for so/sp); the shifted traces are then all dropped.
-    """
-    if max_shift is None:
-        max_shift = 2 * spec.n
-    shifts = range(1, max_shift + 1) if spec.is_gl else range(1, max_shift + 2, 2)
-    if linalg.is_zero_matrix(algebra_projection(spec, A_rows)):
-        shifts = ()
-    fs = [partial(power_trace_gradient, M=M) for M in _casimir_degrees(spec)]
-    labels = [f"tr(X^{M})" for M in _casimir_degrees(spec)]
-    fs += [partial(shift_pair_gradient, A=A_rows, N=N) for N in shifts]
-    labels += [f"tr(A.X^{N})" for N in shifts]
-    return fs, labels
-
-
 def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=42):
     """(lhs, rhs) for the shift family's gradient span against [A, g].
 
@@ -198,8 +185,9 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
     (span + g_A) intersected with [A, g]).  The projection is the quantity
     stable under trading generators that vanish on the rank-2 orbit: such
     generators contribute only stabilizer-direction (conormal) gradients.
-    Gradients are taken at a random regular point, regular meaning the Casimir
-    gradients attain the full rank ind g.
+    Gradients are taken at a random regular point, regular meaning the
+    family's trace powers tr(X^M) (its k = 0 members) attain the full rank
+    ind g.
     """
     from .elements import stabilizer_basis  # local import to avoid a cycle
 
@@ -216,14 +204,13 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
         raise AlgebraError("dim [A, g] is odd; inconsistent stabilizer")
     rhs = bracket_dim // 2
 
-    fs, _ = shift_family_classical(spec, rows_A)
+    fs, _ = shift_family(spec, rows_A)
     m = spec.matrix_size
+    traces = [partial(shift_expand_gradient, A=rows_A, M=M, k=0) for M in range(1, m + 1)]
     X = None
     for t in range(trials):
         cand = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
-        rows = [coordinate_gradient(spec, power_trace_gradient(cand, M))
-                for M in _casimir_degrees(spec)]
-        if linalg.rank(rows) == ind:
+        if linalg.rank([coordinate_gradient(spec, f(cand)) for f in traces]) == ind:
             X = cand
             break
     if X is None:

@@ -37,9 +37,6 @@ def mat_scale(a, c):
 def identity(n):
     return [[int(r == s) for s in range(n)] for r in range(n)]
 
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
-
 def mat_commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 

@@ -129,23 +129,25 @@ def shift_from_rows(spec: AlgebraSpec, rows, indices=None):
     return make_shift(spec, parsed, indices=indices)
 
 
-def canonical_shift(spec: AlgebraSpec, sign: int) -> ShiftMatrix:
+def canonical_shift(spec: AlgebraSpec, sign: int, indices=None) -> ShiftMatrix:
     """A rank-2 semisimple diagonal shift with the requested symmetry sign.
 
-    sign -1 lies in the algebra (E[n,n] - E[-n,-n]); sign +1 is its
-    involution-odd partner (E[n,n] + E[-n,-n]).  gl gets diag(1, 2, 0, ...).
+    Over an index block (the full index set by default), sign -1 lies in the
+    algebra (E[t,t] - E[-t,-t], t the block's largest index); sign +1 is its
+    involution-odd partner (E[t,t] + E[-t,-t]).  gl gets diag(1, 2, 0, ...).
     """
-    m = spec.matrix_size
+    indices = tuple(indices) if indices is not None else spec.index_set
+    m = len(indices)
     rows = [[0] * m for _ in range(m)]
     if spec.is_gl:
         rows[0][0] = 1
         rows[1][1] = 2
-        return make_shift(spec, rows, spec.index_set)
-    top = spec.position(spec.n)
-    bot = spec.position(-spec.n)
+        return make_shift(spec, rows, indices)
+    top = indices.index(max(indices))
+    bot = indices.index(-max(indices))
     rows[top][top] = 1
     rows[bot][bot] = sign
-    return make_shift(spec, rows, spec.index_set, declared_sign=sign)
+    return make_shift(spec, rows, indices, declared_sign=sign)
 
 
 def symbolic_shift(spec: AlgebraSpec, sign=None) -> ShiftMatrix:

@@ -180,6 +180,24 @@ def test_default_chains_cover_all_families():
         assert len(fam.generators) == count, name
 
 
+def test_auto_shifts_are_canonical_block_shifts():
+    # gl: diag(1, 2, 0, ...) on the level block; so/sp: E[t,t] - E[-t,-t], t = max of the block
+    for name in ("gl:3", "gl:4", "gl:5", "so:4", "so:5", "so:6", "sp:2", "sp:3"):
+        spec = parse_algebra(name)
+        shifts = [s.shift for s in default_chain(spec).steps if s.shift is not None]
+        assert shifts, name
+        for A in shifts:
+            idx = A.indices
+            if spec.family == GL:
+                diag = {idx[0]: 1, idx[1]: 2}
+            else:
+                diag = {max(idx): 1, -max(idx): -1}
+            assert A.rows == tuple(
+                tuple(diag.get(i, 0) if i == j else 0 for j in idx) for i in idx
+            ), name
+            assert all(type(x) is int for row in A.rows for x in row), name
+
+
 def test_auto_shift_stabilizers_contain_next_level():
     # each canonical rank-2 step shift commutes with the whole deeper block,
     # so the deeper subalgebra sits inside the shift's stabilizer
@@ -208,7 +226,8 @@ def test_auto_shift_stabilizers_contain_next_level():
                         [dm[spec.position(a)][spec.position(b)] for b in idx]
                         for a in idx
                     ]
-                    assert linalg.is_zero_matrix(linalg.mat_commutator(A, B)), (name, pair)
+                    assert not any(x for row in linalg.mat_commutator(A, B) for x in row), (
+                        name, pair)
             size = nxt
 
 

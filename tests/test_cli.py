@@ -104,11 +104,13 @@ def test_exit_code_one_on_fail_with_witness(tmp_path):
     assert r.returncode == 1
     fails = _assert_fail_witnesses(json.loads(out.read_text()))
     assert [c["residual"] for c in fails] == ["-8*X[-1,2].X[1,2] + (4*a)*X[2,-1].X[2,1]"]
-    # rank 7 against target 10: the residual is the shortfall 3, not the rank
+    # a rank-2 A: rank 9 against target 10, the residual is the shortfall 1
     r = run_cli("rank", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--out", str(out))
     assert r.returncode == 1
-    fails = _assert_fail_witnesses(json.loads(out.read_text()))
-    assert [c["residual"] for c in fails] == ["3"]
+    rep = json.loads(out.read_text())
+    fails = _assert_fail_witnesses(rep)
+    assert [c["residual"] for c in fails] == ["1"]
+    assert rep["parameters"]["certificate"]["ranks"] == [9, 9, 9]
 
 
 def _doubled_lhs(real):
@@ -281,8 +283,8 @@ def test_bad_arguments_exit_two_without_traceback():
         ("classical", "duality", "--algebra", "sp:2", "--M", "3", "--k", "1"),
         ("expand", "--algebra", "gl:2", "--A", "diag:1,2", "--M", "0"),
         ("classical", "lemma2", "--algebra", "gl:4", "--points", "0"),
-        ("rank", "--algebra", "gl:3", "--A", "diag:1,2,3", "--max-power", "0"),
-        ("rank", "--algebra", "gl:3", "--A", "diag:1,2,3", "--max-power", "-2"),
+        # rank always ranks the whole family; it takes no --max-power
+        ("rank", "--algebra", "gl:3", "--A", "diag:1,2,3", "--max-power", "3"),
         # a parameter is one identifier, never an expression
         ("verify", "theorem2", "--algebra", "so:4", "--max-power", "2",
          "--A", "matrix:b+1,0,0,b+1;0,0,0,0;0,0,0,0;0,0,0,0"),

@@ -22,14 +22,13 @@ from envshift.classical import (
     evaluate,
     gradient,
     power_trace,
-    power_trace_gradient,
     shift_expand,
     shift_expand_gradient,
     shift_pair_gradient,
     shift_pair_trace,
     shifted_charpoly_values,
 )
-from envshift.independence import jacobian_rank, shift_family_classical
+from envshift.independence import jacobian_rank, shift_family
 from envshift.shifts import canonical_shift, shift_from_designator
 
 ALGEBRAS = ("gl:2", "gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2")
@@ -53,7 +52,7 @@ def test_trace_gradients_match_symbolic(name):
     for point in _points(spec, rng):
         X = point.coordinate_realization()
         for M in range(1, top + 1):
-            assert coordinate_gradient(spec, power_trace_gradient(X, M)) == gradient(
+            assert coordinate_gradient(spec, shift_expand_gradient(X, A, M, 0)) == gradient(
                 power_trace(spec, M), point
             ), (name, M)
             assert coordinate_gradient(spec, shift_pair_gradient(X, A, M)) == gradient(
@@ -135,7 +134,7 @@ def test_zero_member_rule_matches_symbolic(name):
     shifts = range(1, 2 * spec.n + 1) if spec.is_gl else range(1, 2 * spec.n + 2, 2)
     shifts = [N for N in shifts if N <= 3 or m <= 3]
     for A in candidates:
-        rule = linalg.is_zero_matrix(algebra_projection(spec, A))
+        rule = not any(x for row in algebra_projection(spec, A) for x in row)
         for N in shifts:
             assert rule == shift_pair_trace(spec, A, N).is_zero, (name, A, N)
 
@@ -158,15 +157,11 @@ def test_algebra_projection_is_the_trace_form_gradient(name):
 def test_shift_family_rows_match_symbolic_family(name, desig):
     spec = parse_algebra(name)
     A = (shift_from_designator(spec, desig) if desig else canonical_shift(spec, -1)).numeric_rows()
-    fs, labels = shift_family_classical(spec, A)
+    fs, labels = shift_family(spec, A)
     symbolic = []
-    for label in labels:
-        power = int(label[label.index("^") + 1:-1])
-        symbolic.append(
-            shift_pair_trace(spec, A, power) if label.startswith("tr(A.")
-            else power_trace(spec, power)
-        )
-    assert all(not f.is_zero for f in symbolic)
+    for M in range(1, spec.matrix_size + 1):
+        symbolic += [power_trace(spec, M)] + shift_expand(spec, M, A)[: M - 1]
+    assert len(symbolic) == len(fs) == len(labels)
     for point in _points(spec, random.Random("family" + name)):
         X = point.coordinate_realization()
         assert [coordinate_gradient(spec, f(X)) for f in fs] == [
@@ -177,12 +172,3 @@ def test_shift_family_rows_match_symbolic_family(name, desig):
     assert closed.ranks == tuple(
         linalg.rank([gradient(f, point) for f in symbolic]) for point in points
     )
-
-
-def test_shift_family_drops_shifts_without_algebra_component():
-    so4 = parse_algebra("so:4")
-    fs, labels = shift_family_classical(so4, canonical_shift(so4, 1).numeric_rows())
-    assert labels == ["tr(X^2)", "tr(X^4)"] and len(fs) == 2
-    gl2 = parse_algebra("gl:2")
-    _, labels = shift_family_classical(gl2, [[Fraction(0)] * 2 for _ in range(2)])
-    assert labels == ["tr(X^1)", "tr(X^2)"]

@@ -13,6 +13,7 @@ from envshift.shifts import (
     make_shift,
     shift_from_designator,
     shift_from_rows,
+    symbolic_shift,
     violating_shift,
 )
 
@@ -250,6 +251,21 @@ def test_contracted_recursions_so_sp():
                 for N in (1, 2):
                     r1, r2 = el.contracted_recursion_residuals(spec, A, M, N, sign)
                     assert r1.is_zero and r2.is_zero, (spec.designator, sign, M, N)
+
+
+def test_crossed_contraction_with_a_zero_argument_cancels_under_polarization():
+    # L2(0,b) = ((PQ - QP).X^b) and L2(b,0) = -L2(0,b): the (P,Q) and (Q,P)
+    # terms cancel for every shift, signed or not; L2(1,2) has no such reason
+    for spec in (SO4, make_algebra(SO_ODD, 2)):
+        A = symbolic_shift(spec)
+        built = {}
+
+        def L2(a, b):
+            return el.polarize(spec, A, lambda P, Q: el.crossed_contraction(P, Q, a, b), built)
+
+        for b in range(4):
+            assert L2(0, b).is_zero and L2(b, 0).is_zero, (spec.designator, b)
+        assert not L2(1, 2).is_zero, spec.designator
 
 
 def test_proposition_family_preconditions():

@@ -25,7 +25,7 @@ from envshift.classical import (
     derive_rng,
     gradient,
     power_trace,
-    power_trace_gradient,
+    shift_expand_gradient,
     shift_pair_gradient,
     shift_pair_trace,
     top_symbol,
@@ -33,12 +33,13 @@ from envshift.classical import (
 from envshift.independence import (
     brailov_duality_check,
     jacobian_rank,
-    shift_family_classical,
+    shift_family,
     tangent_intersection_dim,
     transcendency_check,
 )
 from envshift.params import ParamPolynomial
 from envshift.shifts import canonical_shift, shift_from_designator
+from oracles import hand_picked_shift_family
 
 GL2 = make_algebra(GL, 2)
 GL3 = make_algebra(GL, 3)
@@ -66,7 +67,8 @@ def _assert_rows_match(spec, fs, polys, seed, trials=3):
 
 def test_rank_certificate_examples():
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [partial(power_trace_gradient, M=1), partial(power_trace_gradient, M=2),
+    gens = [partial(shift_expand_gradient, A=A, M=1, k=0),
+            partial(shift_expand_gradient, A=A, M=2, k=0),
             partial(shift_pair_gradient, A=A, N=1)]
     _assert_rows_match(
         GL2, gens, [power_trace(GL2, 1), power_trace(GL2, 2), shift_pair_trace(GL2, A, 1)], 42
@@ -91,7 +93,8 @@ def test_rank_rejects_symbolic_generators():
 
 def test_rank_negative_control():
     t = power_trace(GL2, 1)
-    gens = [partial(power_trace_gradient, M=1), _square_of_trace_gradient]
+    A = [[1, 0], [0, 2]]
+    gens = [partial(shift_expand_gradient, A=A, M=1, k=0), _square_of_trace_gradient]
     _assert_rows_match(GL2, gens, [t, t * t], 3)
     cert = jacobian_rank(gens, GL2, trials=3, seed=3)
     assert cert.rank == 1 and cert.verdict == "FAIL"
@@ -99,8 +102,8 @@ def test_rank_negative_control():
 
 def test_rank_monotonicity_and_duplication():
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    base = [partial(power_trace_gradient, M=1), partial(shift_pair_gradient, A=A, N=2)]
-    extra = partial(power_trace_gradient, M=2)
+    base = [partial(shift_expand_gradient, A=A, M=1, k=0), partial(shift_pair_gradient, A=A, N=2)]
+    extra = partial(shift_expand_gradient, A=A, M=2, k=0)
     _assert_rows_match(
         GL2, base + [extra],
         [power_trace(GL2, 1), shift_pair_trace(GL2, A, 2), power_trace(GL2, 2)], 5,
@@ -176,7 +179,7 @@ def test_default_chains_reach_their_targets_at_larger_rank(name, target):
 def test_certificate_serialization_is_deterministic():
     spec = GL2
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [partial(power_trace_gradient, M=1), partial(shift_pair_gradient, A=A, N=1)]
+    gens = [partial(shift_expand_gradient, A=A, M=1, k=0), partial(shift_pair_gradient, A=A, N=1)]
     a = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     b = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     assert a == b
@@ -268,11 +271,59 @@ def test_stabilizer_block_index_matches_full_rank():
         assert ind == spec.n
 
 
-def test_shift_family_excludes_vanishing_even_members():
-    A = canonical_shift(SO4, -1)
-    fs, labels = shift_family_classical(SO4, A.numeric_rows())
-    assert all("X^2" not in lbl or lbl.startswith("tr(X^") for lbl in labels)
-    assert labels == ["tr(X^2)", "tr(X^4)", "tr(A.X^1)", "tr(A.X^3)", "tr(A.X^5)"]
-    X = PointOnDual.random(SO4, random.Random(4)).coordinate_realization()
-    for f in fs:
-        assert any(coordinate_gradient(SO4, f(X)))
+def test_shift_family_members_and_labels():
+    fs, labels = shift_family(GL3, shift_from_designator(GL3, "diag:1,2,3").numeric_rows())
+    assert labels == [
+        "[t^0]tr((X+tA)^1)",
+        "[t^0]tr((X+tA)^2)", "[t^1]tr((X+tA)^2)",
+        "[t^0]tr((X+tA)^3)", "[t^1]tr((X+tA)^3)", "[t^2]tr((X+tA)^3)",
+    ]
+    assert [(f.keywords["M"], f.keywords["k"]) for f in fs] == [
+        (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+    ]
+
+
+FAMILY_ALGEBRAS = ("gl:2", "gl:3", "gl:4", "gl:5", "gl:6", "so:4", "so:5", "so:6", "so:7",
+                   "so:8", "sp:1", "sp:2", "sp:3")
+
+
+@pytest.mark.parametrize("name", FAMILY_ALGEBRAS)
+def test_full_family_span_contains_hand_picked_family(name):
+    # tr(A.X^N) is [t^1]tr((X+tA)^(N+1))/(N+1), and for N >= m Cayley-Hamilton
+    # writes its gradient through lower ones and Casimir gradients
+    spec = parse_algebra(name)
+    rng = random.Random("span" + name)
+    # a rank-2 shift and a random, hence regular, element of g
+    for A in (canonical_shift(spec, -1).numeric_rows(), PointOnDual.random(spec, rng).matrix()):
+        new, _ = shift_family(spec, A)
+        old, _ = hand_picked_shift_family(spec, A)
+        for s in range(2):
+            X = PointOnDual.random(spec, derive_rng("span", name, s)).coordinate_realization()
+            rows_new = [coordinate_gradient(spec, f(X)) for f in new]
+            rows_old = [coordinate_gradient(spec, f(X)) for f in old]
+            assert linalg.rank(rows_new + rows_old) == linalg.rank(rows_new), (name, A, s)
+
+
+TANGENT_SHIFTS = [
+    ("gl:3", "diag:1,1,0"), ("gl:3", "diag:1,2,0"), ("gl:4", "diag:3,-2,0,0"),
+    ("gl:5", "diag:1,2,0,0,0"), ("gl:6", "diag:1,2,0,0,0,0"), ("so:5", "diag:-1,0,0,0,1"),
+    ("so:8", "diag:-1,0,0,0,0,0,0,1"), ("sp:2", "diag:-1,0,0,1"),
+]
+
+
+@pytest.mark.parametrize("name, desig", TANGENT_SHIFTS)
+def test_tangent_agrees_with_hand_picked_family(monkeypatch, name, desig):
+    from envshift import independence
+
+    spec = parse_algebra(name)
+    A = shift_from_designator(spec, desig)
+    full = tangent_intersection_dim(spec, A)
+    calls = []
+
+    def old_family(spec, A_rows):
+        calls.append(spec)
+        return hand_picked_shift_family(spec, A_rows)
+
+    monkeypatch.setattr(independence, "shift_family", old_family)
+    assert tangent_intersection_dim(spec, A) == full and calls == [spec]
+    assert full[0] == full[1], (name, desig)

@@ -17,7 +17,6 @@ from envshift.classical import (  # noqa: E402
     PointOnDual,
     coordinate_gradient,
     coordinate_matrix,
-    power_trace_gradient,
     shift_expand,
     shift_expand_gradient,
     shift_pair_gradient,
@@ -137,8 +136,6 @@ def test_closed_form_gradients_match_sympy(name):
             part = {tuple(e): c for (*e, d), c in trace.items() if d == k}
             f = sympy.Poly.from_dict(part, *xs, domain="QQ")
             assert closed(shift_expand_gradient(X, A, M, k)) == differentiated(f), (M, k)
-            if k == 0:
-                assert closed(power_trace_gradient(X, M)) == differentiated(f), M
 
     # every default-chain member: tr(B X_blk^N) on its level block
     for g in chain_generators(default_chain(spec)).generators:
