@@ -1,0 +1,202 @@
+#!/usr/bin/env python3
+"""Measure one checkout and record the numbers in a BENCH_<n>.json file.
+
+    python scripts/bench.py --out BENCH_12.json --label change
+    python scripts/bench.py --root ../parent --out BENCH_12.json --label parent
+
+The record, stored under --label (other labels in --out are kept):
+
+* tier-1: wall time and the pytest summary of the checkout's own tests;
+* battery: each entry of the checkout's ``scripts/run_verifications.py``
+  run as one CLI subprocess, with its exit code, wall time, peak RSS and
+  report sha256, and the summed wall time;
+* micro: in-process timings in a child that imports the checkout's
+  ``envshift``: ``multiply`` and ``commutator`` with warm rewrite caches,
+  ``matrix_power_element`` from empty caches, one cold ``verify prop4
+  --algebra so:4`` with its ``multiply`` call count, and the
+  ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
+  default chains with the number of commutators it takes;
+* the ``src/`` line count, the Python version, ``nproc`` and HEAD.
+
+Timings are medians of REPEATS runs where repeated.  The benchmark gate is
+``perfbench/run.py``; this file is the per-change record beside it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+REPEATS = 5
+CHAIN_FILES = ("gl5.json", "so6.json", "sp3.json")
+
+
+def _env(root: Path) -> dict:
+    return dict(os.environ, PYTHONPATH=str(root / "src"))
+
+
+def _timed(cmd, root: Path, **kw):
+    """(exit code, wall seconds, peak RSS in MB) of one subprocess."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, cwd=root, env=_env(root), **kw)
+    _, status, usage = os.wait4(proc.pid, 0)
+    return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024
+
+
+def tier1(root: Path) -> dict:
+    with tempfile.TemporaryFile("w+") as log:
+        code, wall, _ = _timed(
+            [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+             "-p", "no:cacheprovider"], root, stdout=log, stderr=subprocess.STDOUT)
+        log.seek(0)
+        lines = [ln.strip() for ln in log if ln.strip()]
+    return {"exit": code, "wall_s": round(wall, 2), "summary": lines[-1] if lines else ""}
+
+
+def battery(root: Path) -> dict:
+    spec = importlib.util.spec_from_file_location("battery", root / "scripts/run_verifications.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    suites = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for args in module.BATTERY:
+            out = Path(tmp) / "report.json"
+            out.unlink(missing_ok=True)
+            code, wall, rss = _timed([sys.executable, "-m", "envshift", *args, "--out", str(out)],
+                                     root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
+            suites.append({"args": " ".join(args), "exit": code, "wall_s": round(wall, 3),
+                           "peak_rss_mb": round(rss, 1), "sha256": digest})
+    return {"wall_s": round(sum(s["wall_s"] for s in suites), 2), "suites": suites}
+
+
+def micro(root: Path) -> dict:
+    """Run ``_micro`` in a child that imports the checkout's envshift."""
+    out = subprocess.run([sys.executable, __file__, "--micro", "--root", str(root)],
+                         cwd=root, env=_env(root), capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def _micro(root: Path) -> dict:
+    from envshift import chains, cli, elements, pbw
+    from envshift.algebra import parse_algebra
+
+    def cold():
+        pbw._TABLES.clear()
+        elements._MPE_CACHE.clear()
+        elements._FLIP_CACHE.clear()
+
+    def median_s(fn, prepare=None):
+        times = []
+        for _ in range(REPEATS):
+            if prepare:
+                prepare()
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return round(statistics.median(times), 4)
+
+    def counting(module, name):
+        real, count = getattr(module, name), [0]
+
+        def spy(*args):
+            count[0] += 1
+            return real(*args)
+        setattr(module, name, spy)
+        return count, lambda: setattr(module, name, real)
+
+    gl4 = parse_algebra("gl:4")
+    mpe = elements.matrix_power_element
+    p, q = mpe(gl4, 4, 1, 2), mpe(gl4, 4, 2, 1)
+    pbw.commutator(p, q)  # fill the rewrite caches
+    out = {
+        "multiply_gl4_X4[1,2]_X4[2,1]_warm_s": median_s(lambda: pbw.multiply(p, q)),
+        "commutator_gl4_X4[1,2]_X4[2,1]_warm_s": median_s(lambda: pbw.commutator(p, q)),
+        "matrix_power_element_gl4_M4_all_cold_s": median_s(
+            lambda: [mpe(gl4, 4, i, j) for i in gl4.index_set for j in gl4.index_set], cold),
+    }
+
+    def prop4():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if cli.main(["verify", "prop4", "--algebra", "so:4"]) != 0:
+                raise RuntimeError("verify prop4 --algebra so:4 did not pass")
+    out["verify_prop4_so4_cold_s"] = median_s(prop4, cold)
+    cold()
+    count, restore_pbw = counting(pbw, "multiply")
+    real_el = elements.multiply
+    elements.multiply = pbw.multiply
+    prop4()
+    elements.multiply = real_el
+    restore_pbw()
+    out["verify_prop4_so4_multiply_calls"] = count[0]
+
+    for name in CHAIN_FILES:
+        cold()
+        family = chains.chain_generators(chains.load_chain_file(root / "scripts/chains" / name))
+        count, restore = counting(chains, "commutator")
+        t0 = time.perf_counter()
+        fails = chains.noncommuting_pairs(family)
+        wall = time.perf_counter() - t0
+        restore()
+        out[f"noncommuting_pairs_{name[:-5]}"] = {
+            "cold_s": round(wall, 3), "commutators": count[0], "failures": len(fails)}
+    return out
+
+
+def src_lines(root: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (root / "src").rglob("*.py"))
+
+
+def head(root: Path) -> str:
+    """HEAD, with ``-dirty`` when the checkout differs from it."""
+    out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                         cwd=root, capture_output=True, text=True)
+    return out.stdout.strip() or "unknown"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
+    ap.add_argument("--out", type=Path, help="BENCH_<n>.json to write or update")
+    ap.add_argument("--label", default="change", help="key of this record in --out")
+    ap.add_argument("--micro", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    root = args.root.resolve()
+    if args.micro:
+        print(json.dumps(_micro(root)))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
+    record = {
+        "head": head(root),
+        "python": sys.version.split()[0],
+        "nproc": os.cpu_count(),
+        "src_lines": src_lines(root),
+        "tier1": tier1(root),
+        "battery": battery(root),
+        "micro": micro(root),
+    }
+    data = json.loads(args.out.read_text()) if args.out.exists() else {}
+    data[args.label] = record
+    args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    summary = re.sub(r"\s+in .*", "", record["tier1"]["summary"])
+    print(f"{args.label}: tier-1 {record['tier1']['wall_s']} s ({summary}), "
+          f"battery {record['battery']['wall_s']} s, src {record['src_lines']} lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -231,13 +231,15 @@ def _dense_numeric_shift(spec):
 def _suite_power_brackets(report, spec, max_power):
     """prop1 (gl) / prop4 (so/sp): the bracket-of-powers expansion at every index tuple."""
     tuples = list(itertools.product(spec.index_set, repeat=4))
+    products: dict = {}  # (X^a)[i,j](X^b)[k,l] by (a, i, j, b, k, l), shared by every check
     for M in range(1, max_power + 1):
         for N in range(1, max_power + 1):
             _run_check(
                 report,
                 f"expansion M={M} N={N} all index tuples",
                 _first_nonzero(lambda M=M, N=N: (
-                    (f"(M={M},N={N},ijkl={t})", el.power_bracket_residual(spec, M, N, *t))
+                    (f"(M={M},N={N},ijkl={t})",
+                     el.power_bracket_residual(spec, M, N, *t, products))
                     for t in tuples
                 )),
             )

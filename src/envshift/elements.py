@@ -18,11 +18,19 @@ from __future__ import annotations
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, coordinates_to_matrix, matrix_in_algebra
 from .params import ParamPolynomial, _mono_mul, _scalar
-from .pbw import NCPolynomial, _accumulate, commutator, multiply
+from .pbw import _TABLES, NCPolynomial, _accumulate, commutator, multiply
 from .shifts import ShiftMatrix
 
 _MPE_CACHE: dict = {}
 _FLIP_CACHE: dict = {}
+
+
+def clear_caches() -> None:
+    """Empty the process-wide caches: the pbw rewrite tables, the matrix-power
+    elements and the flip coefficients.  Later calls rebuild what they need."""
+    _TABLES.clear()
+    _MPE_CACHE.clear()
+    _FLIP_CACHE.clear()
 
 
 def _indices(spec: AlgebraSpec, indices):
@@ -99,14 +107,16 @@ def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int) -> NCPolynomial:
 
 
 class _ShiftPart:
-    """One numeric part B of a shift, with each (B X^K) and B*X^a built once."""
+    """One numeric part B of a shift, the coefficient matrix of its parameter
+    monomial, with each (B X^K), B*X^a and trace chain built once."""
 
-    __slots__ = ("spec", "rows", "indices", "_elements", "_scaled")
+    __slots__ = ("spec", "rows", "indices", "monomial", "_elements", "_scaled", "_chains")
 
-    def __init__(self, spec: AlgebraSpec, rows, indices):
-        self.spec, self.rows, self.indices = spec, rows, indices
+    def __init__(self, spec: AlgebraSpec, rows, indices, monomial=()):
+        self.spec, self.rows, self.indices, self.monomial = spec, rows, indices, monomial
         self._elements: dict = {}
         self._scaled: dict = {}
+        self._chains: dict = {}
 
     def element(self, K: int) -> NCPolynomial:
         """(B X^K) over the index subset."""
@@ -151,7 +161,7 @@ def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomia
     if built is None:
         built = {}
     if not built:
-        built.update((m, _ShiftPart(spec, rows, A.indices)) for m, rows in A.parts().items())
+        built.update((m, _ShiftPart(spec, rows, A.indices, m)) for m, rows in A.parts().items())
     groups: dict = {}
     for m, P in built.items():
         for m2, Q in built.items():
@@ -315,29 +325,38 @@ def flip_residual(spec: AlgebraSpec, M: int, i: int, j: int) -> NCPolynomial:
 # bracket-of-powers expansions
 
 
-def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k: int, l: int) -> NCPolynomial:
+def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k: int, l: int,
+                           products=None) -> NCPolynomial:
     """Residual of the closed form of [(X^M)[i,j], (X^N)[k,l]].
 
     gl:     sum_S (X^{M+N-S})[i,l](X^{S-1})[k,j] - (X^{S-1})[i,l](X^{M+N-S})[k,j]
     so/sp:  the same sum plus the flip-coefficient sum weighted by
             sigma = eps(u)eps(-u); the pairing sign enters because the flip of
             the inner power contracts eps(u)eps(-u) over the summation index.
+
+    Every product (X^a)[i,j](X^b)[k,l] is read from ``products``, keyed
+    (a, i, j, b, k, l) and computed once; the left side is the bracket by
+    its definition, so the (M, N, ijkl) and (N, M, klij) residuals share
+    their products.  Pass one dict per algebra to share them across calls.
     """
     if M < 1 or N < 0:
         raise ValueError("need M >= 1 and N >= 0")
-    lhs = commutator(
-        matrix_power_element(spec, M, i, j), matrix_power_element(spec, N, k, l)
-    )
+    if products is None:
+        products = {}
+
+    def prod(*key):
+        out = products.get(key)
+        if out is None:
+            a, r, s, b, t, u = key
+            out = products[key] = multiply(
+                matrix_power_element(spec, a, r, s), matrix_power_element(spec, b, t, u))
+        return out
+
+    lhs = prod(M, i, j, N, k, l) - prod(N, k, l, M, i, j)
     rhs: dict = {}
     for S in range(1, M + 1):
-        _accumulate(rhs, multiply(
-            matrix_power_element(spec, M + N - S, i, l),
-            matrix_power_element(spec, S - 1, k, j),
-        ).terms)
-        _accumulate(rhs, multiply(
-            matrix_power_element(spec, S - 1, i, l),
-            matrix_power_element(spec, M + N - S, k, j),
-        ).terms, -1)
+        _accumulate(rhs, prod(M + N - S, i, l, S - 1, k, j).terms)
+        _accumulate(rhs, prod(S - 1, i, l, M + N - S, k, j).terms, -1)
     if not spec.is_gl:
         sigma = spec.pair_sign
         coeffs = power_flip_coefficients(spec, N)
@@ -348,14 +367,8 @@ def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k:
                 continue
             part: dict = {}
             for S in range(1, M + 1):
-                _accumulate(part, multiply(
-                    matrix_power_element(spec, M + p - S, i, -k),
-                    matrix_power_element(spec, S - 1, -l, j),
-                ).terms, e1)
-                _accumulate(part, multiply(
-                    matrix_power_element(spec, S - 1, i, -k),
-                    matrix_power_element(spec, M + p - S, -l, j),
-                ).terms, -e2)
+                _accumulate(part, prod(M + p - S, i, -k, S - 1, -l, j).terms, e1)
+                _accumulate(part, prod(S - 1, i, -k, M + p - S, -l, j).terms, -e2)
             part = NCPolynomial(spec, part, normalized=True)
             _accumulate(rhs, multiply(cp, part).terms, sigma)
     return lhs - NCPolynomial(spec, rhs, normalized=True)
@@ -385,7 +398,15 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
 
 
 def trace_chain(P: _ShiftPart, Q: _ShiftPart, a: int, b: int) -> NCPolynomial:
-    """W(a,b) = sum P[j,i]Q[l,k] (X^a)[i,l](X^b)[k,j] = tr(P X^a Q X^b) in U-order."""
+    """W(a,b) = sum P[j,i]Q[l,k] (X^a)[i,l](X^b)[k,j] = tr(P X^a Q X^b) in U-order.
+
+    P and Q are parts of one shift; P keeps W by (Q's monomial, a, b), so it
+    is built once for as long as the parts live (``polarize``'s ``built``).
+    """
+    key = (Q.monomial, a, b)
+    out = P._chains.get(key)
+    if out is not None:
+        return out
     t1 = P.scaled_power(a)
     t2 = Q.scaled_power(b)
     acc: dict = {}
@@ -394,7 +415,8 @@ def trace_chain(P: _ShiftPart, Q: _ShiftPart, a: int, b: int) -> NCPolynomial:
             y = t2[s][r]
             if not x.is_zero and not y.is_zero:
                 _accumulate(acc, multiply(x, y).terms)
-    return NCPolynomial(P.spec, acc, normalized=True)
+    out = P._chains[key] = NCPolynomial(P.spec, acc, normalized=True)
+    return out
 
 
 def crossed_contraction(P: _ShiftPart, Q: _ShiftPart, M: int, N: int) -> NCPolynomial:

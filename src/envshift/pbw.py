@@ -245,9 +245,19 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
 
     q's words are visited in sorted order over a stack of the products
     p * prefix, so a prefix shared by several words of q is folded onto all
-    of p once, and equal intermediate words merge.
+    of p once, and equal intermediate words merge.  A zero factor gives zero
+    and a bare scalar factor {(): c} scales the other one, with the
+    coefficient products in the same order as the general path.
     """
     p._check_same(q)
+    if not p.terms or not q.terms:
+        return NCPolynomial(p.spec)
+    if len(q.terms) == 1 and () in q.terms:
+        c = q.terms[()]
+        return NCPolynomial(p.spec, {w: v * c for w, v in p.terms.items()}, normalized=True)
+    if len(p.terms) == 1 and () in p.terms:
+        c = p.terms[()]
+        return NCPolynomial(p.spec, {w: c * v for w, v in q.terms.items()}, normalized=True)
     tab = _tables(p.spec)
     acc: dict = {}
     path: tuple = ()

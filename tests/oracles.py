@@ -2,7 +2,9 @@
 
 from functools import partial
 
+from envshift import elements as el
 from envshift.classical import algebra_projection, shift_expand_gradient, shift_pair_gradient
+from envshift.pbw import NCPolynomial, _accumulate, commutator, multiply
 
 
 def casimir_degrees(spec):
@@ -24,3 +26,29 @@ def hand_picked_shift_family(spec, A_rows):
     fs += [partial(shift_pair_gradient, A=A_rows, N=N) for N in shifts]
     labels += [f"tr(A.X^{N})" for N in shifts]
     return fs, labels
+
+
+def power_bracket_residual_direct(spec, M, N, i, j, k, l):
+    """``elements.power_bracket_residual`` as it was before its product table:
+    the left side by ``commutator`` and a fresh ``multiply`` for every term."""
+    mpe = el.matrix_power_element
+    lhs = commutator(mpe(spec, M, i, j), mpe(spec, N, k, l))
+    rhs: dict = {}
+    for S in range(1, M + 1):
+        _accumulate(rhs, multiply(mpe(spec, M + N - S, i, l), mpe(spec, S - 1, k, j)).terms)
+        _accumulate(rhs, multiply(mpe(spec, S - 1, i, l), mpe(spec, M + N - S, k, j)).terms, -1)
+    if not spec.is_gl:
+        e1 = spec.eps(-l) * spec.eps(k)
+        e2 = spec.eps(-k) * spec.eps(l)
+        for p, cp in enumerate(el.power_flip_coefficients(spec, N)):
+            if cp.is_zero:
+                continue
+            part: dict = {}
+            for S in range(1, M + 1):
+                _accumulate(part, multiply(
+                    mpe(spec, M + p - S, i, -k), mpe(spec, S - 1, -l, j)).terms, e1)
+                _accumulate(part, multiply(
+                    mpe(spec, S - 1, i, -k), mpe(spec, M + p - S, -l, j)).terms, -e2)
+            part = NCPolynomial(spec, part, normalized=True)
+            _accumulate(rhs, multiply(cp, part).terms, spec.pair_sign)
+    return lhs - NCPolynomial(spec, rhs, normalized=True)

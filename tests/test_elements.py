@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from oracles import power_bracket_residual_direct
 
+from envshift import cli, pbw
 from envshift import elements as el
 from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra
 from envshift.params import ParamPolynomial
-from envshift.pbw import NCPolynomial, commutator, format_poly
+from envshift.pbw import NCPolynomial, commutator, format_poly, parse
 from envshift.shifts import (
     canonical_shift,
     make_shift,
@@ -232,6 +235,71 @@ def test_power_bracket_expansion_so_sp_small():
                     assert r.is_zero, (spec.designator, M, N, t)
 
 
+def _bracket_tuples(spec):
+    """Every index tuple up to 3x3 matrices, a seeded sample of 12 above."""
+    tuples = list(_index_tuples(spec, 4))
+    if spec.matrix_size > 3:
+        tuples = random.Random(spec.designator).sample(tuples, 12)
+    return [(M, N, *t) for M in (1, 2) for N in (0, 1, 2) for t in tuples]
+
+
+@pytest.mark.parametrize("spec", [GL2, SO3, SP1, GL3, SO4, SP2], ids=lambda s: s.designator)
+def test_power_bracket_table_matches_direct_products(spec):
+    # one table for all the residuals, as the suite holds it; each side starts cold
+    cases = _bracket_tuples(spec)
+    el.clear_caches()
+    products: dict = {}
+    table = [el.power_bracket_residual(spec, *c, products) for c in cases]
+    el.clear_caches()
+    direct = [power_bracket_residual_direct(spec, *c) for c in cases]
+    assert table == direct
+    assert products and not any(r.terms for r in table)
+
+
+@pytest.mark.parametrize("argv", [["prop1", "--algebra", "gl:2"], ["prop4", "--algebra", "so:3"]])
+def test_power_bracket_suite_multiplies_each_table_key_once(argv, tmp_path, monkeypatch):
+    # a product of two matrix-power elements is a table entry: one suite run
+    # takes each such product once, though many residuals read it
+    el.clear_caches()
+    pairs = []
+    real = pbw.multiply
+
+    def spy(p, q):
+        pairs.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(pbw, "multiply", spy)
+    monkeypatch.setattr(el, "multiply", spy)
+    assert cli.main(["verify", *argv, "--out", str(tmp_path / "r.json")]) == 0
+    powers = {id(x) for x in el._MPE_CACHE.values()}
+    keys = [(id(p), id(q)) for p, q in pairs if id(p) in powers and id(q) in powers]
+    assert keys and len(keys) == len(set(keys))
+
+
+def test_power_bracket_suite_fails_on_a_perturbed_table_entry(tmp_path, monkeypatch):
+    # X[1,2].X[2,1] read one generator too high: the (M,N) = (1,1) residual at
+    # ijkl = (2,1,1,2) reads it as the subtrahend of its bracket, so the suite
+    # must FAIL there with the re-parseable witness -X[1,1]
+    key = (1, 1, 2, 1, 2, 1)
+    real = el.power_bracket_residual
+
+    def perturbing(spec, M, N, i, j, k, l, products):
+        out = real(spec, M, N, i, j, k, l, products)
+        if key in products and not perturbing.done:
+            products[key] = products[key] + NCPolynomial.generator(spec, 1, 1)
+            perturbing.done = True
+        return out
+
+    perturbing.done = False
+    monkeypatch.setattr(el, "power_bracket_residual", perturbing)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "prop1", "--algebra", "gl:2", "--out", str(out)]) == 1
+    first = json.loads(out.read_text())["checks"][0]
+    assert first["outcome"] == "FAIL"
+    assert first["detail"] == "(M=1,N=1,ijkl=(2, 1, 1, 2))"
+    assert parse(GL2, first["residual"]) == -NCPolynomial.generator(GL2, 1, 1)
+
+
 def test_contracted_recursion_gl():
     A = shift_from_rows(GL2, [[1, 2], [3, 5]])
     for M in (1, 2):
@@ -266,6 +334,30 @@ def test_crossed_contraction_with_a_zero_argument_cancels_under_polarization():
         for b in range(4):
             assert L2(0, b).is_zero and L2(b, 0).is_zero, (spec.designator, b)
         assert not L2(1, 2).is_zero, spec.designator
+
+
+def test_prop5_builds_each_trace_chain_once(monkeypatch):
+    # the parts in ``built`` keep W(a,b) by (monomial, monomial, a, b) across
+    # both signs and every (M, N), as the prop5 suite shares them
+    requested, built_chains = [], []
+    real_chain, real_scaled = el.trace_chain, el._ShiftPart.scaled_power
+
+    def chain(P, Q, a, b):
+        requested.append((P.monomial, Q.monomial, a, b))
+        return real_chain(P, Q, a, b)
+
+    def scaled(self, a):
+        built_chains.append(a)
+        return real_scaled(self, a)
+
+    monkeypatch.setattr(el, "trace_chain", chain)
+    monkeypatch.setattr(el._ShiftPart, "scaled_power", scaled)
+    A, built = symbolic_shift(SO3, -1), {}
+    for M in (1, 2):
+        for N in (1, 2):
+            r1, r2 = el.contracted_recursion_residuals(SO3, A, M, N, -1, built)
+            assert r1.is_zero and r2.is_zero, (M, N)
+    assert len(built_chains) == 2 * len(set(requested)) < 2 * len(requested)
 
 
 def test_proposition_family_preconditions():

@@ -150,6 +150,36 @@ def test_product_with_the_empty_word_alone():
     assert multiply(NCPolynomial.zero(spec), p).is_zero
 
 
+SCALARS = [3, Fraction(-2, 3), ParamPolynomial.variable("a") * 2 + 1]
+
+
+@pytest.mark.parametrize("c", SCALARS, ids=("int", "fraction", "param"))
+@pytest.mark.parametrize("designator", ["gl:3", "so:4"])
+def test_scalar_and_zero_factors_take_the_short_path_to_the_same_product(designator, c):
+    # a bare scalar {(): c} on either side scales the other factor; the
+    # general path is reached through distributivity, (c + g)q - gq
+    spec = parse_algebra(designator)
+    cached = el.matrix_power_element(spec, 2, 1, 2)
+    g = NCPolynomial.generator(spec, 2, 1)
+    s = NCPolynomial.scalar(spec, c)
+    for q in (cached, cached * c + NCPolynomial.scalar(spec, Fraction(1, 2))):
+        snapshot = dict(q.terms)
+        for got, general, raw in (
+            (multiply(s, q), multiply(s + g, q) - multiply(g, q), _concatenated(s, q)),
+            (multiply(q, s), multiply(q, s + g) - multiply(q, g), _concatenated(q, s)),
+        ):
+            assert got == general
+            assert got.terms == bubble_normal_form(spec, raw)
+            assert got.terms is not q.terms and got.terms is not s.terms
+            got.terms.clear()
+            assert q.terms == snapshot
+        zero = NCPolynomial.zero(spec)
+        assert multiply(zero, q).is_zero and multiply(q, zero).is_zero
+    assert el.matrix_power_element(spec, 2, 1, 2) is cached and cached.terms
+    if isinstance(c, int):
+        assert all(type(v) is int for v in multiply(s, cached).terms.values())
+
+
 # ---------------------------------------------------------------------------
 # the coefficient rule
 
