@@ -15,7 +15,10 @@ The record, stored under --label (other labels in --out are kept):
   ``matrix_power_element`` from empty caches, one cold ``verify prop4
   --algebra so:4`` with its ``multiply`` call count, and the
   ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
-  default chains with the number of commutators it takes;
+  default chains with the number of commutators it takes; and the classical
+  layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
+  ``classical lemma2`` of so:8, each through ``cli.main``, and ``linalg.rank``
+  of a seeded integer matrix of the so:8 family's shape (36 x 28);
 * the ``src/`` line count, the Python version, ``nproc`` and HEAD.
 
 Timings are medians of REPEATS runs where repeated.  The benchmark gate is
@@ -31,6 +34,7 @@ import importlib.util
 import io
 import json
 import os
+import random
 import re
 import statistics
 import subprocess
@@ -42,6 +46,13 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 5
 CHAIN_FILES = ("gl5.json", "so6.json", "sp3.json")
+CLASSICAL = {
+    "rank_so8_regular_s": ["rank", "--algebra", "so:8", "--A", "diag:-4,-3,-2,-1,1,2,3,4"],
+    "rank_gl6_regular_s": ["rank", "--algebra", "gl:6", "--A", "diag:1,2,3,4,5,6"],
+    "classical_tangent_so8_s": ["classical", "tangent", "--algebra", "so:8",
+                                "--A", "diag:-1,0,0,0,0,0,0,1"],
+    "classical_lemma2_so8_s": ["classical", "lemma2", "--algebra", "so:8"],
+}
 
 
 def _env(root: Path) -> dict:
@@ -91,7 +102,7 @@ def micro(root: Path) -> dict:
 
 
 def _micro(root: Path) -> dict:
-    from envshift import chains, cli, elements, pbw
+    from envshift import chains, cli, elements, linalg, pbw
     from envshift.algebra import parse_algebra
 
     def cold():
@@ -129,10 +140,13 @@ def _micro(root: Path) -> dict:
             lambda: [mpe(gl4, 4, i, j) for i in gl4.index_set for j in gl4.index_set], cold),
     }
 
-    def prop4():
+    def passes(*argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            if cli.main(["verify", "prop4", "--algebra", "so:4"]) != 0:
-                raise RuntimeError("verify prop4 --algebra so:4 did not pass")
+            if cli.main(list(argv)) != 0:
+                raise RuntimeError(f"{' '.join(argv)} did not pass")
+
+    def prop4():
+        passes("verify", "prop4", "--algebra", "so:4")
     out["verify_prop4_so4_cold_s"] = median_s(prop4, cold)
     cold()
     count, restore_pbw = counting(pbw, "multiply")
@@ -153,6 +167,12 @@ def _micro(root: Path) -> dict:
         restore()
         out[f"noncommuting_pairs_{name[:-5]}"] = {
             "cold_s": round(wall, 3), "commutators": count[0], "failures": len(fails)}
+
+    for key, argv in CLASSICAL.items():
+        out[key] = median_s(lambda argv=argv: passes(*argv))
+    rng = random.Random("bench-rank")
+    rows = [[rng.randint(-10, 10) for _ in range(28)] for _ in range(36)]
+    out["linalg_rank_36x28_s"] = median_s(lambda: linalg.rank(rows))
     return out
 
 

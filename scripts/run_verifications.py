@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Drive the full verification battery through the CLI and collect reports.
 
-Writes one JSON report per suite into reports/ (created next to this script's
-repository root) and prints a one-line outcome per suite: PASS (exit 0), FAIL
-(exit 1 with its report written) or ERROR (any other exit, or an exit 1 that
-wrote no report, such as a crash on import).  Exits 0 if every suite passes,
-1 if some suite fails and 2 if some suite errors.  Runtime is a few minutes.
-Every suite runs from the repository root with ``src`` first on its
-PYTHONPATH and relative chain paths, so it needs no install and the reports
-do not depend on where the checkout lives.
+Empties reports/ (created next to this script's repository root) of earlier
+reports, writes one JSON report per suite into it and prints a one-line
+outcome per suite: PASS (exit 0), FAIL (exit 1 with its report written) or
+ERROR (any other exit, or an exit 1 that wrote no report, such as a crash on
+import).  Exits 0 if every suite passes, 1 if some suite fails and 2 if some
+suite errors.  Runtime is a few minutes.  Every suite runs from the
+repository root with ``src`` first on its PYTHONPATH and relative chain
+paths, so it needs no install and the reports do not depend on where the
+checkout lives.
 """
 
 import os
@@ -92,6 +93,8 @@ BATTERY = [
 
 def main() -> int:
     REPORTS.mkdir(exist_ok=True)
+    for stale in REPORTS.glob("*.json"):  # this script owns reports/
+        stale.unlink()
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -102,7 +105,6 @@ def main() -> int:
             a.replace(":", "").replace("/", "-") for a in args if not a.startswith("--")
         )[:60]
         out = REPORTS / f"{name}.json"
-        out.unlink(missing_ok=True)
         proc = subprocess.run(
             [sys.executable, "-m", "envshift", *args, "--out", str(out)],
             cwd=ROOT,

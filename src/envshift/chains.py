@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import GL, SP, AlgebraError, AlgebraSpec, lie_generating_set, parse_algebra
-from .classical import shift_pair_gradient
+from .classical import shift_powers
 from .elements import contract_rows
 from .linalg import identity
 from .pbw import NCPolynomial, commutator
@@ -68,7 +68,8 @@ class FamilyGenerator:
     def matrix_gradient(self, X):
         """Matrix gradient of tr(B X^N) at the full coordinate matrix X."""
         pos = [self.spec.position(i) for i in self.indices]
-        G = shift_pair_gradient([[X[r][c] for c in pos] for r in pos], self.B, self.N)
+        # sum_k X^k B X^(N-1-k), the t^1 part of (X + tB)^N on the block
+        G = shift_powers([[X[r][c] for c in pos] for r in pos], self.B, self.N, 1)[self.N][1]
         out = [[0] * len(X) for _ in X]
         for a, r in enumerate(pos):
             for b, c in enumerate(pos):
@@ -123,39 +124,36 @@ def _level_name(spec: AlgebraSpec, size: int) -> str:
 
 def make_chain(spec: AlgebraSpec, steps) -> ChainSpec:
     """Validate and assemble a chain; steps are (k, shift-or-None-or-'auto')."""
-    parsed = []
-    sizes = [spec.matrix_size]
-    for k, shift in steps:
+    for k, _ in steps:
         if spec.family == SP:
             if k != 1:
                 raise AlgebraError("sp chains step down one rank at a time")
-            new = sizes[-1] - 2
-        else:
-            if k not in (1, 2):
-                raise AlgebraError(f"invalid step size {k}")
-            new = sizes[-1] - k
+        elif k not in (1, 2):
+            raise AlgebraError(f"invalid step size {k}")
+    parsed = []
+    sizes = _level_sizes(spec, [k for k, _ in steps])
+    for (k, shift), size, new in zip(steps, sizes, sizes[1:]):
         if new < 0:
             raise AlgebraError("chain steps below the trivial algebra")
-        level_idx = level_indices(spec, sizes[-1])
+        level_idx = level_indices(spec, size)
         next_idx = level_indices(spec, new)  # raises for unrealizable levels
         if not set(next_idx) <= set(level_idx):
             raise AlgebraError(
                 f"level block of size {new} does not embed in its parent block"
             )
-        wants_shift = (spec.family == SP and sizes[-1] >= 4) or (
+        wants_shift = (spec.family == SP and size >= 4) or (
             spec.family != SP and k == 2
         )
         if shift == "auto":
             shift = canonical_shift(spec, -1, level_idx) if wants_shift else None
         if wants_shift and shift is None:
             raise AlgebraError(
-                f"step from {_level_name(spec, sizes[-1])} needs a shift matrix"
+                f"step from {_level_name(spec, size)} needs a shift matrix"
             )
         if not wants_shift and shift is not None:
             raise AlgebraError("only size-2 steps (or sp levels of rank >= 2) carry shifts")
         if shift is not None:
             _validate_chain_shift(spec, shift, level_idx)
-        sizes.append(new)
         parsed.append(ChainStep(k, shift))
     terminal_ok = (spec.family == GL and sizes[-1] in (0, 1)) or (
         spec.family != GL and sizes[-1] == 2
@@ -306,7 +304,6 @@ def chain_from_dict(data: dict) -> ChainSpec:
         raise AlgebraError("chain file needs an 'algebra' string and a 'steps' list")
     spec = parse_algebra(text)
     steps = []
-    sizes = [spec.matrix_size]
     for entry in raw_steps:
         if not isinstance(entry, dict) or "k" not in entry:
             raise AlgebraError("each chain step needs a step size 'k'")
@@ -315,7 +312,7 @@ def chain_from_dict(data: dict) -> ChainSpec:
             raise AlgebraError("step size must be an integer")
         shift = entry.get("shift")
         if shift is not None and shift != "auto":
-            idx = level_indices(spec, sizes[-1])
+            idx = level_indices(spec, _level_sizes(spec, [k for k, _ in steps])[-1])
             if isinstance(shift, str):
                 shift = shift_from_designator(spec, shift, indices=idx)
             elif isinstance(shift, list) and all(
@@ -328,8 +325,6 @@ def chain_from_dict(data: dict) -> ChainSpec:
                 raise AlgebraError(
                     "shift must be a designator string or row lists of integers and strings"
                 )
-        step_drop = 2 if spec.family == SP else k
-        sizes.append(sizes[-1] - step_drop)
         steps.append((k, shift))
     return make_chain(spec, steps)
 
@@ -353,9 +348,8 @@ def default_chain(spec: AlgebraSpec) -> ChainSpec:
             size -= 2
     elif spec.family == GL:
         while size > 1:
-            k = 2 if size >= 2 else 1
-            steps.append((k, "auto"))
-            size -= k
+            steps.append((2, "auto"))
+            size -= 2
     else:
         while size > 2:
             k = 2 if size - 2 >= 2 else 1

@@ -150,33 +150,27 @@ def shift_expand(spec: AlgebraSpec, M: int, rows, indices=None):
     """
     if M < 1:
         raise ValueError("power must be >= 1")
-    graded = _shift_power(coordinate_matrix(spec, indices), rows, M, M)
+    graded = shift_powers(coordinate_matrix(spec, indices), rows, M, M)[M]
     return [_poly_trace(graded[k]) for k in range(1, M + 1)]
 
 
-def _shift_powers(X, A, M: int, kmax: int):
-    """Yield the t^0 .. t^kmax parts of (X + t A)^j for j = 0 .. M.
+def shift_powers(X, A, M: int, kmax: int):
+    """The table P[j][k] = [t^k](X + t A)^j for 0 <= j <= M and 0 <= k <= min(j, kmax).
 
-    Entries are numbers or polynomials.
+    Entries are numbers or polynomials.  Every closed form at a point reads
+    one such table: graded traces, shift-expansion and chain-member gradients.
     """
-    graded = [linalg.identity(len(X))]
-    yield graded
+    P = [[linalg.identity(len(X))]]
     for _ in range(M):
-        nxt = [linalg.mat_mul(graded[0], X)]
-        for k in range(1, min(len(graded), kmax) + 1):
-            term = linalg.mat_mul(graded[k - 1], A)
-            if k < len(graded):
-                term = linalg.mat_add(linalg.mat_mul(graded[k], X), term)
+        prev = P[-1]
+        nxt = [linalg.mat_mul(prev[0], X)]
+        for k in range(1, min(len(prev), kmax) + 1):
+            term = linalg.mat_mul(prev[k - 1], A)
+            if k < len(prev):
+                term = linalg.mat_add(linalg.mat_mul(prev[k], X), term)
             nxt.append(term)
-        graded = nxt
-        yield graded
-
-
-def _shift_power(X, A, M: int, kmax: int):
-    """The t^0 .. t^kmax parts of (X + t A)^M, holding no earlier power."""
-    for graded in _shift_powers(X, A, M, kmax):
-        pass
-    return graded
+        P.append(nxt)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +190,10 @@ def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
         if not (1 <= k < M <= m):
             raise ValueError("need 1 <= k < M <= matrix size")
     kmax = max((k for _, k in pairs), default=0)
-    powers = _shift_powers(X_rows, A_rows, max((M for M, _ in pairs), default=0), kmax)
-    next(powers)  # the identity
+    P = shift_powers(X_rows, A_rows, max((M for M, _ in pairs), default=0), kmax)
     traces = [None]  # traces[i][a] = [t^a] p_i
     cs = [[1] + [0] * kmax]  # cs[j][a] = [t^a] c_j
-    for j, graded in enumerate(powers, 1):
+    for j, graded in enumerate(P[1:], 1):
         traces.append([linalg.trace(g) for g in graded])
         c = [0] * (kmax + 1)
         for i in range(1, j + 1):
@@ -296,24 +289,19 @@ def coordinate_gradient(spec: AlgebraSpec, G) -> tuple:
     return tuple(out)
 
 
-def shift_pair_gradient(X, A, N: int):
-    """Matrix gradient sum_k X^k A X^(N-1-k) of tr(A X^N) at a numeric X."""
-    if N < 1:
-        raise ValueError("power must be >= 1")
-    return _shift_power(X, A, N, 1)[1]
+def shift_expand_gradients(X, A, pairs) -> list:
+    """Matrix gradients M [t^k](X + t A)^(M-1) of [t^k] tr((X + t A)^M), one per (M, k).
 
-
-def shift_expand_gradient(X, A, M: int, k: int):
-    """Matrix gradient M [t^k](X + t A)^(M-1) of [t^k] tr((X + t A)^M) at a numeric X.
-
-    k = 0 is tr(X^M); k = M, the constant tr(A^M), has gradient zero.
+    Each pair needs 0 <= k < M; k = 0 is tr(X^M).  All gradients come from one
+    shift_powers table at the numeric X: the gradient counterpart of
+    shifted_charpoly_values.
     """
-    if not (M >= 1 and 0 <= k <= M):
-        raise ValueError("need M >= 1 and 0 <= k <= M")
-    graded = _shift_power(X, A, M - 1, k)
-    if k == len(graded):
-        return linalg.mat_scale(X, 0)
-    return linalg.mat_scale(graded[k], M)
+    for M, k in pairs:
+        if not 0 <= k < M:
+            raise ValueError("need 0 <= k < M")
+    P = shift_powers(X, A, max((M for M, _ in pairs), default=1) - 1,
+                     max((k for _, k in pairs), default=0))
+    return [linalg.mat_scale(P[M - 1][k], M) for M, k in pairs]
 
 
 def algebra_projection(spec: AlgebraSpec, rows):

@@ -20,7 +20,7 @@ from .classical import (
     algebra_projection,
     coordinate_gradient,
     derive_rng,
-    shift_expand_gradient,
+    shift_expand_gradients,
 )
 from .shifts import ShiftMatrix
 
@@ -65,25 +65,28 @@ def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
                   target=None, labels=None, family="") -> RankCertificate:
     """Stack exact gradients at ``trials`` random rational points and rank them.
 
-    Each generator is given by its closed-form matrix gradient: a function
-    taking the coordinate realization X of a point to G with df = tr(G dX),
-    as shift_family and FamilyGenerator.matrix_gradient provide.
+    The family is one function taking the coordinate realization X of a point
+    to the closed-form matrix gradients [G, ...] of its members, df = tr(G dX),
+    as shift_family provides.
     """
-    if not gradients:
-        raise AlgebraError("empty generator list")
-    if not all(callable(g) for g in gradients):
-        raise AlgebraError("generators must be closed-form matrix gradients")
+    if not callable(gradients):
+        raise AlgebraError("generators must be a function from a point to matrix gradients")
     if trials < 1:
         raise AlgebraError("need at least one trial")
     dim, ind = dimension_and_index(spec)
     if target is None:
         target = (dim + ind) // 2
-    if labels is None:
-        labels = [f"g{k}" for k in range(len(gradients))]
     ranks = []
     for t in range(trials):
         X = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
-        ranks.append(linalg.rank([coordinate_gradient(spec, grad(X)) for grad in gradients]))
+        Gs = gradients(X)
+        if not Gs:
+            raise AlgebraError("empty generator list")
+        if labels is None:
+            labels = [f"g{k}" for k in range(len(Gs))]
+        if len(labels) != len(Gs):
+            raise AlgebraError(f"{len(labels)} labels for {len(Gs)} generators")
+        ranks.append(linalg.rank([coordinate_gradient(spec, G) for G in Gs]))
     return RankCertificate(
         family=family or spec.designator,
         labels=tuple(labels),
@@ -98,7 +101,7 @@ def transcendency_check(chain: ChainSpec, trials=3, seed=42) -> RankCertificate:
     """Rank the top symbols of a chain family against (dim g + ind g)/2."""
     fam = chain_generators(chain)
     return jacobian_rank(
-        [g.matrix_gradient for g in fam.generators], chain.algebra, trials=trials,
+        lambda X: [g.matrix_gradient(X) for g in fam.generators], chain.algebra, trials=trials,
         seed=seed, labels=fam.labels, family=fam.name,
     )
 
@@ -107,15 +110,15 @@ def shift_family(spec: AlgebraSpec, A_rows):
     """The argument-shift family of A as (gradients, labels).
 
     Its members are the components [t^k] tr((X + tA)^M) for 0 <= k < M <= m,
-    m the matrix size (Mishchenko-Fomenko), each given by its closed-form
-    matrix gradient X -> G with df = tr(G dX).  The k = 0 members are the
-    trace powers tr(X^M); members that vanish on g (odd M on so/sp, for A in
-    g) add only zero rows.  For a regular A the family reaches
-    (dim g + ind g)/2; for a singular one, Bolsinov's criterion decides.
+    m the matrix size (Mishchenko-Fomenko); ``gradients`` takes X to all of
+    their closed-form matrix gradients from one power table.  The k = 0
+    members are the trace powers tr(X^M); members that vanish on g (odd M on
+    so/sp, for A in g) add only zero rows.  For a regular A the family
+    reaches (dim g + ind g)/2; for a singular one, Bolsinov's criterion decides.
     """
     pairs = [(M, k) for M in range(1, spec.matrix_size + 1) for k in range(M)]
-    fs = [partial(shift_expand_gradient, A=A_rows, M=M, k=k) for M, k in pairs]
-    return fs, [f"[t^{k}]tr((X+tA)^{M})" for M, k in pairs]
+    gradients = partial(shift_expand_gradients, A=A_rows, pairs=pairs)
+    return gradients, [f"[t^{k}]tr((X+tA)^{M})" for M, k in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +155,9 @@ def brailov_duality_check(spec: AlgebraSpec, k: int, M: int,
         raise AlgebraError("need 1 <= k < M")
     X = point_X.coordinate_realization()
     A = point_A.coordinate_realization()
-    lhs = coordinate_gradient(spec, shift_expand_gradient(X, A, M, k))
-    shifted = coordinate_gradient(spec, shift_expand_gradient(A, X, M, M - k - 1))
-    plain = coordinate_gradient(spec, shift_expand_gradient(A, X, M, M - k))
+    lhs = coordinate_gradient(spec, shift_expand_gradients(X, A, [(M, k)])[0])
+    shifted, plain = (coordinate_gradient(spec, G)
+                      for G in shift_expand_gradients(A, X, [(M, M - k - 1), (M, M - k)]))
     return DualityOutcome(
         k=k, M=M,
         holds_shifted_index=(lhs == shifted),
@@ -165,15 +168,6 @@ def brailov_duality_check(spec: AlgebraSpec, k: int, M: int,
 
 # ---------------------------------------------------------------------------
 # tangent-space intersection with the shift orbit direction [A, g]
-
-
-def _matrix_gradient_rows(spec, fs, X):
-    """Trace-form gradients in g of closed-form members at X, flattened."""
-    rows = []
-    for f in fs:
-        G = algebra_projection(spec, f(X))
-        rows.append([x for row in G for x in row])
-    return rows
 
 
 def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=42):
@@ -204,19 +198,21 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
         raise AlgebraError("dim [A, g] is odd; inconsistent stabilizer")
     rhs = bracket_dim // 2
 
-    fs, _ = shift_family(spec, rows_A)
     m = spec.matrix_size
-    traces = [partial(shift_expand_gradient, A=rows_A, M=M, k=0) for M in range(1, m + 1)]
+    traces = [(M, 0) for M in range(1, m + 1)]
     X = None
     for t in range(trials):
         cand = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
-        if linalg.rank([coordinate_gradient(spec, f(cand)) for f in traces]) == ind:
+        grads = shift_expand_gradients(cand, rows_A, traces)
+        if linalg.rank([coordinate_gradient(spec, G) for G in grads]) == ind:
             X = cand
             break
     if X is None:
         raise AlgebraError("no regular point found within the trial budget")
 
-    grad_rows = _matrix_gradient_rows(spec, fs, X)
+    gradients, _ = shift_family(spec, rows_A)
+    # the family's trace-form gradients in g at X, flattened
+    grad_rows = [[x for row in algebra_projection(spec, G) for x in row] for G in gradients(X)]
     stab_rows = [
         [mat[r][c] for r in range(m) for c in range(m)] for mat in stab
     ]

@@ -3,8 +3,54 @@
 from functools import partial
 
 from envshift import elements as el
-from envshift.classical import algebra_projection, shift_expand_gradient, shift_pair_gradient
+from envshift import linalg
+from envshift.classical import algebra_projection
 from envshift.pbw import NCPolynomial, _accumulate, commutator, multiply
+
+
+def shift_power(X, A, M, kmax):
+    """The t^0 .. t^kmax parts of (X + t A)^M, from a power loop of its own."""
+    graded = [linalg.identity(len(X))]
+    for _ in range(M):
+        nxt = [linalg.mat_mul(graded[0], X)]
+        for k in range(1, min(len(graded), kmax) + 1):
+            term = linalg.mat_mul(graded[k - 1], A)
+            if k < len(graded):
+                term = linalg.mat_add(linalg.mat_mul(graded[k], X), term)
+            nxt.append(term)
+        graded = nxt
+    return graded
+
+
+def shift_expand_gradient(X, A, M, k):
+    """Matrix gradient M [t^k](X + t A)^(M-1) of the one member [t^k] tr((X + t A)^M).
+
+    k = 0 is tr(X^M); k = M, the constant tr(A^M), has gradient zero.
+    """
+    if not (M >= 1 and 0 <= k <= M):
+        raise ValueError("need M >= 1 and 0 <= k <= M")
+    graded = shift_power(X, A, M - 1, k)
+    if k == len(graded):
+        return linalg.mat_scale(X, 0)
+    return linalg.mat_scale(graded[k], M)
+
+
+def shift_pair_gradient(X, A, N):
+    """Matrix gradient sum_k X^k A X^(N-1-k) of tr(A X^N), summed term by term."""
+    if N < 1:
+        raise ValueError("power must be >= 1")
+    powers = [linalg.identity(len(X))]
+    for _ in range(N - 1):
+        powers.append(linalg.mat_mul(powers[-1], X))
+    G = linalg.mat_scale(X, 0)
+    for k in range(N):
+        G = linalg.mat_add(G, linalg.mat_mul(linalg.mat_mul(powers[k], A), powers[N - 1 - k]))
+    return G
+
+
+def family(*members):
+    """One gradient function X -> [G, ...] from per-member gradient functions."""
+    return lambda X: [f(X) for f in members]
 
 
 def casimir_degrees(spec):
@@ -13,6 +59,8 @@ def casimir_degrees(spec):
 
 def hand_picked_shift_family(spec, A_rows):
     """The family ``rank`` ranked before the full argument-shift family, as (gradients, labels).
+
+    ``gradients`` evaluates the per-member oracles above, one power loop each.
 
     tr(X^M) over the Casimir degrees, then tr(A.X^N) for N up to 2n (odd N
     only for so/sp, up to 2n + 1).  The shifted traces are all dropped when A
@@ -25,7 +73,7 @@ def hand_picked_shift_family(spec, A_rows):
     labels = [f"tr(X^{M})" for M in casimir_degrees(spec)]
     fs += [partial(shift_pair_gradient, A=A_rows, N=N) for N in shifts]
     labels += [f"tr(A.X^{N})" for N in shifts]
-    return fs, labels
+    return family(*fs), labels
 
 
 def power_bracket_residual_direct(spec, M, N, i, j, k, l):

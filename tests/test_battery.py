@@ -39,3 +39,15 @@ def test_battery_runs_without_install_and_tells_a_crash_from_a_fail(
     monkeypatch.setattr(module, "ROOT", checkout)
     assert module.main() == 2
     assert capsys.readouterr().out.splitlines()[0] == "ERROR  envshift rank --algebra gl:2"
+
+
+def test_battery_leaves_one_report_per_entry(monkeypatch, tmp_path, capsys):
+    entry = ["rank", "--algebra", "gl:2", "--A", "diag:1,2"]
+    module = _battery(monkeypatch, tmp_path, entry)
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "99_old.json").write_text("{}")
+    (reports / "notes.txt").write_text("not a report")
+    assert module.main() == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"PASS  envshift {' '.join(entry)}"
+    assert sorted(p.name for p in reports.iterdir()) == ["00_rank_gl2_diag1,2.json", "notes.txt"]

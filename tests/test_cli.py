@@ -117,12 +117,13 @@ def _doubled_lhs(real):
     # M=4, k=1: the k=1 gradient doubled, so neither index reading holds
     from envshift import linalg
 
-    return lambda X, A, M, k: linalg.mat_scale(real(X, A, M, k), 2 if k == 1 else 1)
+    return lambda X, A, pairs: [linalg.mat_scale(G, 2 if k == 1 else 1)
+                                for G, (_, k) in zip(real(X, A, pairs), pairs)]
 
 
 def _plain_as_shifted(real):
     # M=4, k=1: the M-k (j=3) gradient replaced by the M-k-1 (j=2) one, so both hold
-    return lambda X, A, M, k: real(X, A, M, 2 if k == 3 else k)
+    return lambda X, A, pairs: real(X, A, [(M, 2 if k == 3 else k) for M, k in pairs])
 
 
 @pytest.mark.parametrize("patch, outcome, code", [
@@ -134,8 +135,8 @@ def test_duality_outcomes_when_forced(tmp_path, monkeypatch, patch, outcome, cod
     from envshift.algebra import parse_algebra
     from envshift.pbw import parse
 
-    monkeypatch.setattr(independence, "shift_expand_gradient",
-                        patch(independence.shift_expand_gradient))
+    monkeypatch.setattr(independence, "shift_expand_gradients",
+                        patch(independence.shift_expand_gradients))
     out = tmp_path / "rep.json"
     argv = ["classical", "duality", "--algebra", "gl:3", "--M", "4", "--k", "1",
             "--seeds", "2", "--out", str(out)]

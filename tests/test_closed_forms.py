@@ -23,13 +23,15 @@ from envshift.classical import (
     gradient,
     power_trace,
     shift_expand,
-    shift_expand_gradient,
-    shift_pair_gradient,
+    shift_expand_gradients,
     shift_pair_trace,
+    shift_powers,
     shifted_charpoly_values,
 )
+from envshift.chains import chain_generators, default_chain
 from envshift.independence import jacobian_rank, shift_family
 from envshift.shifts import canonical_shift, shift_from_designator
+from oracles import shift_expand_gradient, shift_pair_gradient
 
 ALGEBRAS = ("gl:2", "gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2")
 
@@ -52,10 +54,11 @@ def test_trace_gradients_match_symbolic(name):
     for point in _points(spec, rng):
         X = point.coordinate_realization()
         for M in range(1, top + 1):
-            assert coordinate_gradient(spec, shift_expand_gradient(X, A, M, 0)) == gradient(
+            assert coordinate_gradient(spec, shift_expand_gradients(X, A, [(M, 0)])[0]) == gradient(
                 power_trace(spec, M), point
             ), (name, M)
-            assert coordinate_gradient(spec, shift_pair_gradient(X, A, M)) == gradient(
+            # tr(A X^M) has the gradient [t^1](X + tA)^M
+            assert coordinate_gradient(spec, shift_powers(X, A, M, 1)[M][1]) == gradient(
                 shift_pair_trace(spec, A, M), point
             ), (name, M)
 
@@ -68,11 +71,12 @@ def test_shift_expand_gradients_match_symbolic(name):
     A = _random_rows(m, rng)
     for point in _points(spec, rng):
         X = point.coordinate_realization()
-        for M in range(1, 4):
-            comps = [power_trace(spec, M)] + shift_expand(spec, M, A)
-            for k, f in enumerate(comps):
-                got = coordinate_gradient(spec, shift_expand_gradient(X, A, M, k))
-                assert got == gradient(f, point), (name, M, k)
+        pairs = [(M, k) for M in range(1, 4) for k in range(M)]
+        comps = {M: [power_trace(spec, M)] + shift_expand(spec, M, A) for M in range(1, 4)}
+        for (M, k), G in zip(pairs, shift_expand_gradients(X, A, pairs)):
+            assert coordinate_gradient(spec, G) == gradient(comps[M][k], point), (name, M, k)
+    with pytest.raises(ValueError):
+        shift_expand_gradients(X, A, [(2, 2)])  # the constant tr(A^2) is no member
 
 
 def test_point_realizations_differ_only_on_sp():
@@ -161,10 +165,10 @@ def test_shift_family_rows_match_symbolic_family(name, desig):
     symbolic = []
     for M in range(1, spec.matrix_size + 1):
         symbolic += [power_trace(spec, M)] + shift_expand(spec, M, A)[: M - 1]
-    assert len(symbolic) == len(fs) == len(labels)
+    assert len(symbolic) == len(labels)
     for point in _points(spec, random.Random("family" + name)):
         X = point.coordinate_realization()
-        assert [coordinate_gradient(spec, f(X)) for f in fs] == [
+        assert [coordinate_gradient(spec, G) for G in fs(X)] == [
             gradient(f, point) for f in symbolic
         ]
     closed = jacobian_rank(fs, spec, trials=3, seed=11, labels=labels)
@@ -172,3 +176,39 @@ def test_shift_family_rows_match_symbolic_family(name, desig):
     assert closed.ranks == tuple(
         linalg.rank([gradient(f, point) for f in symbolic]) for point in points
     )
+
+
+ONE_PASS_ALGEBRAS = ("gl:2", "gl:3", "gl:4", "gl:5", "gl:6", "so:4", "so:5", "so:6", "so:7",
+                     "so:8", "sp:1", "sp:2", "sp:3")
+
+
+@pytest.mark.parametrize("name", ONE_PASS_ALGEBRAS)
+def test_shift_family_matches_per_member_oracle(name):
+    # one shift_powers table per point against one power loop per member
+    spec = parse_algebra(name)
+    m = spec.matrix_size
+    rng = random.Random("one-pass" + name)
+    A = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)]
+    gradients, labels = shift_family(spec, A)
+    pairs = [(M, k) for M in range(1, m + 1) for k in range(M)]
+    assert len(labels) == len(pairs)
+    for point in _points(spec, rng):
+        X = point.coordinate_realization()
+        assert gradients(X) == [shift_expand_gradient(X, A, M, k) for M, k in pairs], name
+
+
+@pytest.mark.parametrize("name", ONE_PASS_ALGEBRAS)
+def test_chain_member_gradients_match_per_member_oracle(name):
+    # tr(B X_I^N) on the level block I, embedded in the full matrix
+    spec = parse_algebra(name)
+    m = spec.matrix_size
+    for point in _points(spec, random.Random("member" + name)):
+        X = point.coordinate_realization()
+        for g in chain_generators(default_chain(spec)).generators:
+            pos = [spec.position(i) for i in g.indices]
+            block = shift_pair_gradient([[X[r][c] for c in pos] for r in pos], g.B, g.N)
+            want = [[0] * m for _ in range(m)]
+            for a, r in enumerate(pos):
+                for b, c in enumerate(pos):
+                    want[r][c] = block[a][b]
+            assert g.matrix_gradient(X) == want, (name, g.label)

@@ -25,8 +25,6 @@ from envshift.classical import (
     derive_rng,
     gradient,
     power_trace,
-    shift_expand_gradient,
-    shift_pair_gradient,
     shift_pair_trace,
     top_symbol,
 )
@@ -39,7 +37,7 @@ from envshift.independence import (
 )
 from envshift.params import ParamPolynomial
 from envshift.shifts import canonical_shift, shift_from_designator
-from oracles import hand_picked_shift_family
+from oracles import family, hand_picked_shift_family, shift_expand_gradient, shift_pair_gradient
 
 GL2 = make_algebra(GL, 2)
 GL3 = make_algebra(GL, 3)
@@ -60,16 +58,16 @@ def _assert_rows_match(spec, fs, polys, seed, trials=3):
     for t in range(trials):
         point = PointOnDual.random(spec, derive_rng(seed, t))
         X = point.coordinate_realization()
-        assert [coordinate_gradient(spec, f(X)) for f in fs] == [
+        assert [coordinate_gradient(spec, G) for G in fs(X)] == [
             gradient(p, point) for p in polys
         ]
 
 
 def test_rank_certificate_examples():
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [partial(shift_expand_gradient, A=A, M=1, k=0),
-            partial(shift_expand_gradient, A=A, M=2, k=0),
-            partial(shift_pair_gradient, A=A, N=1)]
+    gens = family(partial(shift_expand_gradient, A=A, M=1, k=0),
+                  partial(shift_expand_gradient, A=A, M=2, k=0),
+                  partial(shift_pair_gradient, A=A, N=1))
     _assert_rows_match(
         GL2, gens, [power_trace(GL2, 1), power_trace(GL2, 2), shift_pair_trace(GL2, A, 1)], 42
     )
@@ -77,24 +75,35 @@ def test_rank_certificate_examples():
     assert cert.rank == 3 and cert.target == 3 and cert.verdict == "PASS"
     assert cert.stable and len(cert.ranks) == 3
 
-    _assert_rows_match(GL2, [_zero_gradient], [ParamPolynomial.const(5)], 1, trials=2)
-    single = jacobian_rank([_zero_gradient], GL2, trials=2, seed=1)
+    _assert_rows_match(GL2, family(_zero_gradient), [ParamPolynomial.const(5)], 1, trials=2)
+    single = jacobian_rank(family(_zero_gradient), GL2, trials=2, seed=1)
     assert single.rank == 0 and single.verdict == "FAIL"
 
-    with pytest.raises(AlgebraError):
-        jacobian_rank([], GL2)
+
+def test_rank_rejects_an_empty_family():
+    with pytest.raises(AlgebraError, match="^empty generator list$"):
+        jacobian_rank(family(), GL2)
+
+
+def test_rank_rejects_a_label_count_mismatch():
+    gens = family(_zero_gradient, _square_of_trace_gradient)
+    assert jacobian_rank(gens, GL2, labels=["a", "b"]).labels == ("a", "b")
+    for labels in (["a"], ["a", "b", "c"]):
+        with pytest.raises(AlgebraError, match="labels for 2 generators"):
+            jacobian_rank(gens, GL2, labels=labels)
 
 
 def test_rank_rejects_symbolic_generators():
     for gen in (el.casimir(GL2, 2), power_trace(GL2, 2)):
-        with pytest.raises(AlgebraError):
-            jacobian_rank([gen], GL2)
+        for gens in (gen, [gen]):
+            with pytest.raises(AlgebraError):
+                jacobian_rank(gens, GL2)
 
 
 def test_rank_negative_control():
     t = power_trace(GL2, 1)
     A = [[1, 0], [0, 2]]
-    gens = [partial(shift_expand_gradient, A=A, M=1, k=0), _square_of_trace_gradient]
+    gens = family(partial(shift_expand_gradient, A=A, M=1, k=0), _square_of_trace_gradient)
     _assert_rows_match(GL2, gens, [t, t * t], 3)
     cert = jacobian_rank(gens, GL2, trials=3, seed=3)
     assert cert.rank == 1 and cert.verdict == "FAIL"
@@ -105,12 +114,12 @@ def test_rank_monotonicity_and_duplication():
     base = [partial(shift_expand_gradient, A=A, M=1, k=0), partial(shift_pair_gradient, A=A, N=2)]
     extra = partial(shift_expand_gradient, A=A, M=2, k=0)
     _assert_rows_match(
-        GL2, base + [extra],
+        GL2, family(*base, extra),
         [power_trace(GL2, 1), shift_pair_trace(GL2, A, 2), power_trace(GL2, 2)], 5,
     )
-    r_base = jacobian_rank(base, GL2, trials=3, seed=5).rank
-    r_more = jacobian_rank(base + [extra], GL2, trials=3, seed=5).rank
-    r_dup = jacobian_rank(base + [base[0]], GL2, trials=3, seed=5).rank
+    r_base = jacobian_rank(family(*base), GL2, trials=3, seed=5).rank
+    r_more = jacobian_rank(family(*base, extra), GL2, trials=3, seed=5).rank
+    r_dup = jacobian_rank(family(*base, base[0]), GL2, trials=3, seed=5).rank
     assert r_more >= r_base
     assert r_dup == r_base
 
@@ -179,7 +188,8 @@ def test_default_chains_reach_their_targets_at_larger_rank(name, target):
 def test_certificate_serialization_is_deterministic():
     spec = GL2
     A = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(2)]]
-    gens = [partial(shift_expand_gradient, A=A, M=1, k=0), partial(shift_pair_gradient, A=A, N=1)]
+    gens = family(partial(shift_expand_gradient, A=A, M=1, k=0),
+                  partial(shift_pair_gradient, A=A, N=1))
     a = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     b = jacobian_rank(gens, spec, trials=3, seed=9).serialize()
     assert a == b
@@ -272,15 +282,38 @@ def test_stabilizer_block_index_matches_full_rank():
 
 
 def test_shift_family_members_and_labels():
-    fs, labels = shift_family(GL3, shift_from_designator(GL3, "diag:1,2,3").numeric_rows())
+    A = shift_from_designator(GL3, "diag:1,2,3").numeric_rows()
+    gradients, labels = shift_family(GL3, A)
     assert labels == [
         "[t^0]tr((X+tA)^1)",
         "[t^0]tr((X+tA)^2)", "[t^1]tr((X+tA)^2)",
         "[t^0]tr((X+tA)^3)", "[t^1]tr((X+tA)^3)", "[t^2]tr((X+tA)^3)",
     ]
-    assert [(f.keywords["M"], f.keywords["k"]) for f in fs] == [
+    X = PointOnDual.random(GL3, random.Random(3)).coordinate_realization()
+    assert gradients(X) == [shift_expand_gradient(X, A, M, k) for M, k in [
         (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
-    ]
+    ]]
+
+
+@pytest.mark.parametrize("argv, tables", [
+    (["rank", "--algebra", "gl:4", "--A", "diag:1,2,3,4"], 3),
+    (["rank", "--algebra", "so:6", "--A", "diag:-3,-2,-1,1,2,3", "--trials", "2"], 2),
+])
+def test_rank_builds_one_power_table_per_point(monkeypatch, argv, tables):
+    from envshift import classical, cli
+
+    calls = []
+    real = classical.shift_powers
+
+    def spy(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(classical, "shift_powers", spy)
+    assert cli.main(argv) == 0
+    m = parse_algebra(argv[2]).matrix_size
+    # one table up to (X + tA)^(m-1), all its t-degrees, per trial point
+    assert calls == [(m - 1, m - 1)] * tables
 
 
 FAMILY_ALGEBRAS = ("gl:2", "gl:3", "gl:4", "gl:5", "gl:6", "so:4", "so:5", "so:6", "so:7",
@@ -299,8 +332,8 @@ def test_full_family_span_contains_hand_picked_family(name):
         old, _ = hand_picked_shift_family(spec, A)
         for s in range(2):
             X = PointOnDual.random(spec, derive_rng("span", name, s)).coordinate_realization()
-            rows_new = [coordinate_gradient(spec, f(X)) for f in new]
-            rows_old = [coordinate_gradient(spec, f(X)) for f in old]
+            rows_new = [coordinate_gradient(spec, G) for G in new(X)]
+            rows_old = [coordinate_gradient(spec, G) for G in old(X)]
             assert linalg.rank(rows_new + rows_old) == linalg.rank(rows_new), (name, A, s)
 
 
