@@ -21,6 +21,9 @@ The record, stored under --label (other labels in --out are kept):
   of a seeded integer matrix of the so:8 family's shape (36 x 28);
 * the ``src/`` line count, the Python version, ``nproc`` and HEAD.
 
+The checkout's ``src`` is compiled to bytecode first, so no timed child
+compiles it, whatever PYTHONDONTWRITEBYTECODE says.
+
 Timings are medians of REPEATS runs where repeated.  The benchmark gate is
 ``perfbench/run.py``; this file is the per-change record beside it.
 """
@@ -28,6 +31,7 @@ Timings are medians of REPEATS runs where repeated.  The benchmark gate is
 from __future__ import annotations
 
 import argparse
+import compileall
 import contextlib
 import hashlib
 import importlib.util
@@ -53,6 +57,18 @@ CLASSICAL = {
                                 "--A", "diag:-1,0,0,0,0,0,0,1"],
     "classical_lemma2_so8_s": ["classical", "lemma2", "--algebra", "so:8"],
 }
+
+
+def compile_sources(root: Path) -> None:
+    """Write the bytecode of the checkout's ``src`` once, before any timed run.
+
+    The timed children inherit the caller's environment; under
+    PYTHONDONTWRITEBYTECODE=1 a checkout without ``__pycache__`` would
+    otherwise recompile ``envshift`` in every one of them.  ``compileall``
+    writes the files whatever that variable says, and the children read them.
+    """
+    if not compileall.compile_dir(str(root / "src"), quiet=1):
+        raise RuntimeError(f"{root / 'src'} does not compile")
 
 
 def _env(root: Path) -> dict:
@@ -200,6 +216,7 @@ def main(argv=None) -> int:
         return 0
     if args.out is None:
         ap.error("--out is required")
+    compile_sources(root)
     record = {
         "head": head(root),
         "python": sys.version.split()[0],

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .params import _accumulate
+
 GL = "gl"
 SO_ODD = "so_odd"
 SO_EVEN = "so_even"
@@ -175,36 +177,29 @@ def parse_algebra(text: str) -> AlgebraSpec:
     raise AlgebraError(f"bad algebra designator {text!r}")
 
 
-def bracket_structure(spec: AlgebraSpec, a, b) -> dict:
-    """[X[a], X[b]] as a map {canonical pair: integer coefficient}.
+def bracket_terms(spec: AlgebraSpec, i: int, j: int, k: int, l: int) -> list:
+    """[X[i,j], X[k,l]] = sum c*X[r,s] as (r, s, c), over raw index pairs.
 
     gl:     [X_ij, X_kl] = d_kj X_il - d_il X_kj
     so/sp:  adds eps_i eps_j (d_{j,-l} X_{k,-i} - d_{k,-i} X_{-j,l}).
     """
-    (i, j), (k, l) = a, b
     for idx in (i, j, k, l):
         spec.position(idx)
+    e = spec.eps(i) * spec.eps(j)
+    so_sp = not spec.is_gl
+    return [(r, s, c) for r, s, c, applies in (
+        (i, l, 1, k == j), (k, j, -1, i == l),
+        (k, -i, e, so_sp and j == -l), (-j, l, -e, so_sp and k == -i)) if applies]
+
+
+def bracket_structure(spec: AlgebraSpec, a, b) -> dict:
+    """[X[a], X[b]] as a map {canonical pair: integer coefficient}."""
     acc: dict = {}
-
-    def add(i2, j2, c):
-        s, rep = spec.canonicalize_pair(i2, j2)
-        if rep is None:
-            return
-        acc[rep] = acc.get(rep, 0) + c * s
-        if acc[rep] == 0:
-            del acc[rep]
-
-    if k == j:
-        add(i, l, 1)
-    if i == l:
-        add(k, j, -1)
-    if not spec.is_gl:
-        e = spec.eps(i) * spec.eps(j)
-        if j == -l:
-            add(k, -i, e)
-        if k == -i:
-            add(-j, l, -e)
-    return acc
+    for r, s, c in bracket_terms(spec, *a, *b):
+        sign, pair = spec.canonicalize_pair(r, s)
+        if pair is not None:
+            _accumulate(acc, {pair: sign}, c)
+    return {pair: c for pair, c in acc.items() if c}
 
 
 def lie_generating_set(spec: AlgebraSpec, indices) -> tuple:
@@ -229,11 +224,7 @@ def lie_generating_set(spec: AlgebraSpec, indices) -> tuple:
                 return vec
             # eliminating the first pivot brings in only pairs after it
             q = min(pivots, key=order)
-            c = vec[q]
-            for r, d in basis[q].items():
-                vec[r] = vec.get(r, 0) - c * d
-                if not vec[r]:
-                    del vec[r]
+            vec = {r: c for r, c in _accumulate(vec, basis[q], -vec[q]).items() if c}
 
     def close(todo):
         while todo:
@@ -254,8 +245,7 @@ def _bracket_with(spec: AlgebraSpec, pair, vec: dict) -> dict:
     """[X[pair], v] for v = sum_q vec[q] X[q]."""
     out: dict = {}
     for q, c in vec.items():
-        for r, d in bracket_structure(spec, pair, q).items():
-            out[r] = out.get(r, 0) + c * d
+        _accumulate(out, bracket_structure(spec, pair, q), c)
     return {r: c for r, c in out.items() if c}
 
 

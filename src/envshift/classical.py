@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import linalg
 from .algebra import (
@@ -20,8 +21,8 @@ from .algebra import (
     coordinates_to_matrix,
     matrix_to_coordinates,
 )
-from .params import ParamPolynomial, _scalar
-from .pbw import NCPolynomial, _accumulate, _tables
+from .params import ParamPolynomial, _accumulate, _scalar
+from .pbw import NCPolynomial, _tables
 
 
 def coordinate(spec: AlgebraSpec, i: int, j: int) -> ParamPolynomial:
@@ -70,11 +71,8 @@ def graded_symbol(p: NCPolynomial, degree: int) -> ParamPolynomial:
             continue
         if isinstance(c, ParamPolynomial):
             raise AlgebraError("classical images need numeric coefficients")
-        exps: dict = {}
-        for g in word:
-            exps[g] = exps.get(g, 0) + 1
-        mono = tuple(sorted(exps.items()))
-        acc[mono] = acc.get(mono, 0) + c
+        # a sorted word is a multiset of generators, so no two words share a monomial
+        acc[tuple((g, len(list(run))) for g, run in groupby(word))] = c
     return ParamPolynomial(acc)
 
 

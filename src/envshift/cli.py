@@ -29,7 +29,7 @@ from .classical import (
     shift_expand,
     shifted_charpoly_values,
 )
-from .pbw import NCPolynomial, commutator, format_poly
+from .pbw import NCPolynomial, commutator, format_poly, linear_combination
 from .shifts import canonical_shift, shift_from_designator, symbolic_shift
 
 
@@ -508,7 +508,8 @@ def cmd_classical(args) -> int:
                 if out.holds_shifted_index:
                     return True, None, det
                 # the gradient difference as the linear form sum_g d_g X[g]
-                diff = NCPolynomial(spec, {(g,): d for g, d in enumerate(out.residual)})
+                gens = (NCPolynomial.generator(spec, *pair) for pair in spec.canonical_generators)
+                diff = linear_combination(spec, zip(gens, out.residual))
                 return False, format_poly(diff), det
             _run_check(report, f"duality M={args.M} k={args.k} seed#{s}", run)
         report.parameters.update({"M": args.M, "k": args.k, "seeds": args.seeds})

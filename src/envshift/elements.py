@@ -16,9 +16,15 @@ a zero polynomial certifies the identity at that instance.
 from __future__ import annotations
 
 from . import linalg
-from .algebra import AlgebraError, AlgebraSpec, coordinates_to_matrix, matrix_in_algebra
+from .algebra import (
+    AlgebraError,
+    AlgebraSpec,
+    bracket_terms,
+    coordinates_to_matrix,
+    matrix_in_algebra,
+)
 from .params import ParamPolynomial, _mono_mul, _scalar
-from .pbw import _TABLES, NCPolynomial, _accumulate, commutator, multiply
+from .pbw import _TABLES, NCPolynomial, commutator, linear_combination, multiply
 from .shifts import ShiftMatrix
 
 _MPE_CACHE: dict = {}
@@ -58,16 +64,10 @@ def matrix_power_element(spec: AlgebraSpec, M: int, i: int, j: int, indices=None
     elif M == 1:
         out = NCPolynomial.generator(spec, i, j)
     else:
-        acc: dict = {}
-        for u in idx:
-            left = matrix_power_element(spec, M - 1, i, u, idx)
-            if left.is_zero:
-                continue
-            g = NCPolynomial.generator(spec, u, j)
-            if g.is_zero:
-                continue
-            _accumulate(acc, multiply(left, g).terms)
-        out = NCPolynomial(spec, acc, normalized=True)
+        left = (matrix_power_element(spec, M - 1, i, u, idx) for u in idx)
+        right = (NCPolynomial.generator(spec, u, j) for u in idx)
+        out = linear_combination(spec, (
+            (multiply(x, g), 1) for x, g in zip(left, right) if x.terms and g.terms))
     _MPE_CACHE[key] = out
     return out
 
@@ -80,23 +80,17 @@ def casimir(spec: AlgebraSpec, M: int, indices=None) -> NCPolynomial:
     key = (spec, idx, M, None, None)
     out = _MPE_CACHE.get(key)
     if out is None:
-        acc: dict = {}
-        for i in idx:
-            _accumulate(acc, matrix_power_element(spec, M, i, i, idx).terms)
-        out = _MPE_CACHE[key] = NCPolynomial(spec, acc, normalized=True)
+        out = _MPE_CACHE[key] = linear_combination(
+            spec, ((matrix_power_element(spec, M, i, i, idx), 1) for i in idx))
     return out
 
 
 def contract_rows(spec: AlgebraSpec, rows, M: int, indices=None) -> NCPolynomial:
     """(A X^M) = sum A[j,i] (X^M)[i,j] for a raw coefficient matrix over the subset."""
     idx = _indices(spec, indices)
-    acc: dict = {}
-    for jp, j in enumerate(idx):
-        for ip, i in enumerate(idx):
-            c = rows[jp][ip]
-            if c:
-                _accumulate(acc, matrix_power_element(spec, M, i, j, idx).terms, c)
-    return NCPolynomial(spec, acc, normalized=True)
+    return linear_combination(spec, (
+        (matrix_power_element(spec, M, i, j, idx), rows[jp][ip])
+        for jp, j in enumerate(idx) for ip, i in enumerate(idx) if rows[jp][ip]))
 
 
 def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int) -> NCPolynomial:
@@ -131,17 +125,10 @@ class _ShiftPart:
         if out is None:
             spec, rows, idx = self.spec, self.rows, self.indices
             pm = [[matrix_power_element(spec, a, i, j, idx) for j in idx] for i in idx]
-            out = []
-            for row in rows:
-                line = []
-                for c in range(len(idx)):
-                    acc: dict = {}
-                    for t, coef in enumerate(row):
-                        if coef:
-                            _accumulate(acc, pm[t][c].terms, coef)
-                    line.append(NCPolynomial(spec, acc, normalized=True))
-                out.append(line)
-            self._scaled[a] = out
+            out = self._scaled[a] = [
+                [linear_combination(spec, ((pm[t][c], coef) for t, coef in enumerate(row) if coef))
+                 for c in range(len(idx))]
+                for row in rows]
         return out
 
 
@@ -162,30 +149,19 @@ def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomia
         built = {}
     if not built:
         built.update((m, _ShiftPart(spec, rows, A.indices, m)) for m, rows in A.parts().items())
-    groups: dict = {}
+    groups: dict = {}   # mu -> R_mu
     for m, P in built.items():
         for m2, Q in built.items():
-            _accumulate(groups.setdefault(_mono_mul(m, m2), {}), form(P, Q).terms)
-    coeffs: dict = {}   # word -> {mu: nonzero coefficient of the word in R_mu}
-    for mu, terms in groups.items():
-        for w, c in terms.items():
-            if c:
-                coeffs.setdefault(w, {})[mu] = c
-    return NCPolynomial(spec, {
-        w: cs[()] if len(cs) == 1 and () in cs else ParamPolynomial(cs)
-        for w, cs in coeffs.items()
-    }, normalized=True)
+            mu, value = _mono_mul(m, m2), form(P, Q)
+            groups[mu] = groups[mu] + value if mu in groups else value
+    return linear_combination(spec, (
+        (r, ParamPolynomial({mu: 1}) if mu else 1) for mu, r in groups.items()))
 
 
 def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
                               built=None) -> NCPolynomial:
     """[(A X^M), (A X^N)], polarized: the form [(P X^M), (Q X^N)]."""
     return polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)), built)
-
-
-def linear_element(spec: AlgebraSpec, rows) -> NCPolynomial:
-    """(B X) for a raw matrix over the full index set."""
-    return contract_rows(spec, rows, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +209,7 @@ def check_centralizer(spec: AlgebraSpec, A, B, N: int) -> NCPolynomial:
     rows_B = _rule_rows(B)
     if not spec.is_gl and not matrix_in_algebra(spec, rows_B):
         raise AlgebraError("centralizer check requires B in the matrix algebra")
-    lhs = commutator(linear_element(spec, rows_B), contract_rows(spec, rows_A, N))
+    lhs = commutator(contract_rows(spec, rows_B, 1), contract_rows(spec, rows_A, N))
     bracket = _rule_rows(linalg.mat_commutator(rows_A, rows_B))
     factor = 1 if spec.is_gl else 2
     return lhs - contract_rows(spec, bracket, N) * factor
@@ -244,22 +220,15 @@ def check_centralizer(spec: AlgebraSpec, A, B, N: int) -> NCPolynomial:
 
 
 def tensorial_residual(spec: AlgebraSpec, M: int, i: int, j: int, k: int, l: int) -> NCPolynomial:
-    """Residual of [X[i,j], (X^M)[k,l]] = d_kj (X^M)[i,l] - d_il (X^M)[k,j] (+ so/sp terms)."""
-    for idx in (i, j, k, l):
-        spec.position(idx)
+    """Residual of [X[i,j], (X^M)[k,l]] = d_kj (X^M)[i,l] - d_il (X^M)[k,j] (+ so/sp terms).
+
+    The right side is the bracket [X[i,j], X[k,l]] of ``bracket_terms`` with
+    (X^M)[r,s] in place of X[r,s].
+    """
+    terms = bracket_terms(spec, i, j, k, l)
     lhs = commutator(NCPolynomial.generator(spec, i, j), matrix_power_element(spec, M, k, l))
-    rhs = NCPolynomial.zero(spec)
-    if k == j:
-        rhs = rhs + matrix_power_element(spec, M, i, l)
-    if i == l:
-        rhs = rhs - matrix_power_element(spec, M, k, j)
-    if not spec.is_gl:
-        e = spec.eps(i) * spec.eps(j)
-        if j == -l:
-            rhs = rhs + matrix_power_element(spec, M, k, -i) * e
-        if k == -i:
-            rhs = rhs - matrix_power_element(spec, M, -j, l) * e
-    return lhs - rhs
+    return lhs - linear_combination(
+        spec, ((matrix_power_element(spec, M, r, s), c) for r, s, c in terms))
 
 
 # ---------------------------------------------------------------------------
@@ -292,33 +261,35 @@ def power_flip_coefficients(spec: AlgebraSpec, M: int) -> list:
         prev = power_flip_coefficients(spec, M - 1)
         sigma = spec.pair_sign
         size = spec.matrix_size
-        cur: list = [{} for _ in range(M + 1)]
-        for p, cp in enumerate(prev):
-            if cp.is_zero:
-                continue
-            _accumulate(cur[p + 1], cp.terms, -1)
-            _accumulate(cur[p], cp.terms, size - sigma)
-            trace_p = casimir(spec, p) if p >= 1 else NCPolynomial.scalar(spec, size)
-            _accumulate(cur[0], multiply(cp, trace_p).terms, -1)
-            inner = power_flip_coefficients(spec, p)
-            for q, cq in enumerate(inner):
+
+        def pairs(q):
+            """C^(M)[q] as (element, coefficient) pairs, by the lines of the recursion."""
+            if q:
+                yield prev[q - 1], -1
+            if q < M:
+                yield prev[q], size - sigma
+            for p, cp in enumerate(prev[q:], start=q):
+                if cp.is_zero:
+                    continue
+                if not q:
+                    trace_p = casimir(spec, p) if p else NCPolynomial.scalar(spec, size)
+                    yield multiply(cp, trace_p), -1
+                cq = power_flip_coefficients(spec, p)[q]
                 if not cq.is_zero:
-                    _accumulate(cur[q], multiply(cp, cq).terms, sigma)
-        out = [NCPolynomial(spec, terms, normalized=True) for terms in cur]
+                    yield multiply(cp, cq), sigma
+
+        out = [linear_combination(spec, pairs(q)) for q in range(M + 1)]
     _FLIP_CACHE[key] = out
     return out
 
 
 def flip_residual(spec: AlgebraSpec, M: int, i: int, j: int) -> NCPolynomial:
     """Residual of the flip expansion of (X^M)[i,j] at one index pair."""
-    coeffs = power_flip_coefficients(spec, M)
     e = spec.eps(i) * spec.eps(j)
-    rhs: dict = {}
-    for p, cp in enumerate(coeffs):
-        if cp.is_zero:
-            continue
-        _accumulate(rhs, multiply(cp, matrix_power_element(spec, p, -j, -i)).terms, e)
-    return matrix_power_element(spec, M, i, j) - NCPolynomial(spec, rhs, normalized=True)
+    rhs = linear_combination(spec, (
+        (multiply(cp, matrix_power_element(spec, p, -j, -i)), e)
+        for p, cp in enumerate(power_flip_coefficients(spec, M)) if not cp.is_zero))
+    return matrix_power_element(spec, M, i, j) - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +323,23 @@ def power_bracket_residual(spec: AlgebraSpec, M: int, N: int, i: int, j: int, k:
                 matrix_power_element(spec, a, r, s), matrix_power_element(spec, b, t, u))
         return out
 
-    lhs = prod(M, i, j, N, k, l) - prod(N, k, l, M, i, j)
-    rhs: dict = {}
-    for S in range(1, M + 1):
-        _accumulate(rhs, prod(M + N - S, i, l, S - 1, k, j).terms)
-        _accumulate(rhs, prod(S - 1, i, l, M + N - S, k, j).terms, -1)
-    if not spec.is_gl:
-        sigma = spec.pair_sign
-        coeffs = power_flip_coefficients(spec, N)
+    def rhs():
+        for S in range(1, M + 1):
+            yield prod(M + N - S, i, l, S - 1, k, j), 1
+            yield prod(S - 1, i, l, M + N - S, k, j), -1
+        if spec.is_gl:
+            return
         e1 = spec.eps(-l) * spec.eps(k)
         e2 = spec.eps(-k) * spec.eps(l)
-        for p, cp in enumerate(coeffs):
+        for p, cp in enumerate(power_flip_coefficients(spec, N)):
             if cp.is_zero:
                 continue
-            part: dict = {}
-            for S in range(1, M + 1):
-                _accumulate(part, prod(M + p - S, i, -k, S - 1, -l, j).terms, e1)
-                _accumulate(part, prod(S - 1, i, -k, M + p - S, -l, j).terms, -e2)
-            part = NCPolynomial(spec, part, normalized=True)
-            _accumulate(rhs, multiply(cp, part).terms, sigma)
-    return lhs - NCPolynomial(spec, rhs, normalized=True)
+            part = linear_combination(spec, (pair for S in range(1, M + 1) for pair in (
+                (prod(M + p - S, i, -k, S - 1, -l, j), e1),
+                (prod(S - 1, i, -k, M + p - S, -l, j), -e2))))
+            yield multiply(cp, part), spec.pair_sign
+
+    return prod(M, i, j, N, k, l) - prod(N, k, l, M, i, j) - linear_combination(spec, rhs())
 
 
 def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: ShiftMatrix,
@@ -384,11 +352,12 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
         raise AlgebraError("the contracted recursion in this form is the gl case")
 
     def form(P, Q):
-        acc = dict(commutator(P.element(M), Q.element(N)).terms)
-        for S in range(1, M + 1):
-            for p in range(1, S):
-                _accumulate(acc, commutator(P.element(p - 1), Q.element(M + N - p - 1)).terms, -1)
-        return NCPolynomial(spec, acc, normalized=True)
+        def pairs():
+            yield commutator(P.element(M), Q.element(N)), 1
+            for S in range(1, M + 1):
+                for p in range(1, S):
+                    yield commutator(P.element(p - 1), Q.element(M + N - p - 1)), -1
+        return linear_combination(spec, pairs())
 
     return polarize(spec, A, form, built)
 
@@ -407,15 +376,10 @@ def trace_chain(P: _ShiftPart, Q: _ShiftPart, a: int, b: int) -> NCPolynomial:
     out = P._chains.get(key)
     if out is not None:
         return out
-    t1 = P.scaled_power(a)
     t2 = Q.scaled_power(b)
-    acc: dict = {}
-    for r, row in enumerate(t1):
-        for s, x in enumerate(row):
-            y = t2[s][r]
-            if not x.is_zero and not y.is_zero:
-                _accumulate(acc, multiply(x, y).terms)
-    out = P._chains[key] = NCPolynomial(P.spec, acc, normalized=True)
+    out = P._chains[key] = linear_combination(P.spec, (
+        (multiply(x, t2[s][r]), 1) for r, row in enumerate(P.scaled_power(a))
+        for s, x in enumerate(row) if x.terms and t2[s][r].terms))
     return out
 
 
@@ -449,38 +413,33 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
         raise AlgebraError("the contraction recursions in this form are so/sp")
     if sign not in A.symmetry_signs():
         raise AlgebraError(f"shift matrix does not satisfy symmetry sign {sign:+d}")
-    sigma = spec.pair_sign
     cN = power_flip_coefficients(spec, N)
 
     def straight(P, Q):
-        acc = dict(commutator(P.element(M), Q.element(N)).terms)
-        for S in range(1, M + 1):
-            _accumulate(acc, crossed_contraction(P, Q, S - 1, N + M - S).terms)
-        for p, cp in enumerate(cN):
-            if cp.is_zero:
-                continue
-            part: dict = {}
+        def pairs():
+            yield commutator(P.element(M), Q.element(N)), 1
             for S in range(1, M + 1):
-                _accumulate(part, crossed_contraction(P, Q, S - 1, p + M - S).terms)
-            part = NCPolynomial(spec, part, normalized=True)
-            _accumulate(acc, multiply(cp, part).terms, sign)
-        return NCPolynomial(spec, acc, normalized=True)
+                yield crossed_contraction(P, Q, S - 1, N + M - S), 1
+            for p, cp in enumerate(cN):
+                if not cp.is_zero:
+                    part = linear_combination(spec, (
+                        (crossed_contraction(P, Q, S - 1, p + M - S), 1) for S in range(1, M + 1)))
+                    yield multiply(cp, part), sign
+        return linear_combination(spec, pairs())
 
     def crossed(P, Q):
-        acc = dict(crossed_contraction(P, Q, M, N).terms)
-        for S in range(1, M + 1):
-            _accumulate(acc, commutator(P.element(S - 1), Q.element(M + N - S)).terms)
-        for p, cp in enumerate(cN):
-            if cp.is_zero:
-                continue
+        def pairs():
+            yield crossed_contraction(P, Q, M, N), 1
             for S in range(1, M + 1):
-                for q, cq in enumerate(power_flip_coefficients(spec, S - 1)):
-                    if cq.is_zero:
-                        continue
-                    term = crossed_contraction(P, Q, q, M + p - S)
-                    if not term.is_zero:
-                        _accumulate(acc, multiply(multiply(cp, cq), term).terms, sigma * sign)
-        return NCPolynomial(spec, acc, normalized=True)
+                yield commutator(P.element(S - 1), Q.element(M + N - S)), 1
+            for p, cp in enumerate(cN):
+                for S in range(1, M + 1):
+                    for q, cq in enumerate(power_flip_coefficients(spec, S - 1)):
+                        if cp.terms and cq.terms:
+                            term = crossed_contraction(P, Q, q, M + p - S)
+                            if term.terms:
+                                yield multiply(multiply(cp, cq), term), spec.pair_sign * sign
+        return linear_combination(spec, pairs())
 
     if built is None:
         built = {}

@@ -20,6 +20,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _accumulate(acc: dict, terms: dict, scale=1) -> dict:
+    """acc += scale * terms, in place; zero entries stay until the caller drops them."""
+    get = acc.get
+    if scale == 1:
+        for w, c in terms.items():
+            v = get(w)
+            acc[w] = c if v is None else v + c
+    else:
+        for w, c in terms.items():
+            v = get(w)
+            acc[w] = c * scale if v is None else v + c * scale
+    return acc
+
+
 def _scalar(c):
     """c as an exact number under the coefficient rule."""
     if isinstance(c, int):
@@ -74,19 +88,11 @@ class ParamPolynomial:
         if isinstance(other, ParamPolynomial):
             other = other.terms
         elif isinstance(other, (int, Fraction)):
-            if not other:
-                return self
             other = {(): other}
         else:
             return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.items():
-            v = terms.get(m, 0) + c
-            if v:
-                terms[m] = v
-            else:
-                del terms[m]
-        return ParamPolynomial._of(terms)
+        terms = _accumulate(dict(self.terms), other)
+        return ParamPolynomial._of({m: c for m, c in terms.items() if c})
 
     __radd__ = __add__
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgebraSpec, bracket_structure
-from .params import ParamPolynomial, _scalar, coeff_to_str
+from .params import ParamPolynomial, _accumulate, _scalar, coeff_to_str
 
 
 class _Tables:
@@ -96,20 +96,6 @@ def _fold(tab: _Tables, terms: dict, g: int) -> dict:
             v = get(w2)
             out[w2] = c * c2 if v is None else v + c * c2
     return {w: c for w, c in out.items() if c}
-
-
-def _accumulate(acc: dict, terms: dict, scale=1) -> dict:
-    """acc += scale * terms, in place; zero entries stay until the caller drops them."""
-    get = acc.get
-    if scale == 1:
-        for w, c in terms.items():
-            v = get(w)
-            acc[w] = c if v is None else v + c
-    else:
-        for w, c in terms.items():
-            v = get(w)
-            acc[w] = c * scale if v is None else v + c * scale
-    return acc
 
 
 def _coerce_coeff(c):
@@ -277,6 +263,23 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
 def commutator(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     """[p, q] = pq - qp, normalized."""
     return multiply(p, q) - multiply(q, p)
+
+
+def linear_combination(spec: AlgebraSpec, pairs) -> NCPolynomial:
+    """The sum of c*p over (p, c) pairs, in normal form.
+
+    Every sum of PBW polynomials is built here.  The pairs are read one at a
+    time, so a generator of fresh products keeps at most one of them alive.
+    A zero coefficient is skipped, and each coefficient multiplies the terms
+    from the right, so int coefficients on int terms stay ints.
+    """
+    acc: dict = {}
+    for p, c in pairs:
+        if p.spec != spec:
+            raise AlgebraError("mixed-algebra input")
+        if c:
+            _accumulate(acc, p.terms, c)
+    return NCPolynomial(spec, acc, normalized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,8 @@ def canonical_shift(spec: AlgebraSpec, sign: int, indices=None) -> ShiftMatrix:
     m = len(indices)
     rows = [[0] * m for _ in range(m)]
     if spec.is_gl:
+        if m < 2:
+            raise AlgebraError(f"{spec.designator} has no canonical rank-2 shift; --A is needed")
         rows[0][0] = 1
         rows[1][1] = 2
         return make_shift(spec, rows, indices)

@@ -296,6 +296,23 @@ def test_bad_arguments_exit_two_without_traceback():
         assert "error:" in r.stderr and "Traceback" not in r.stderr, args
 
 
+def test_default_shift_on_gl1_is_bad_input(tmp_path):
+    # diag(1, 2, 0, ...) does not fit gl:1, so the default shift is refused, not crashed on
+    out = str(tmp_path / "rep.json")
+    for args in (
+        ("rank", "--algebra", "gl:1"),
+        ("verify", "centralizer", "--algebra", "gl:1"),
+        ("classical", "lemma2", "--algebra", "gl:1"),
+    ):
+        r = run_cli(*args, "--out", out)
+        assert r.returncode == 2, args
+        errors = [line for line in r.stderr.splitlines() if "error:" in line]
+        assert errors == ["error: gl:1 has no canonical rank-2 shift; --A is needed"], args
+        assert "Traceback" not in r.stderr
+    for args in (("rank", "--algebra", "gl:1"), ("verify", "centralizer", "--algebra", "gl:1")):
+        assert run_cli(*args, "--A", "diag:1", "--out", out).returncode == 0, args
+
+
 def test_suite_without_checks_does_not_pass(tmp_path):
     for args in (
         ("classical", "lemma2", "--algebra", "gl:3"),

@@ -162,7 +162,7 @@ def test_centralizer_identity_so_sp_has_factor_two():
     from envshift import linalg
 
     B = [list(r) for r in SO4.defining_matrix((1, 2))]
-    lhs = commutator(el.linear_element(SO4, B), el.shift_generator(SO4, A, 2))
+    lhs = commutator(el.contract_rows(SO4, B, 1), el.shift_generator(SO4, A, 2))
     bk = linalg.mat_commutator(A.numeric_rows(), B)
     once = el.contract_rows(SO4, bk, 2)
     assert not (lhs - once).is_zero

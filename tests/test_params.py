@@ -47,3 +47,13 @@ def test_degree_and_partial():
     assert p.partial("a1") == a * b * 6
     assert p.partial("a2") == a * a * 3 + Fraction(1, 2)
     assert p.partial("a3").is_zero
+
+
+def test_addition_that_cancels_leaves_no_zero_term():
+    a = ParamPolynomial.variable("a1")
+    p = a * 2 + Fraction(1, 3)
+    zero = p + (a * -2 + Fraction(-1, 3))
+    assert zero.is_zero and zero.terms == {} and zero == 0
+    assert (p + Fraction(-1, 3)).terms == {(("a1", 1),): 2}
+    assert (ParamPolynomial.const(3) + -3).terms == {}
+    assert (p + 0).terms == p.terms

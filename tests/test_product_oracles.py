@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from envshift import cli
 from envshift import elements as el
 from envshift import linalg, pbw
-from envshift.algebra import parse_algebra
+from envshift.algebra import AlgebraError, parse_algebra
 from envshift.classical import shifted_charpoly_values
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, bubble_normal_form, format_poly, multiply, parse
@@ -33,9 +33,12 @@ PARAMS = ("a", "b")
 # strategies
 
 
+KINDS = ("int", "fraction", "param")
+
+
 @st.composite
-def coefficients(draw):
-    kind = draw(st.sampled_from(("int", "fraction", "param")))
+def coefficients(draw, kinds=KINDS):
+    kind = draw(st.sampled_from(kinds))
     num = draw(st.integers(-5, 5).filter(bool))
     if kind == "int":
         return num
@@ -49,14 +52,14 @@ def coefficients(draw):
 
 
 @st.composite
-def raw_terms(draw, spec, max_deg=3, max_terms=4):
+def raw_terms(draw, spec, max_deg=3, max_terms=4, kinds=KINDS):
     """Raw terms over words in any order, merged on equal words."""
     ngen = spec.dim
     terms: dict = {}
     for _ in range(draw(st.integers(1, max_terms))):
         deg = draw(st.integers(0, max_deg))
         word = tuple(draw(st.integers(0, ngen - 1)) for _ in range(deg))
-        terms[word] = terms.get(word, 0) + draw(coefficients())
+        terms[word] = terms.get(word, 0) + draw(coefficients(kinds))
     return terms
 
 
@@ -178,6 +181,41 @@ def test_scalar_and_zero_factors_take_the_short_path_to_the_same_product(designa
     assert el.matrix_power_element(spec, 2, 1, 2) is cached and cached.terms
     if isinstance(c, int):
         assert all(type(v) is int for v in multiply(s, cached).terms.values())
+
+
+# ---------------------------------------------------------------------------
+# linear combinations
+
+
+@pytest.mark.parametrize("designator", ["gl:3", "so:4"])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_linear_combination_is_the_folded_sum(designator, kind, data):
+    spec = parse_algebra(designator)
+    polys = [NCPolynomial(spec, data.draw(raw_terms(spec, max_deg=2, max_terms=3, kinds=(kind,))))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    pairs = [(p, data.draw(coefficients((kind,)))) for p in polys]
+    pairs += [(polys[0], -pairs[0][1]), (polys[-1], 0)]  # a cancelling pair and a zero coefficient
+    want = NCPolynomial.zero(spec)
+    for p, c in pairs:
+        want = want + p * c
+    got = pbw.linear_combination(spec, pairs)
+    assert got == want
+    assert all(got.terms.values())
+    if kind == "int":
+        assert all(type(c) is int for c in got.terms.values())
+    # pairs are read once, in order: a one-shot generator of fresh products gives the same sum
+    products = ((multiply(p, NCPolynomial.one(spec)), c) for p, c in pairs)
+    assert pbw.linear_combination(spec, products) == want
+    assert next(products, None) is None
+
+
+def test_linear_combination_rejects_another_algebra():
+    gl3, so4 = parse_algebra("gl:3"), parse_algebra("so:4")
+    with pytest.raises(AlgebraError, match="mixed-algebra"):
+        pbw.linear_combination(gl3, [(NCPolynomial.generator(so4, 2, 1), 1)])
+    assert pbw.linear_combination(gl3, []) == NCPolynomial.zero(gl3)
 
 
 # ---------------------------------------------------------------------------
