@@ -10,10 +10,14 @@ The record, stored under --label (other labels in --out are kept):
 * battery: each entry of the checkout's ``scripts/run_verifications.py``
   run as one CLI subprocess, with its exit code, wall time, peak RSS and
   report sha256, and the summed wall time;
+* cold: each CLI call of COLD as one subprocess, with its median wall
+  time and peak RSS;
 * micro: in-process timings in a child that imports the checkout's
   ``envshift``: ``multiply`` and ``commutator`` with warm rewrite caches,
-  ``matrix_power_element`` from empty caches, one cold ``verify prop4
-  --algebra so:4`` with its ``multiply`` call count, and the
+  ``mul_word_gen`` of every sorted degree-3 word of gl:4 by every generator
+  and ``matrix_power_element``, both from empty caches, one cold ``verify
+  prop4 --algebra so:4`` with its ``multiply`` call count, the
+  ``power_bracket_residual`` calls of each COLD call, and the
   ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
   default chains with the number of commutators it takes; and the classical
   layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
@@ -36,6 +40,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import random
@@ -50,6 +55,10 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 5
 CHAIN_FILES = ("gl5.json", "so6.json", "sp3.json")
+COLD = {
+    "verify_prop1_gl4": ["verify", "prop1", "--algebra", "gl:4"],
+    "verify_prop4_so5": ["verify", "prop4", "--algebra", "so:5"],
+}
 CLASSICAL = {
     "rank_so8_regular_s": ["rank", "--algebra", "so:8", "--A", "diag:-4,-3,-2,-1,1,2,3,4"],
     "rank_gl6_regular_s": ["rank", "--algebra", "gl:6", "--A", "diag:1,2,3,4,5,6"],
@@ -110,6 +119,20 @@ def battery(root: Path) -> dict:
     return {"wall_s": round(sum(s["wall_s"] for s in suites), 2), "suites": suites}
 
 
+def cold_cli(root: Path) -> dict:
+    """Median wall time and peak RSS of each COLD call, one subprocess per run."""
+    out = {}
+    for key, argv in COLD.items():
+        runs = [_timed([sys.executable, "-m", "envshift", *argv], root,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                for _ in range(REPEATS)]
+        if any(code for code, _, _ in runs):
+            raise RuntimeError(f"{' '.join(argv)} did not pass")
+        out[key] = {"wall_s": round(statistics.median(w for _, w, _ in runs), 3),
+                    "peak_rss_mb": round(statistics.median(r for _, _, r in runs), 1)}
+    return out
+
+
 def micro(root: Path) -> dict:
     """Run ``_micro`` in a child that imports the checkout's envshift."""
     out = subprocess.run([sys.executable, __file__, "--micro", "--root", str(root)],
@@ -149,9 +172,18 @@ def _micro(root: Path) -> dict:
     mpe = elements.matrix_power_element
     p, q = mpe(gl4, 4, 1, 2), mpe(gl4, 4, 2, 1)
     pbw.commutator(p, q)  # fill the rewrite caches
+    words = list(itertools.combinations_with_replacement(range(gl4.dim), 3))
+
+    def mul_word_gen():
+        tab = pbw._tables(gl4)
+        for w in words:
+            for g in range(gl4.dim):
+                tab.mul_word_gen(w, g)
+
     out = {
         "multiply_gl4_X4[1,2]_X4[2,1]_warm_s": median_s(lambda: pbw.multiply(p, q)),
         "commutator_gl4_X4[1,2]_X4[2,1]_warm_s": median_s(lambda: pbw.commutator(p, q)),
+        "mul_word_gen_gl4_degree3_all_cold_s": median_s(mul_word_gen, cold),
         "matrix_power_element_gl4_M4_all_cold_s": median_s(
             lambda: [mpe(gl4, 4, i, j) for i in gl4.index_set for j in gl4.index_set], cold),
     }
@@ -172,6 +204,12 @@ def _micro(root: Path) -> dict:
     elements.multiply = real_el
     restore_pbw()
     out["verify_prop4_so4_multiply_calls"] = count[0]
+    for key, argv in COLD.items():
+        cold()
+        count, restore = counting(elements, "power_bracket_residual")
+        passes(*argv)
+        restore()
+        out[f"{key}_power_bracket_residual_calls"] = count[0]
 
     for name in CHAIN_FILES:
         cold()
@@ -224,6 +262,7 @@ def main(argv=None) -> int:
         "src_lines": src_lines(root),
         "tier1": tier1(root),
         "battery": battery(root),
+        "cold": cold_cli(root),
         "micro": micro(root),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -14,6 +14,7 @@ for so the self-paired X[i,-i] vanish identically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -147,6 +148,53 @@ class AlgebraSpec:
         if self.family != GL:
             rows[self.position(-j)][self.position(-i)] -= self.eps(i) * self.eps(j)
         return tuple(tuple(r) for r in rows)
+
+
+def orbit_representatives(spec: AlgebraSpec, length: int) -> list:
+    """The first index tuple of each orbit of the index symmetries, in the
+    order of ``itertools.product(spec.index_set, repeat=length)``.
+
+    An index map s is a symmetry when X[i,j] -> X[s(i),s(j)] is an
+    automorphism of g, and so of U(g).  gl takes every permutation of 1..n.
+    so and sp permute the labels |i| with s(-i) = -s(i) (and s(0) = 0); so
+    may flip the sign of any label, sp only of all labels at once.  Each map
+    is conjugation by its permutation matrix, and eps(s(i))*eps(s(j)) =
+    eps(i)*eps(j), so it keeps the pair relation.  It fixes the Casimirs, so
+    a residual built from entries (X^a)[r,s] at the tuple's indices and
+    their negatives, Casimirs and such eps products maps to the residual at
+    s(t): it vanishes at every tuple once it vanishes at these, and the
+    first tuple where it does not is one of them.  Orbits are closed under
+    generators of the group: the adjacent transpositions of the labels, plus
+    the sign flip of label 1 (so) or the global negation (sp).
+    """
+    idx = spec.index_set
+    gens = []
+    for a in range(1, spec.n):
+        s = dict(zip(idx, idx))
+        s[a], s[a + 1] = a + 1, a
+        if not spec.is_gl:
+            s[-a], s[-a - 1] = -a - 1, -a
+        gens.append(s)
+    if spec.family == SP:
+        gens.append({i: -i for i in idx})
+    elif not spec.is_gl:
+        gens.append({**dict(zip(idx, idx)), 1: -1, -1: 1})
+    seen: set = set()
+    reps = []
+    for t in itertools.product(idx, repeat=length):
+        if t in seen:
+            continue
+        reps.append(t)
+        seen.add(t)
+        todo = [t]
+        while todo:
+            u = todo.pop()
+            for s in gens:
+                v = tuple(s[i] for i in u)
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+    return reps
 
 
 def make_algebra(family: str, n: int) -> AlgebraSpec:

@@ -102,21 +102,39 @@ def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int) -> NCPolynomial:
 
 class _ShiftPart:
     """One numeric part B of a shift, the coefficient matrix of its parameter
-    monomial, with each (B X^K), B*X^a and trace chain built once."""
+    monomial, with each (B X^K), B*X^a, trace chain and bracket built once."""
 
-    __slots__ = ("spec", "rows", "indices", "monomial", "_elements", "_scaled", "_chains")
+    __slots__ = ("spec", "rows", "indices", "monomial", "_elements", "_scaled", "_chains",
+                 "_brackets")
 
     def __init__(self, spec: AlgebraSpec, rows, indices, monomial=()):
         self.spec, self.rows, self.indices, self.monomial = spec, rows, indices, monomial
         self._elements: dict = {}
         self._scaled: dict = {}
         self._chains: dict = {}
+        self._brackets: dict = {}
 
     def element(self, K: int) -> NCPolynomial:
         """(B X^K) over the index subset."""
         out = self._elements.get(K)
         if out is None:
             out = self._elements[K] = contract_rows(self.spec, self.rows, K, self.indices)
+        return out
+
+    def bracket(self, K: int, Q: _ShiftPart, L: int) -> NCPolynomial:
+        """[(B X^K), (B' X^L)] for Q's part B', kept by (Q's monomial, K, L).
+
+        [x, x] = 0, and [Q_L, P_K] already built gives this one as its negation.
+        """
+        if self is Q and K == L:
+            return NCPolynomial.zero(self.spec)
+        key = (Q.monomial, K, L)
+        out = self._brackets.get(key)
+        if out is None:
+            swapped = Q._brackets.get((self.monomial, L, K))
+            if swapped is not None:
+                return -swapped
+            out = self._brackets[key] = commutator(self.element(K), Q.element(L))
         return out
 
     def scaled_power(self, a: int) -> list:
@@ -347,16 +365,16 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
     """gl recursion: [(AX^M),(AX^N)] = sum_{S=1..M} sum_{P=1..S-1} [(AX^{P-1}),(AX^{M+N-P-1})].
 
     Both sides are quadratic in A, so the residual is polarized (``polarize``).
+    The term does not depend on S, so it is taken once with weight M - P.
     """
     if not spec.is_gl:
         raise AlgebraError("the contracted recursion in this form is the gl case")
 
     def form(P, Q):
         def pairs():
-            yield commutator(P.element(M), Q.element(N)), 1
-            for S in range(1, M + 1):
-                for p in range(1, S):
-                    yield commutator(P.element(p - 1), Q.element(M + N - p - 1)), -1
+            yield P.bracket(M, Q, N), 1
+            for p in range(1, M):
+                yield P.bracket(p - 1, Q, M + N - p - 1), p - M
         return linear_combination(spec, pairs())
 
     return polarize(spec, A, form, built)
@@ -417,7 +435,7 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
 
     def straight(P, Q):
         def pairs():
-            yield commutator(P.element(M), Q.element(N)), 1
+            yield P.bracket(M, Q, N), 1
             for S in range(1, M + 1):
                 yield crossed_contraction(P, Q, S - 1, N + M - S), 1
             for p, cp in enumerate(cN):
@@ -431,7 +449,7 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
         def pairs():
             yield crossed_contraction(P, Q, M, N), 1
             for S in range(1, M + 1):
-                yield commutator(P.element(S - 1), Q.element(M + N - S)), 1
+                yield P.bracket(S - 1, Q, M + N - S), 1
             for p, cp in enumerate(cN):
                 for S in range(1, M + 1):
                     for q, cq in enumerate(power_flip_coefficients(spec, S - 1)):

@@ -1,11 +1,13 @@
 """Oracles kept for the tests only: superseded families to check the package against."""
 
+import itertools
 from functools import partial
 
 from envshift import elements as el
 from envshift import linalg
+from envshift.algebra import GL, SP
 from envshift.classical import algebra_projection
-from envshift.pbw import NCPolynomial, _accumulate, commutator, multiply
+from envshift.pbw import NCPolynomial, _accumulate, bubble_normal_form, commutator, multiply
 
 
 def shift_power(X, A, M, kmax):
@@ -100,3 +102,49 @@ def power_bracket_residual_direct(spec, M, N, i, j, k, l):
             part = NCPolynomial(spec, part, normalized=True)
             _accumulate(rhs, multiply(cp, part).terms, spec.pair_sign)
     return lhs - NCPolynomial(spec, rhs, normalized=True)
+
+
+def every_index_tuple(spec, length):
+    """Every index tuple, in the order the prop1/prop3/prop4 suites enumerated
+    them before they evaluated orbit representatives only.  In place of
+    ``cli.orbit_representatives`` it runs those suites exhaustively."""
+    return list(itertools.product(spec.index_set, repeat=length))
+
+
+def index_symmetry_group(spec):
+    """Every index map of the family's symmetry group, as dicts, listed directly:
+    the permutations of 1..n (gl); with every choice of signs (so); with one
+    sign for all labels (sp).  A map s sends the label a to s(a) and -a to -s(a)."""
+    labels = range(1, spec.n + 1)
+    if spec.family == GL:
+        signs = [(1,) * spec.n]
+    elif spec.family == SP:
+        signs = [(1,) * spec.n, (-1,) * spec.n]
+    else:
+        signs = list(itertools.product((1, -1), repeat=spec.n))
+    group = []
+    for perm in itertools.permutations(labels):
+        for sg in signs:
+            s = {0: 0} if 0 in spec.index_set else {}
+            for a, b, e in zip(labels, perm, sg):
+                s[a] = e * b
+                if not spec.is_gl:
+                    s[-a] = -e * b
+            group.append(s)
+    return group
+
+
+def map_indices(spec, s, p):
+    """The image of p under X[i,j] -> X[s(i),s(j)], put in normal form by the
+    bubble-sort rewriter (no product cache is read)."""
+    gens, ids = spec.canonical_generators, spec.generator_ids
+    raw: dict = {}
+    for word, c in p.terms.items():
+        out = []
+        for g in word:
+            i, j = gens[g]
+            sign, pair = spec.canonicalize_pair(s[i], s[j])
+            c = c * sign
+            out.append(ids[pair])
+        raw[tuple(out)] = raw.get(tuple(out), 0) + c
+    return NCPolynomial(spec, bubble_normal_form(spec, raw))

@@ -1,10 +1,9 @@
-import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import power_bracket_residual_direct
+from oracles import every_index_tuple, power_bracket_residual_direct
 
 from envshift import cli, pbw
 from envshift import elements as el
@@ -205,14 +204,10 @@ def test_flip_coefficients_examples():
         el.power_flip_coefficients(GL2, 2)
 
 
-def _index_tuples(spec, n):
-    return itertools.product(spec.index_set, repeat=n)
-
-
 @pytest.mark.parametrize("spec", [SO3, SO4, SP1], ids=lambda s: s.designator)
 def test_flip_expansion_and_leading_coefficient(spec):
     for M in range(0, 4):
-        for i, j in _index_tuples(spec, 2):
+        for i, j in every_index_tuple(spec, 2):
             assert el.flip_residual(spec, M + 1, i, j).is_zero, (M, i, j)
         coeffs = el.power_flip_coefficients(spec, M + 1)
         assert coeffs[-1] == NCPolynomial.scalar(spec, (-1) ** (M + 1))
@@ -221,7 +216,7 @@ def test_flip_expansion_and_leading_coefficient(spec):
 def test_power_bracket_expansion_gl_exhaustive_small():
     for M in (1, 2):
         for N in (1, 2):
-            for t in _index_tuples(GL2, 4):
+            for t in every_index_tuple(GL2, 4):
                 assert el.power_bracket_residual(GL2, M, N, *t).is_zero, (M, N, t)
     assert el.power_bracket_residual(GL3, 2, 2, 1, 2, 3, 1).is_zero
 
@@ -230,14 +225,14 @@ def test_power_bracket_expansion_so_sp_small():
     for spec in (SO3, SP1):
         for M in (1, 2):
             for N in (0, 1, 2):
-                for t in _index_tuples(spec, 4):
+                for t in every_index_tuple(spec, 4):
                     r = el.power_bracket_residual(spec, M, N, *t)
                     assert r.is_zero, (spec.designator, M, N, t)
 
 
 def _bracket_tuples(spec):
     """Every index tuple up to 3x3 matrices, a seeded sample of 12 above."""
-    tuples = list(_index_tuples(spec, 4))
+    tuples = every_index_tuple(spec, 4)
     if spec.matrix_size > 3:
         tuples = random.Random(spec.designator).sample(tuples, 12)
     return [(M, N, *t) for M in (1, 2) for N in (0, 1, 2) for t in tuples]
@@ -276,11 +271,9 @@ def test_power_bracket_suite_multiplies_each_table_key_once(argv, tmp_path, monk
     assert keys and len(keys) == len(set(keys))
 
 
-def test_power_bracket_suite_fails_on_a_perturbed_table_entry(tmp_path, monkeypatch):
-    # X[1,2].X[2,1] read one generator too high: the (M,N) = (1,1) residual at
-    # ijkl = (2,1,1,2) reads it as the subtrahend of its bracket, so the suite
-    # must FAIL there with the re-parseable witness -X[1,1]
-    key = (1, 1, 2, 1, 2, 1)
+def _perturbing(key):
+    """``power_bracket_residual`` that raises the table entry ``key`` by X[1,1]
+    right after the first residual that reads it."""
     real = el.power_bracket_residual
 
     def perturbing(spec, M, N, i, j, k, l, products):
@@ -291,13 +284,36 @@ def test_power_bracket_suite_fails_on_a_perturbed_table_entry(tmp_path, monkeypa
         return out
 
     perturbing.done = False
-    monkeypatch.setattr(el, "power_bracket_residual", perturbing)
+    return perturbing
+
+
+def test_power_bracket_suite_fails_on_a_perturbed_table_entry(tmp_path, monkeypatch):
+    # X[1,2].X[2,1] read one generator too high: the (M,N) = (1,1) residual at
+    # ijkl = (2,1,1,2) reads it as the subtrahend of its bracket, so the suite
+    # must FAIL there with the re-parseable witness -X[1,1].  The fault breaks
+    # the index symmetry, and (2,1,1,2) is no orbit representative, so the
+    # suite runs on every tuple here, as its exhaustive oracle
+    monkeypatch.setattr(cli, "orbit_representatives", every_index_tuple)
+    monkeypatch.setattr(el, "power_bracket_residual", _perturbing((1, 1, 2, 1, 2, 1)))
     out = tmp_path / "r.json"
     assert cli.main(["verify", "prop1", "--algebra", "gl:2", "--out", str(out)]) == 1
     first = json.loads(out.read_text())["checks"][0]
     assert first["outcome"] == "FAIL"
     assert first["detail"] == "(M=1,N=1,ijkl=(2, 1, 1, 2))"
     assert parse(GL2, first["residual"]) == -NCPolynomial.generator(GL2, 1, 1)
+
+
+def test_power_bracket_suite_fails_on_an_entry_a_representative_reads_later(tmp_path, monkeypatch):
+    # X[1,2].X[1,1] is first read at ijkl = (1,1,1,2); the representative
+    # (1,2,1,1) reads it again as the minuend of its bracket, so the suite as
+    # it runs must FAIL there with the re-parseable witness X[1,1]
+    monkeypatch.setattr(el, "power_bracket_residual", _perturbing((1, 1, 2, 1, 1, 1)))
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "prop1", "--algebra", "gl:2", "--out", str(out)]) == 1
+    first = json.loads(out.read_text())["checks"][0]
+    assert first["outcome"] == "FAIL"
+    assert first["detail"] == "(M=1,N=1,ijkl=(1, 2, 1, 1))"
+    assert parse(GL2, first["residual"]) == NCPolynomial.generator(GL2, 1, 1)
 
 
 def test_contracted_recursion_gl():
@@ -334,6 +350,32 @@ def test_crossed_contraction_with_a_zero_argument_cancels_under_polarization():
         for b in range(4):
             assert L2(0, b).is_zero and L2(b, 0).is_zero, (spec.designator, b)
         assert not L2(1, 2).is_zero, spec.designator
+
+
+@pytest.mark.parametrize("A", ["symbolic", None])
+def test_prop2_takes_each_shift_part_commutator_once(A, tmp_path, monkeypatch):
+    # [P_K, Q_L] is built once per unordered pair of distinct parts (P, K) and
+    # (Q, L); [P_K, P_K] is never multiplied
+    requested, operands = set(), []
+    real_bracket, real_commutator = el._ShiftPart.bracket, el.commutator
+
+    def bracket(self, K, Q, L):
+        if (self.monomial, K) != (Q.monomial, L):
+            requested.add(frozenset({(self.monomial, K), (Q.monomial, L)}))
+        return real_bracket(self, K, Q, L)
+
+    def commutator_spy(p, q):
+        operands.append((p, q))
+        return real_commutator(p, q)
+
+    monkeypatch.setattr(el._ShiftPart, "bracket", bracket)
+    monkeypatch.setattr(el, "commutator", commutator_spy)
+    argv = ["verify", "prop2", "--algebra", "gl:3", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv + (["--A", A] if A else [])) == 0
+    assert len(operands) == len(requested)
+    assert not any(p is q for p, q in operands)
+    pairs = [frozenset({id(p), id(q)}) for p, q in operands]
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_prop5_builds_each_trace_chain_once(monkeypatch):
