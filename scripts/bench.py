@@ -9,7 +9,8 @@ The record, stored under --label (other labels in --out are kept):
 * tier-1: wall time and the pytest summary of the checkout's own tests;
 * battery: each entry of the checkout's ``scripts/run_verifications.py``
   run as one CLI subprocess, with its exit code, wall time, peak RSS and
-  report sha256, and the summed wall time;
+  report sha256, and the summed wall time (every subprocess is started by
+  a bare launcher process, so its peak RSS is its own);
 * cold: each CLI call of COLD as one subprocess, with its median wall
   time and peak RSS;
 * micro: in-process timings in a child that imports the checkout's
@@ -84,12 +85,38 @@ def _env(root: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(root / "src"))
 
 
+# A forked child's peak RSS counts the RSS of the process it was forked from,
+# so each timed command is started by this bare interpreter, smaller than any
+# command it runs.  It writes the command's exit code, wall seconds and peak
+# RSS in KiB to the file descriptor named by its first argument.
+LAUNCHER = """
+import os, sys, time
+fd, cmd = int(sys.argv[1]), sys.argv[2:]
+t0 = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.close(fd)
+    try:
+        os.execvp(cmd[0], cmd)
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+wall = time.perf_counter() - t0
+os.write(fd, b"%d %r %d" % (os.waitstatus_to_exitcode(status), wall, usage.ru_maxrss))
+"""
+
+
 def _timed(cmd, root: Path, **kw):
-    """(exit code, wall seconds, peak RSS in MB) of one subprocess."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(cmd, cwd=root, env=_env(root), **kw)
-    _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), time.perf_counter() - t0, usage.ru_maxrss / 1024
+    """(exit code, wall seconds, peak RSS in MB) of one subprocess, from LAUNCHER."""
+    read, write = os.pipe()
+    with os.fdopen(read) as fh:
+        try:
+            subprocess.run([sys.executable, "-I", "-S", "-c", LAUNCHER, str(write), *cmd],
+                           cwd=root, env=_env(root), pass_fds=(write,), check=True, **kw)
+        finally:
+            os.close(write)
+        code, wall, rss = fh.read().split()
+    return int(code), float(wall), int(rss) / 1024
 
 
 def tier1(root: Path) -> dict:
@@ -144,10 +171,7 @@ def _micro(root: Path) -> dict:
     from envshift import chains, cli, elements, linalg, pbw
     from envshift.algebra import parse_algebra
 
-    def cold():
-        pbw._TABLES.clear()
-        elements._MPE_CACHE.clear()
-        elements._FLIP_CACHE.clear()
+    cold = elements.clear_caches
 
     def median_s(fn, prepare=None):
         times = []

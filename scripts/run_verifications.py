@@ -68,6 +68,7 @@ BATTERY = [
     ["chain", "--file", "scripts/chains/gl5.json"],
     ["chain", "--file", "scripts/chains/so6.json"],
     ["chain", "--file", "scripts/chains/sp3.json"],
+    ["chain", "--file", "scripts/chains/so7.json"],
     # classical side
     ["classical", "lemma2", "--algebra", "gl:4", "--A", "diag:1,2,0,0", "--points", "5"],
     ["classical", "lemma2", "--algebra", "so:5", "--points", "5"],

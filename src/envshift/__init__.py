@@ -23,11 +23,8 @@ from .chains import (
 )
 from .classical import (
     PointOnDual,
-    lie_poisson_bracket,
-    power_trace,
     random_rank2_point,
     shift_expand,
-    top_symbol,
 )
 from .elements import (
     casimir,
@@ -52,7 +49,6 @@ from .shifts import (
     shift_from_designator,
     shift_from_rows,
     symbolic_shift,
-    violating_shift,
 )
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 A classical image is a ``ParamPolynomial`` whose variables are the canonical
 generator ids of the quantum side, one coordinate function each.  This module
-provides Lie-Poisson brackets, trace invariants and their argument-shift
-expansions, characteristic-polynomial shift invariants, exact gradients
-(symbolic, and in closed form at a rational point), and rank-2 point sampling.
+provides argument-shift expansions of trace invariants, characteristic-
+polynomial shift invariants, closed-form gradients at a rational point and
+rank-2 point sampling, on ``algebra``, ``params`` and ``linalg`` alone.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 
 from . import linalg
 from .algebra import (
@@ -22,7 +21,6 @@ from .algebra import (
     matrix_to_coordinates,
 )
 from .params import ParamPolynomial, _accumulate, _scalar
-from .pbw import NCPolynomial, _tables
 
 
 def coordinate(spec: AlgebraSpec, i: int, j: int) -> ParamPolynomial:
@@ -60,75 +58,12 @@ def derive_rng(*parts) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# quantum -> classical
-
-
-def graded_symbol(p: NCPolynomial, degree: int) -> ParamPolynomial:
-    """The degree-d graded part of a PBW polynomial as a commutative polynomial."""
-    acc: dict = {}
-    for word, c in p.terms.items():
-        if len(word) != degree:
-            continue
-        if isinstance(c, ParamPolynomial):
-            raise AlgebraError("classical images need numeric coefficients")
-        # a sorted word is a multiset of generators, so no two words share a monomial
-        acc[tuple((g, len(list(run))) for g, run in groupby(word))] = c
-    return ParamPolynomial(acc)
-
-
-def top_symbol(p: NCPolynomial) -> ParamPolynomial:
-    """Highest-degree part of a PBW polynomial as a commutative polynomial."""
-    if p.is_zero:
-        return ParamPolynomial()
-    return graded_symbol(p, p.degree())
-
-
-# ---------------------------------------------------------------------------
-# Lie-Poisson bracket
-
-def lie_poisson_bracket(spec: AlgebraSpec, f: ParamPolynomial,
-                        g: ParamPolynomial) -> ParamPolynomial:
-    """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b} on g*; bilinear, antisymmetric, Leibniz."""
-    tables = _tables(spec)
-    dg = {gb: g.partial(gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
-    acc: dict = {}
-    for ga in sorted({gid for m in f.terms for gid, _ in m}):
-        dfa = f.partial(ga)
-        for gb, dgb in dg.items():
-            br = tables.bracket(ga, gb)
-            if br:
-                linear = ParamPolynomial._of({((gid, 1),): c for gid, c in br})
-                _accumulate(acc, (dfa * dgb * linear).terms)
-    return ParamPolynomial(acc)
-
-
-# ---------------------------------------------------------------------------
 # trace invariants and argument-shift expansions
 
 
 def coordinate_matrix(spec: AlgebraSpec, indices=None):
     idx = tuple(indices) if indices is not None else spec.index_set
     return [[coordinate(spec, i, j) for j in idx] for i in idx]
-
-
-def power_trace(spec: AlgebraSpec, M: int, indices=None) -> ParamPolynomial:
-    """S^M(X) = tr(X^M) with cyclic index contraction, as a polynomial."""
-    if M < 1:
-        raise ValueError("power must be >= 1")
-    X = coordinate_matrix(spec, indices)
-    P = X
-    for _ in range(M - 1):
-        P = linalg.mat_mul(P, X)
-    return _poly_trace(P)
-
-
-def shift_pair_trace(spec: AlgebraSpec, rows, M: int, indices=None) -> ParamPolynomial:
-    """tr(A X^M): the classical image of the shifted generator (A X^M)."""
-    X = coordinate_matrix(spec, indices)
-    P = rows
-    for _ in range(M):
-        P = linalg.mat_mul(P, X)
-    return _poly_trace(P)
 
 
 def _poly_trace(P) -> ParamPolynomial:
@@ -204,14 +139,6 @@ def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
     return {(M, k): cs[M][k] for M, k in pairs}
 
 
-def charpoly_shift_invariants(spec: AlgebraSpec, M: int, k: int, rows) -> ParamPolynomial:
-    """P_A^{k,M} over the coordinate functions of the algebra."""
-    out = shifted_charpoly_values(coordinate_matrix(spec), rows, [(M, k)])[(M, k)]
-    if isinstance(out, ParamPolynomial):
-        return out
-    return ParamPolynomial.const(out)
-
-
 # ---------------------------------------------------------------------------
 # points on the dual space and gradients
 
@@ -238,9 +165,6 @@ class PointOnDual:
     def random(cls, spec, rng: random.Random, lo=-10, hi=10):
         return cls(spec, tuple(rng.randint(lo, hi) for _ in range(spec.dim)))
 
-    def value_map(self) -> dict:
-        return {g: v for g, v in enumerate(self.values)}
-
     def coordinate_realization(self):
         """X = sum_g x_g P_g at this point: where the coordinate functions are evaluated.
 
@@ -260,23 +184,13 @@ class PointOnDual:
         )
 
 
-def evaluate(f: ParamPolynomial, point: PointOnDual) -> Fraction:
-    return f.substitute(point.value_map())
-
-
-def gradient(f: ParamPolynomial, point: PointOnDual):
-    """Exact partial derivatives over the canonical coordinates at the point."""
-    vals = point.value_map()
-    return tuple(f.partial(g).substitute(vals) for g in range(point.spec.dim))
-
-
 # ---------------------------------------------------------------------------
 # closed forms at a numeric point
 #
 # A trace function f has the matrix gradient G at X when df = tr(G dX); its
-# coordinate partials are then tr(G P_g).  These equal ``gradient`` of the
-# symbolic power_trace / shift_pair_trace / shift_expand images at a point
-# whose coordinate_realization is X, without expanding any polynomial.
+# coordinate partials are then tr(G P_g).  No polynomial is expanded; the tests
+# check these against the symbolic gradients of the expanded traces at a point
+# whose coordinate_realization is X.
 
 
 def coordinate_gradient(spec: AlgebraSpec, G) -> tuple:
@@ -325,7 +239,10 @@ def _involution_partner(spec, rows):
 # rank-2 points
 
 
-def random_rank2_point(spec: AlgebraSpec, seed, retries=64) -> PointOnDual:
+RANK2_RETRIES = 64
+
+
+def random_rank2_point(spec: AlgebraSpec, seed) -> PointOnDual:
     """A random point of g* with matrix rank exactly 2.
 
     gl: a sum of two random dyads u v^T + w z^T.  so/sp: a single dyad plus
@@ -334,7 +251,7 @@ def random_rank2_point(spec: AlgebraSpec, seed, retries=64) -> PointOnDual:
     """
     rng = derive_rng("rank2", seed)
     m = spec.matrix_size
-    for _ in range(retries):
+    for _ in range(RANK2_RETRIES):
         if spec.is_gl:
             u, v, w, z = ([rng.randint(-10, 10) for _ in range(m)] for _ in range(4))
             rows = [[u[r] * v[c] + w[r] * z[c] for c in range(m)] for r in range(m)]
@@ -346,13 +263,3 @@ def random_rank2_point(spec: AlgebraSpec, seed, retries=64) -> PointOnDual:
             return PointOnDual.from_matrix(spec, rows)
     raise AlgebraError("rank-2 sampling exhausted its retry budget")
 
-
-def antisymmetric_rank2_matrix(size: int, seed):
-    """u v^T - v u^T in the plain antisymmetric realization (cross-check helper)."""
-    rng = derive_rng("antisym", seed)
-    while True:
-        u = [Fraction(rng.randint(-10, 10)) for _ in range(size)]
-        v = [Fraction(rng.randint(-10, 10)) for _ in range(size)]
-        rows = [[u[r] * v[c] - v[r] * u[c] for c in range(size)] for r in range(size)]
-        if linalg.rank(rows) == 2:
-            return rows

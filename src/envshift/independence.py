@@ -62,20 +62,18 @@ class RankCertificate:
 
 
 def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
-                  target=None, labels=None, family="") -> RankCertificate:
+                  labels=None, family="") -> RankCertificate:
     """Stack exact gradients at ``trials`` random rational points and rank them.
 
     The family is one function taking the coordinate realization X of a point
     to the closed-form matrix gradients [G, ...] of its members, df = tr(G dX),
-    as shift_family provides.
+    as shift_family provides.  The target is the bound (dim g + ind g)/2.
     """
     if not callable(gradients):
         raise AlgebraError("generators must be a function from a point to matrix gradients")
     if trials < 1:
         raise AlgebraError("need at least one trial")
     dim, ind = dimension_and_index(spec)
-    if target is None:
-        target = (dim + ind) // 2
     ranks = []
     for t in range(trials):
         X = PointOnDual.random(spec, derive_rng(seed, t)).coordinate_realization()
@@ -90,7 +88,7 @@ def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
     return RankCertificate(
         family=family or spec.designator,
         labels=tuple(labels),
-        target=target,
+        target=(dim + ind) // 2,
         seed=seed,
         trials=trials,
         ranks=tuple(ranks),

@@ -283,37 +283,6 @@ def linear_combination(spec: AlgebraSpec, pairs) -> NCPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# independent bubble-sort rewriters (confluence oracles; used by the tests)
-
-
-def bubble_normal_form(spec: AlgebraSpec, terms: dict, strategy: str = "leftmost") -> dict:
-    """Rewrite raw terms by repeatedly swapping one out-of-order adjacent pair.
-
-    strategy picks the leftmost or rightmost descent first.  Deliberately
-    simple and cache-free so it can serve as an oracle for the production path.
-    """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    tab = _tables(spec)
-    out: dict = {}
-    work = [(w, _coerce_coeff(c)) for w, c in terms.items()]
-    while work:
-        word, c = work.pop()
-        if not c:
-            continue
-        descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
-        if not descents:
-            out[word] = out.get(word, 0) + c
-            continue
-        k = descents[0] if strategy == "leftmost" else descents[-1]
-        a, b = word[k], word[k + 1]
-        work.append((word[:k] + (b, a) + word[k + 2 :], c))
-        for g, cb in tab.bracket(a, b):
-            work.append((word[:k] + (g,) + word[k + 2 :], c * cb))
-    return {w: c for w, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
 # text format
 #
 # polynomial := term (" + " term)*

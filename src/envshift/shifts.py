@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import SP, AlgebraError, AlgebraSpec, symmetry_signs
+from .algebra import AlgebraError, AlgebraSpec, symmetry_signs
 from .params import ParamPolynomial, _scalar
 
 
@@ -190,33 +190,6 @@ def symbolic_shift(spec: AlgebraSpec, sign=None) -> ShiftMatrix:
                 sign * spec.eps(i) * spec.eps(j)
             )
     return make_shift(spec, rows, spec.index_set, declared_sign=sign)
-
-
-def violating_shift(spec: AlgebraSpec) -> ShiftMatrix:
-    """A shift matrix violating both symmetry signs, with a non-commuting
-    shifted family at low powers (negative control).
-
-    No such matrix exists for sp(1): every 2x2 matrix is an algebra member
-    plus a multiple of the identity, and the identity only contributes
-    central elements.
-    """
-    if spec.is_gl:
-        raise AlgebraError("gl shifts carry no symmetry condition")
-    if spec.family == SP and spec.n == 1:
-        raise AlgebraError("sp(1) admits no sign-violating shift with effect")
-    m = spec.matrix_size
-    rows = [[0] * m for _ in range(m)]
-    if spec.family == SP:
-        rows[spec.position(-spec.n)][spec.position(-(spec.n - 1))] = 1
-    elif 0 in spec.index_set:
-        rows[spec.position(-spec.n)][spec.position(0)] = 1
-    else:
-        rows[spec.position(-spec.n)][spec.position(spec.n)] = 1
-        rows[spec.position(-spec.n)][spec.position(-spec.n)] = 1
-    mat = make_shift(spec, rows, spec.index_set)
-    if mat.symmetry_signs():
-        raise AlgebraError("violating-shift construction failed")
-    return mat
 
 
 def make_shift(spec, rows, indices, declared_sign=None):

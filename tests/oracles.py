@@ -1,13 +1,18 @@
-"""Oracles kept for the tests only: superseded families to check the package against."""
+"""Oracles kept for the tests only: superseded families, the symbolic classical
+side and the bubble-sort rewriter, to check the package against."""
 
 import itertools
-from functools import partial
+from fractions import Fraction
+from functools import cache, partial, reduce
 
 from envshift import elements as el
 from envshift import linalg
-from envshift.algebra import GL, SP
-from envshift.classical import algebra_projection
-from envshift.pbw import NCPolynomial, _accumulate, bubble_normal_form, commutator, multiply
+from envshift.algebra import GL, SP, AlgebraError, bracket_structure
+from envshift.classical import (
+    _poly_trace, algebra_projection, coordinate_matrix, derive_rng, shifted_charpoly_values)
+from envshift.params import ParamPolynomial
+from envshift.pbw import NCPolynomial, _accumulate, _coerce_coeff, commutator, multiply
+from envshift.shifts import make_shift
 
 
 def shift_power(X, A, M, kmax):
@@ -148,3 +153,174 @@ def map_indices(spec, s, p):
             out.append(ids[pair])
         raw[tuple(out)] = raw.get(tuple(out), 0) + c
     return NCPolynomial(spec, bubble_normal_form(spec, raw))
+
+
+def graded_symbol(p, degree):
+    """The degree-d graded part of a PBW polynomial as a commutative polynomial."""
+    acc: dict = {}
+    for word, c in p.terms.items():
+        if len(word) != degree:
+            continue
+        if isinstance(c, ParamPolynomial):
+            raise AlgebraError("classical images need numeric coefficients")
+        # a sorted word is a multiset of generators, so no two words share a monomial
+        acc[tuple((g, len(list(run))) for g, run in itertools.groupby(word))] = c
+    return ParamPolynomial(acc)
+
+
+def top_symbol(p):
+    """Highest-degree part of a PBW polynomial as a commutative polynomial."""
+    if p.is_zero:
+        return ParamPolynomial()
+    return graded_symbol(p, p.degree())
+
+
+def lie_poisson_bracket(spec, f, g):
+    """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b} on g*; bilinear, antisymmetric, Leibniz."""
+    gens, ids = spec.canonical_generators, spec.generator_ids
+    dg = {gb: g.partial(gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
+    acc: dict = {}
+    for ga in sorted({gid for m in f.terms for gid, _ in m}):
+        dfa = f.partial(ga)
+        for gb, dgb in dg.items():
+            br = bracket_structure(spec, gens[ga], gens[gb])
+            if br:
+                linear = ParamPolynomial._of({((ids[pair], 1),): c for pair, c in br.items()})
+                _accumulate(acc, (dfa * dgb * linear).terms)
+    return ParamPolynomial(acc)
+
+
+def power_trace(spec, M, indices=None):
+    """S^M(X) = tr(X^M) with cyclic index contraction, as a polynomial."""
+    if M < 1:
+        raise ValueError("power must be >= 1")
+    X = coordinate_matrix(spec, indices)
+    P = X
+    for _ in range(M - 1):
+        P = linalg.mat_mul(P, X)
+    return _poly_trace(P)
+
+
+def shift_pair_trace(spec, rows, M, indices=None):
+    """tr(A X^M): the classical image of the shifted generator (A X^M)."""
+    X = coordinate_matrix(spec, indices)
+    P = rows
+    for _ in range(M):
+        P = linalg.mat_mul(P, X)
+    return _poly_trace(P)
+
+
+def charpoly_shift_invariants(spec, M, k, rows):
+    """P_A^{k,M} over the coordinate functions of the algebra."""
+    out = shifted_charpoly_values(coordinate_matrix(spec), rows, [(M, k)])[(M, k)]
+    if isinstance(out, ParamPolynomial):
+        return out
+    return ParamPolynomial.const(out)
+
+
+def evaluate(f, point):
+    return f.substitute(dict(enumerate(point.values)))
+
+
+def gradient(f, point):
+    """Exact partial derivatives over the canonical coordinates at the point."""
+    vals = dict(enumerate(point.values))
+    return tuple(f.partial(g).substitute(vals) for g in range(point.spec.dim))
+
+
+def antisymmetric_rank2_matrix(size, seed):
+    """u v^T - v u^T in the plain antisymmetric realization (cross-check helper)."""
+    rng = derive_rng("antisym", seed)
+    while True:
+        u = [Fraction(rng.randint(-10, 10)) for _ in range(size)]
+        v = [Fraction(rng.randint(-10, 10)) for _ in range(size)]
+        rows = [[u[r] * v[c] - v[r] * u[c] for c in range(size)] for r in range(size)]
+        if linalg.rank(rows) == 2:
+            return rows
+
+
+def bubble_normal_form(spec, terms, strategy="leftmost"):
+    """Rewrite raw terms by repeatedly swapping one out-of-order adjacent pair.
+
+    strategy picks the leftmost or rightmost descent first.  Deliberately simple,
+    cache-free and reading ``bracket_structure`` directly, so it can serve as
+    an oracle for the production path.
+    """
+    if strategy not in ("leftmost", "rightmost"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    gens, ids = spec.canonical_generators, spec.generator_ids
+    out: dict = {}
+    work = [(w, _coerce_coeff(c)) for w, c in terms.items()]
+    while work:
+        word, c = work.pop()
+        if not c:
+            continue
+        descents = [k for k in range(len(word) - 1) if word[k] > word[k + 1]]
+        if not descents:
+            out[word] = out.get(word, 0) + c
+            continue
+        k = descents[0] if strategy == "leftmost" else descents[-1]
+        a, b = word[k], word[k + 1]
+        work.append((word[:k] + (b, a) + word[k + 2 :], c))
+        for pair, cb in bracket_structure(spec, gens[a], gens[b]).items():
+            work.append((word[:k] + (ids[pair],) + word[k + 2 :], c * cb))
+    return {w: c for w, c in out.items() if c}
+
+
+def violating_shift(spec):
+    """A shift matrix violating both symmetry signs, with a non-commuting
+    shifted family at low powers (negative control).
+
+    No such matrix exists for sp(1): every 2x2 matrix is an algebra member
+    plus a multiple of the identity, and the identity only contributes
+    central elements.
+    """
+    if spec.is_gl:
+        raise AlgebraError("gl shifts carry no symmetry condition")
+    if spec.family == SP and spec.n == 1:
+        raise AlgebraError("sp(1) admits no sign-violating shift with effect")
+    m = spec.matrix_size
+    rows = [[0] * m for _ in range(m)]
+    if spec.family == SP:
+        rows[spec.position(-spec.n)][spec.position(-(spec.n - 1))] = 1
+    elif 0 in spec.index_set:
+        rows[spec.position(-spec.n)][spec.position(0)] = 1
+    else:
+        rows[spec.position(-spec.n)][spec.position(spec.n)] = 1
+        rows[spec.position(-spec.n)][spec.position(-spec.n)] = 1
+    mat = make_shift(spec, rows, spec.index_set)
+    if mat.symmetry_signs():
+        raise AlgebraError("violating-shift construction failed")
+    return mat
+
+
+@cache
+def tensor_generator(spec, g, d):
+    """The canonical generator g on V^(x)d, V = C^m: its ``defining_matrix`` x acting
+    as x(x)1(x)...(x)1 + ... + 1(x)...(x)1(x)x.  Reads no structure constant."""
+    x = spec.defining_matrix(spec.canonical_generators[g])
+    m = spec.matrix_size
+    flat = partial(reduce, lambda a, b: a * m + b)  # (t1, ..., td) -> row of e_t1(x)...(x)e_td
+    out = [[0] * m ** d for _ in range(m ** d)]
+    for rest in itertools.product(range(m), repeat=d - 1):
+        for slot in range(d):
+            for r, c in itertools.product(range(m), repeat=2):
+                if x[r][c]:
+                    out[flat(rest[:slot] + (r,) + rest[slot:])][
+                        flat(rest[:slot] + (c,) + rest[slot:])] += x[r][c]
+    return out
+
+
+def rho(p, d):
+    """p as an operator on V^(x)d: each PBW word the product of its generators'
+    ``tensor_generator`` matrices, weighted by its numeric coefficient."""
+    n = p.spec.matrix_size ** d
+    out = [[0] * n for _ in range(n)]
+    prefixes = {(): linalg.identity(n)}
+    for word, c in p.terms.items():
+        for k in range(1, len(word) + 1):
+            if word[:k] not in prefixes:
+                prefixes[word[:k]] = linalg.mat_mul(
+                    prefixes[word[:k - 1]], tensor_generator(p.spec, word[k - 1], d))
+        out = linalg.mat_add(out, linalg.mat_scale(prefixes[word], c))
+    return out

@@ -14,16 +14,7 @@ from envshift import elements as el
 from envshift import linalg
 from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, make_algebra, parse_algebra
 from envshift.chains import chain_generators, commutativity_failures, make_chain
-from envshift.classical import (
-    PointOnDual,
-    charpoly_shift_invariants,
-    derive_rng,
-    evaluate,
-    graded_symbol,
-    lie_poisson_bracket,
-    random_rank2_point,
-    top_symbol,
-)
+from envshift.classical import PointOnDual, derive_rng, random_rank2_point
 from envshift.independence import (
     brailov_duality_check,
     tangent_intersection_dim,
@@ -32,7 +23,6 @@ from envshift.independence import (
 from envshift.params import ParamPolynomial
 from envshift.pbw import (
     NCPolynomial,
-    bubble_normal_form,
     commutator,
     format_poly,
     multiply,
@@ -42,8 +32,9 @@ from envshift.shifts import (
     canonical_shift,
     shift_from_designator,
     shift_from_rows,
-    violating_shift,
 )
+from oracles import (bubble_normal_form, charpoly_shift_invariants, evaluate, graded_symbol,
+                     lie_poisson_bracket, top_symbol, violating_shift)
 
 GL2 = make_algebra(GL, 2)
 GL3 = make_algebra(GL, 3)

@@ -1,4 +1,4 @@
-"""scripts/bench.py writes the measured checkout's bytecode before it times anything."""
+"""scripts/bench.py compiles the checkout before it times it and reads each call's own RSS."""
 
 import importlib.util
 import shutil
@@ -9,15 +9,28 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench.py"
 
 
+def _bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_compile_sources_writes_bytecode_when_the_environment_forbids_it(monkeypatch, tmp_path):
     # the timed children inherit this environment and would recompile envshift each time
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _bench()
     module.compile_sources(tmp_path)
     package = tmp_path / "src" / "envshift"
     cached = {p.name.split(".")[0] for p in (package / "__pycache__").glob("*.pyc")}
     assert cached == {p.stem for p in package.glob("*.py")}
+
+
+def test_timed_call_reads_its_own_peak_rss(tmp_path):
+    held = b"\1" * (100 << 20)  # a child forked from this process would count it
+    code, wall, rss = _bench()._timed([sys.executable, "-c", "pass"], tmp_path)
+    assert code == 0 and 0 < wall and rss < 50
+    assert _bench()._timed([sys.executable, "-c", "raise SystemExit(3)"], tmp_path)[0] == 3
+    del held

@@ -9,24 +9,17 @@ from envshift import linalg
 from envshift.algebra import GL, SO_EVEN, SO_ODD, AlgebraError, make_algebra
 from envshift.classical import (
     PointOnDual,
-    antisymmetric_rank2_matrix,
-    charpoly_shift_invariants,
     coordinate,
     coordinate_matrix,
-    evaluate,
-    gradient,
-    graded_symbol,
-    lie_poisson_bracket,
-    power_trace,
     random_rank2_point,
     shift_expand,
-    shift_pair_trace,
     shifted_charpoly_values,
-    top_symbol,
 )
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, commutator
 from envshift.shifts import canonical_shift, shift_from_designator
+from oracles import (antisymmetric_rank2_matrix, charpoly_shift_invariants, evaluate, gradient,
+                     graded_symbol, lie_poisson_bracket, power_trace, shift_pair_trace, top_symbol)
 
 GL2 = make_algebra(GL, 2)
 GL3 = make_algebra(GL, 3)

@@ -15,23 +15,19 @@ from envshift.algebra import matrix_in_algebra, parse_algebra
 from envshift.classical import (
     PointOnDual,
     algebra_projection,
-    charpoly_shift_invariants,
     coordinate_gradient,
     coordinate_matrix,
     derive_rng,
-    evaluate,
-    gradient,
-    power_trace,
     shift_expand,
     shift_expand_gradients,
-    shift_pair_trace,
     shift_powers,
     shifted_charpoly_values,
 )
 from envshift.chains import chain_generators, default_chain
 from envshift.independence import jacobian_rank, shift_family
 from envshift.shifts import canonical_shift, shift_from_designator
-from oracles import shift_expand_gradient, shift_pair_gradient
+from oracles import (charpoly_shift_invariants, evaluate, gradient, power_trace,
+                     shift_expand_gradient, shift_pair_gradient, shift_pair_trace)
 
 ALGEBRAS = ("gl:2", "gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2")
 
@@ -87,7 +83,7 @@ def test_point_realizations_differ_only_on_sp():
         assert same == (spec.family != "sp"), name
         # the coordinate realization is where the coordinate functions live
         X = coordinate_matrix(spec)
-        vals = point.value_map()
+        vals = dict(enumerate(point.values))
         assert point.coordinate_realization() == [
             [x.substitute(vals) for x in row] for row in X
         ]

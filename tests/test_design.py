@@ -5,6 +5,8 @@
 * ``params._accumulate`` is the one add-into loop for sparse term maps.
 * ``elements`` reaches no private name of ``pbw`` but the rewrite tables,
   which ``clear_caches`` empties.
+* ``classical`` imports nothing from ``pbw``.
+* Every public function has a caller in the package or is a library entry point.
 """
 
 import ast
@@ -43,3 +45,27 @@ def test_elements_imports_no_private_pbw_name_but_the_tables(trees):
     assert not any(isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
                    and any(alias.name == "pbw" for alias in node.names)
                    for node in ast.walk(tree))
+
+
+def test_classical_imports_nothing_from_pbw(trees):
+    names = {name for node in ast.walk(trees["classical.py"])
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]}
+    assert not any(name.split(".")[-1] == "pbw" for name in names)
+
+
+ENTRY_POINTS = {"parse", "shift_generator", "default_chain", "clear_caches"}
+
+
+def _reference(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_every_public_function_is_called_in_the_package(trees):
+    tops = [top for tree in trees.values() for top in tree.body]
+    defined = {top.name for top in tops
+               if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")}
+    # a reference inside a function's own definition does not count
+    used = {_reference(node) for top in tops for node in ast.walk(top)
+            if _reference(node) != getattr(top, "name", None)}
+    assert defined - used - ENTRY_POINTS == set()

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import every_index_tuple, power_bracket_residual_direct
+from oracles import every_index_tuple, power_bracket_residual_direct, top_symbol, violating_shift
 
 from envshift import cli, pbw
 from envshift import elements as el
@@ -16,7 +16,6 @@ from envshift.shifts import (
     shift_from_designator,
     shift_from_rows,
     symbolic_shift,
-    violating_shift,
 )
 
 GL2 = make_algebra(GL, 2)
@@ -84,8 +83,6 @@ def test_casimirs_are_central(spec):
 
 
 def test_odd_trace_powers_vanish_classically_for_so_sp():
-    from envshift.classical import top_symbol
-
     for spec in (SO3, SO4, SP1, SP2):
         # the linear trace cancels exactly; higher odd traces survive only as
         # central lower-degree elements whose classical image is zero

@@ -19,15 +19,7 @@ from envshift.algebra import (
     parse_algebra,
 )
 from envshift.chains import chain_generators, default_chain, load_chain_file, make_chain
-from envshift.classical import (
-    PointOnDual,
-    coordinate_gradient,
-    derive_rng,
-    gradient,
-    power_trace,
-    shift_pair_trace,
-    top_symbol,
-)
+from envshift.classical import PointOnDual, coordinate_gradient, derive_rng
 from envshift.independence import (
     brailov_duality_check,
     jacobian_rank,
@@ -37,7 +29,8 @@ from envshift.independence import (
 )
 from envshift.params import ParamPolynomial
 from envshift.shifts import canonical_shift, shift_from_designator
-from oracles import family, hand_picked_shift_family, shift_expand_gradient, shift_pair_gradient
+from oracles import (family, gradient, hand_picked_shift_family, power_trace, shift_expand_gradient,
+                     shift_pair_gradient, shift_pair_trace, top_symbol)
 
 GL2 = make_algebra(GL, 2)
 GL3 = make_algebra(GL, 3)

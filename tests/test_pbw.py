@@ -10,12 +10,12 @@ from envshift.params import ParamPolynomial
 from envshift.pbw import (
     NCPolynomial,
     ParseError,
-    bubble_normal_form,
     commutator,
     format_poly,
     multiply,
     parse,
 )
+from oracles import bubble_normal_form
 
 GL2 = make_algebra(GL, 2)
 SO3 = make_algebra(SO_ODD, 1)

@@ -23,8 +23,9 @@ from envshift import linalg, pbw
 from envshift.algebra import AlgebraError, parse_algebra
 from envshift.classical import shifted_charpoly_values
 from envshift.params import ParamPolynomial
-from envshift.pbw import NCPolynomial, bubble_normal_form, format_poly, multiply, parse
+from envshift.pbw import NCPolynomial, format_poly, multiply, parse
 from envshift.shifts import shift_from_designator
+from oracles import bubble_normal_form
 
 PARAMS = ("a", "b")
 
