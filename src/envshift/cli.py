@@ -140,44 +140,59 @@ def _suite_shift_commutativity(report, spec, shifts, max_power):
                 )
 
 
-def _gl_shifts(spec, args, default):
-    """theorem1 / prop2 shifts as (name, A): ``--A symbolic`` is every gl matrix at once."""
-    if args.A == "symbolic":
-        return [("symbolic-full", symbolic_shift(spec))]
-    if args.A:
-        return [(args.A, shift_from_designator(spec, args.A))]
-    return [default(spec)]
-
-
-def _signed_shifts(spec, args):
-    """theorem2 / prop5 shifts as (name, A): ``--A symbolic`` is every matrix of either sign."""
-    if args.A == "symbolic":
-        return [
-            ("symbolic-sign-minus", symbolic_shift(spec, -1)),
-            ("symbolic-sign-plus", symbolic_shift(spec, 1)),
-        ]
-    if args.A:
-        return [(args.A, shift_from_designator(spec, args.A))]
-    return [
-        ("canonical-sign-minus", canonical_shift(spec, -1)),
-        ("canonical-sign-plus", canonical_shift(spec, 1)),
-    ]
-
-
-def _shift_or_canonical(spec, args):
-    """centralizer / rank / lemma2 shift as (name, A): ``--A``, else the canonical sign -1 one."""
-    if args.A:
-        return args.A, shift_from_designator(spec, args.A)
-    return "canonical-sign-minus", canonical_shift(spec, -1)
+def _designated(spec, text):
+    """A designator as (label, [(name, A)]): the one shift it names, under its own text."""
+    return text, [(text, shift_from_designator(spec, text))]
 
 
 def _diagonal_symbolic_shift(spec):
     names = [f"a{k+1}" for k in range(min(2, spec.matrix_size))]
-    desig = "sym-diag:" + ",".join(names + ["0"] * (spec.matrix_size - len(names)))
-    return desig, shift_from_designator(spec, desig)
+    names += ["0"] * (spec.matrix_size - len(names))
+    return _designated(spec, "sym-diag:" + ",".join(names))
 
 
-def _suite_centralizer(report, spec, A, max_power):
+def _dense_numeric_shift(spec):
+    m = spec.matrix_size
+    return _designated(spec, "matrix:" + ";".join(
+        ",".join(str(r * m + c + 1) for c in range(m)) for r in range(m)))
+
+
+def _canonical_sign_minus(spec):
+    return "canonical-sign-minus", [("canonical-sign-minus", canonical_shift(spec, -1))]
+
+
+_SIGNS = (("minus", -1), ("plus", 1))
+
+
+def _canonical_both_signs(spec):
+    return "canonical-both-signs", [
+        (f"canonical-sign-{name}", canonical_shift(spec, s)) for name, s in _SIGNS]
+
+
+def _shifts(spec, A, default):
+    """The shifts a command runs, as (label, [(name, A)]); the report records the label.
+
+    ``default`` is the command's default shift (a function of spec), or None
+    for a suite that reads no shift, which refuses ``--A``.  ``--A symbolic``
+    is every gl matrix at once, or each signed so/sp subspace; the commands
+    whose checks need a numeric shift (those defaulting to the canonical sign
+    -1 one) read it as a bad designator.  Any other ``--A`` is that shift.
+    """
+    if default is None:
+        if A is not None:
+            raise AlgebraError("this suite reads no shift matrix; --A is refused")
+        return None, []
+    if A is None:
+        return default(spec)
+    if A == "symbolic" and default is not _canonical_sign_minus:
+        if spec.is_gl:
+            return A, [("symbolic-full", symbolic_shift(spec))]
+        return A, [(f"symbolic-sign-{name}", symbolic_shift(spec, s)) for name, s in _SIGNS]
+    return _designated(spec, A)
+
+
+def _suite_centralizer(report, spec, shifts, max_power):
+    [(_, A)] = shifts
     basis = el.stabilizer_basis(spec, A)
     report.parameters["stabilizer_dim"] = len(basis)
     for b, B in enumerate(basis):
@@ -189,7 +204,7 @@ def _suite_centralizer(report, spec, A, max_power):
             )
 
 
-def _suite_tensorial(report, spec, max_power):
+def _suite_tensorial(report, spec, shifts, max_power):
     for M in range(1, max_power + 1):
         for i in spec.index_set:
             for j in spec.index_set:
@@ -206,7 +221,7 @@ def _suite_tensorial(report, spec, max_power):
                         )
 
 
-def _suite_casimir_central(report, spec, max_power):
+def _suite_casimir_central(report, spec, shifts, max_power):
     for M in range(1, max_power + 1):
         cas = el.casimir(spec, M)
         for pair in spec.canonical_generators:
@@ -221,14 +236,7 @@ def _suite_casimir_central(report, spec, max_power):
             )
 
 
-def _dense_numeric_shift(spec):
-    m = spec.matrix_size
-    rows = [[r * m + c + 1 for c in range(m)] for r in range(m)]
-    desig = "matrix:" + ";".join(",".join(str(x) for x in row) for row in rows)
-    return desig, shift_from_designator(spec, desig)
-
-
-def _suite_power_brackets(report, spec, max_power):
+def _suite_power_brackets(report, spec, shifts, max_power):
     """prop1 (gl) / prop4 (so/sp): the bracket-of-powers expansion at every index tuple.
 
     The residual at s(t) is the image of the one at t under an automorphism
@@ -250,8 +258,9 @@ def _suite_power_brackets(report, spec, max_power):
             )
 
 
-def _suite_recursion_gl(report, spec, A, max_power):
+def _suite_recursion_gl(report, spec, shifts, max_power):
     """prop2: the gl contracted recursion."""
+    [(_, A)] = shifts
     built: dict = {}
     for M in range(1, max_power + 1):
         for N in range(1, max_power + 1):
@@ -264,7 +273,7 @@ def _suite_recursion_gl(report, spec, A, max_power):
             )
 
 
-def _suite_flip(report, spec, max_power):
+def _suite_flip(report, spec, shifts, max_power):
     """prop3: the so/sp flip expansion of X^{M+1}, printing its central coefficients.
 
     The flip residual is equivariant as the prop1/prop4 one is, so it is
@@ -303,66 +312,34 @@ def _suite_recursions_so_sp(report, spec, shifts, max_power):
                                _first_nonzero(residuals))
 
 
-# the family each family-specific suite's identity is stated for
-_SUITE_FAMILY = {
-    "theorem1": "gl", "prop1": "gl", "prop2": "gl",
-    "theorem2": "so/sp", "prop3": "so/sp", "prop4": "so/sp", "prop5": "so/sp",
+# suite -> (the family its identity is stated for or None, default shift or
+# None when it reads no shift, runner); the keys are the parser's choices
+VERIFY_SUITES = {
+    "theorem1": ("gl", _diagonal_symbolic_shift, _suite_shift_commutativity),
+    "theorem2": ("so/sp", _canonical_both_signs, _suite_shift_commutativity),
+    "centralizer": (None, _canonical_sign_minus, _suite_centralizer),
+    "tensorial": (None, None, _suite_tensorial),
+    "prop1": ("gl", None, _suite_power_brackets),
+    "prop2": ("gl", _dense_numeric_shift, _suite_recursion_gl),
+    "prop3": ("so/sp", None, _suite_flip),
+    "prop4": ("so/sp", None, _suite_power_brackets),
+    "prop5": ("so/sp", _canonical_both_signs, _suite_recursions_so_sp),
+    "casimir-central": (None, None, _suite_casimir_central),
 }
-
-VERIFY_SUITES = (
-    "theorem1",
-    "theorem2",
-    "centralizer",
-    "tensorial",
-    "prop1",
-    "prop2",
-    "prop3",
-    "prop4",
-    "prop5",
-    "casimir-central",
-)
 
 
 def cmd_verify(args) -> int:
     spec = parse_algebra(args.algebra)
+    family, default, runner = VERIFY_SUITES[args.suite]
+    if family is not None and (family == "gl") != spec.is_gl:
+        raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
+    label, shifts = _shifts(spec, args.A, default)
     report = SuiteReport(
         suite=args.suite,
         algebra=spec.designator,
-        parameters={
-            "A": args.A,
-            "max_power": args.max_power,
-            "seed": args.seed,
-        },
+        parameters={"A": label, "max_power": args.max_power, "seed": args.seed},
     )
-    family = _SUITE_FAMILY.get(args.suite)
-    if family is not None and (family == "gl") != spec.is_gl:
-        raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
-    if args.suite == "theorem1":
-        shifts = _gl_shifts(spec, args, _diagonal_symbolic_shift)
-        report.parameters["A"] = shifts[0][0] if not args.A else args.A
-        _suite_shift_commutativity(report, spec, shifts, args.max_power)
-    elif args.suite == "theorem2":
-        shifts = _signed_shifts(spec, args)
-        report.parameters["A"] = args.A or "canonical-both-signs"
-        _suite_shift_commutativity(report, spec, shifts, args.max_power)
-    elif args.suite == "centralizer":
-        report.parameters["A"], A = _shift_or_canonical(spec, args)
-        _suite_centralizer(report, spec, A, args.max_power)
-    elif args.suite == "tensorial":
-        _suite_tensorial(report, spec, args.max_power)
-    elif args.suite == "casimir-central":
-        _suite_casimir_central(report, spec, args.max_power)
-    elif args.suite in ("prop1", "prop4"):
-        _suite_power_brackets(report, spec, args.max_power)
-    elif args.suite == "prop2":
-        [(_, A)] = _gl_shifts(spec, args, _dense_numeric_shift)
-        _suite_recursion_gl(report, spec, A, args.max_power)
-    elif args.suite == "prop3":
-        _suite_flip(report, spec, args.max_power)
-    elif args.suite == "prop5":
-        _suite_recursions_so_sp(report, spec, _signed_shifts(spec, args), args.max_power)
-    else:
-        raise AlgebraError(f"unknown suite {args.suite!r}")
+    runner(report, spec, shifts, args.max_power)
     return _finish(report, args)
 
 
@@ -448,7 +425,7 @@ def _rank_outcome(cert):
 
 def cmd_rank(args) -> int:
     spec = parse_algebra(args.algebra)
-    name, A = _shift_or_canonical(spec, args)
+    name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
     report = SuiteReport(
         suite="rank",
         algebra=spec.designator,
@@ -466,6 +443,76 @@ def cmd_rank(args) -> int:
     return _finish(report, args)
 
 
+def _classical_lemma2(report, spec, args):
+    name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
+    pairs = [(M, k) for M in range(1, spec.matrix_size + 1) for k in range(1, M) if M - k >= 3]
+    report.parameters.update(
+        {"A": name, "points": args.points, "pairs": [f"M={M},k={k}" for M, k in pairs]})
+    A_rows = A.numeric_rows()
+    values = {}  # point number -> {(M, k): value}, one charpoly run per point
+
+    def values_at(p):
+        if p not in values:
+            point = random_rank2_point(spec, seed=f"{args.seed}.{p}")
+            values[p] = shifted_charpoly_values(point.matrix(), A_rows, pairs)
+        return values[p]
+
+    for M, k in pairs:
+        for p in range(args.points):
+            def run(M=M, k=k, p=p):
+                v = values_at(p)[(M, k)]
+                return v == 0, None if v == 0 else str(v), f"point seed ({args.seed},{p})"
+            _run_check(report, f"vanish M={M} k={k} point#{p}", run)
+
+
+def _classical_duality(report, spec, args):
+    if args.M is None or args.k is None:
+        raise AlgebraError("duality check needs --M and --k")
+    if args.k >= args.M:
+        raise AlgebraError("duality check needs --k < --M")
+    if not spec.is_gl and args.M % 2:
+        # tr((X + tA)^M) vanishes identically for odd M on so/sp, so both
+        # index readings hold trivially and the check decides nothing
+        raise AlgebraError("duality check on so/sp needs an even --M")
+    report.parameters.update({"M": args.M, "k": args.k, "seeds": args.seeds})
+    for s in range(args.seeds):
+        def run(s=s):
+            pX = PointOnDual.random(spec, derive_rng(args.seed, s, "x"))
+            pA = PointOnDual.random(spec, derive_rng(args.seed, s, "a"))
+            out = ind.brailov_duality_check(spec, args.k, args.M, pX, pA)
+            det = f"validated index conventions: {out.validated}"
+            if out.holds_plain_index and out.holds_shifted_index:
+                raise AlgebraError(f"{det}; the point cannot tell the readings apart")
+            if out.holds_shifted_index:
+                return True, None, det
+            # the gradient difference as the linear form sum_g d_g X[g]
+            gens = (NCPolynomial.generator(spec, *pair) for pair in spec.canonical_generators)
+            diff = linear_combination(spec, zip(gens, out.residual))
+            return False, format_poly(diff), det
+        _run_check(report, f"duality M={args.M} k={args.k} seed#{s}", run)
+
+
+def _classical_tangent(report, spec, args):
+    if not args.A:
+        raise AlgebraError("tangent check needs --A")
+    A = shift_from_designator(spec, args.A)
+    report.parameters.update({"A": args.A, "trials": args.trials})
+
+    def run():
+        lhs, rhs = ind.tangent_intersection_dim(spec, A, trials=args.trials, seed=args.seed)
+        return lhs == rhs, None if lhs == rhs else str(rhs - lhs), f"lhs {lhs} vs rhs {rhs}"
+
+    _run_check(report, "tangent-intersection", run)
+
+
+# classical check -> its runner; the keys are the parser's choices
+CLASSICAL_CHECKS = {
+    "lemma2": _classical_lemma2,
+    "duality": _classical_duality,
+    "tangent": _classical_tangent,
+}
+
+
 def cmd_classical(args) -> int:
     spec = parse_algebra(args.algebra)
     report = SuiteReport(
@@ -473,68 +520,7 @@ def cmd_classical(args) -> int:
         algebra=spec.designator,
         parameters={"seed": args.seed},
     )
-    if args.what == "lemma2":
-        name, A = _shift_or_canonical(spec, args)
-        report.parameters.update({"A": name, "points": args.points})
-        m = spec.matrix_size
-        pairs = [
-            (M, k)
-            for M in range(1, m + 1)
-            for k in range(1, M)
-            if M - k >= 3
-        ]
-        report.parameters["pairs"] = [f"M={M},k={k}" for M, k in pairs]
-        A_rows = A.numeric_rows()
-        values = {}  # point number -> {(M, k): value}, one charpoly run per point
-
-        def values_at(p):
-            if p not in values:
-                point = random_rank2_point(spec, seed=f"{args.seed}.{p}")
-                values[p] = shifted_charpoly_values(point.matrix(), A_rows, pairs)
-            return values[p]
-
-        for M, k in pairs:
-            for p in range(args.points):
-                def run(M=M, k=k, p=p):
-                    v = values_at(p)[(M, k)]
-                    return v == 0, None if v == 0 else str(v), f"point seed ({args.seed},{p})"
-                _run_check(report, f"vanish M={M} k={k} point#{p}", run)
-    elif args.what == "duality":
-        if args.M is None or args.k is None:
-            raise AlgebraError("duality check needs --M and --k")
-        if not spec.is_gl and args.M % 2:
-            # tr((X + tA)^M) vanishes identically for odd M on so/sp, so both
-            # index readings hold trivially and the check decides nothing
-            raise AlgebraError("duality check on so/sp needs an even --M")
-        for s in range(args.seeds):
-            def run(s=s):
-                pX = PointOnDual.random(spec, derive_rng(args.seed, s, "x"))
-                pA = PointOnDual.random(spec, derive_rng(args.seed, s, "a"))
-                out = ind.brailov_duality_check(spec, args.k, args.M, pX, pA)
-                det = f"validated index conventions: {out.validated}"
-                if out.holds_plain_index and out.holds_shifted_index:
-                    raise AlgebraError(f"{det}; the point cannot tell the readings apart")
-                if out.holds_shifted_index:
-                    return True, None, det
-                # the gradient difference as the linear form sum_g d_g X[g]
-                gens = (NCPolynomial.generator(spec, *pair) for pair in spec.canonical_generators)
-                diff = linear_combination(spec, zip(gens, out.residual))
-                return False, format_poly(diff), det
-            _run_check(report, f"duality M={args.M} k={args.k} seed#{s}", run)
-        report.parameters.update({"M": args.M, "k": args.k, "seeds": args.seeds})
-    elif args.what == "tangent":
-        if not args.A:
-            raise AlgebraError("tangent check needs --A")
-        A = shift_from_designator(spec, args.A)
-        report.parameters.update({"A": args.A, "trials": args.trials})
-
-        def run():
-            lhs, rhs = ind.tangent_intersection_dim(spec, A, trials=args.trials, seed=args.seed)
-            return lhs == rhs, None if lhs == rhs else str(rhs - lhs), f"lhs {lhs} vs rhs {rhs}"
-
-        _run_check(report, "tangent-intersection", run)
-    else:
-        raise AlgebraError(f"unknown classical check {args.what!r}")
+    CLASSICAL_CHECKS[args.what](report, spec, args)
     return _finish(report, args)
 
 
@@ -612,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_rank)
 
     k = sub.add_parser("classical", help="classical-side checks")
-    k.add_argument("what", choices=("lemma2", "duality", "tangent"))
+    k.add_argument("what", choices=CLASSICAL_CHECKS)
     common(k)
     k.add_argument("--A")
     k.add_argument("--M", type=_positive_int)

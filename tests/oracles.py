@@ -311,13 +311,16 @@ def tensor_generator(spec, g, d):
     return out
 
 
-def rho(p, d):
-    """p as an operator on V^(x)d: each PBW word the product of its generators'
-    ``tensor_generator`` matrices, weighted by its numeric coefficient."""
+def rho(p, d, values=None):
+    """p as an operator on V^(x)d: each word the product of its generators'
+    ``tensor_generator`` matrices, weighted by its coefficient, a parameter
+    polynomial taken at ``values``.  The words need not be in PBW order."""
     n = p.spec.matrix_size ** d
     out = [[0] * n for _ in range(n)]
     prefixes = {(): linalg.identity(n)}
     for word, c in p.terms.items():
+        if isinstance(c, ParamPolynomial):
+            c = c.substitute(values)
         for k in range(1, len(word) + 1):
             if word[:k] not in prefixes:
                 prefixes[word[:k]] = linalg.mat_mul(

@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -336,6 +337,72 @@ def test_wrong_family_prop_suites_exit_two(tmp_path):
         lines = r.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (suite, lines)
         assert "Traceback" not in r.stderr and not out.exists(), (suite, algebra)
+
+
+@pytest.mark.parametrize("argv", [
+    # a suite that reads no shift refuses --A, whatever it names
+    ("verify", "tensorial", "--algebra", "gl:2", "--A", "garbage", "--max-power", "1"),
+    ("verify", "tensorial", "--algebra", "gl:2", "--A", "diag:1,2", "--max-power", "1"),
+    ("verify", "prop1", "--algebra", "gl:2", "--A", "diag:1,2", "--max-power", "1"),
+    ("verify", "prop3", "--algebra", "so:3", "--A", "diag:-1,0,1", "--max-power", "1"),
+    ("verify", "prop4", "--algebra", "so:3", "--A", "diag:-1,0,1", "--max-power", "1"),
+    ("verify", "casimir-central", "--algebra", "gl:2", "--A", "diag:1,2", "--max-power", "1"),
+    # the checks that need a numeric shift refuse the symbolic one
+    ("verify", "centralizer", "--algebra", "gl:3", "--A", "symbolic", "--max-power", "1"),
+    ("rank", "--algebra", "gl:3", "--A", "symbolic"),
+    ("classical", "lemma2", "--algebra", "gl:4", "--A", "symbolic"),
+    # S_X^{M-k-1,M} needs k < M
+    ("classical", "duality", "--algebra", "gl:3", "--M", "3", "--k", "3"),
+    ("classical", "duality", "--algebra", "gl:3", "--M", "2", "--k", "5"),
+], ids=" ".join)
+def test_bad_input_is_one_error_line_and_no_report(argv, tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli(*argv, "--out", str(out))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, label", [
+    (("verify", "prop2", "--algebra", "gl:3"), "matrix:1,2,3;4,5,6;7,8,9"),
+    (("verify", "prop5", "--algebra", "so:4"), "canonical-both-signs"),
+    (("verify", "theorem1", "--algebra", "gl:3"), "sym-diag:a1,a2,0"),
+    (("verify", "centralizer", "--algebra", "so:4"), "canonical-sign-minus"),
+    (("verify", "prop5", "--algebra", "so:4", "--A", "diag:-1,0,0,1"), "diag:-1,0,0,1"),
+    (("verify", "tensorial", "--algebra", "gl:2"), None),
+])
+def test_report_names_the_shift_that_ran(argv, label, tmp_path):
+    # --A when given, else the default shift's label; null where no shift is read
+    out = tmp_path / "rep.json"
+    r = run_cli(*argv, "--max-power", "1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text())["parameters"]["A"] == label
+
+
+def test_frozen_invocations_still_parse(tmp_path, monkeypatch):
+    # every battery entry and every benchmark call is accepted by the parser,
+    # and each verify call by its suite's shift rule; the benchmark's own
+    # set-up probe reads each benchmark call without error
+    from envshift import cli
+    from envshift.algebra import parse_algebra
+
+    monkeypatch.syspath_prepend(str(REPO / "scripts"))
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    battery = importlib.import_module("run_verifications").BATTERY
+    workloads, probe = importlib.import_module("workloads"), importlib.import_module("probe")
+    calls = [list(argv) for argv in battery]
+    monkeypatch.chdir(tmp_path)  # chain files are named relative to the working directory
+    for name in workloads.WORKLOADS:
+        for seed in range(3):
+            for inv in workloads.build(name, seed, tmp_path / "chains"):
+                argv = [*inv.args, "--seed", str(seed)]
+                probe.parse_inputs(argv)
+                calls.append(argv)
+    for argv in calls:
+        args = cli.build_parser().parse_args(argv)
+        if args.command == "verify":
+            cli._shifts(parse_algebra(args.algebra), args.A, cli.VERIFY_SUITES[args.suite][1])
 
 
 def test_error_while_expanding_is_an_error_record(tmp_path, monkeypatch):

@@ -1,8 +1,8 @@
 """Oracles for the PBW product and the coefficient rule.
 
-* The defining representation: rho(pq) = rho(p) rho(q) in End(V), with rho
-  built from ``AlgebraSpec.defining_matrix`` alone, so it shares no code with
-  the rewrite tables.
+* The defining representation: rho(pq) = rho(p) rho(q) in End(V), with
+  ``oracles.rho`` built from ``AlgebraSpec.defining_matrix`` alone, so it
+  shares no code with the rewrite tables.
 * The cache-free bubble rewriter: multiply(p, q) equals the normal form of
   the concatenated words under both rewrite strategies, including q's whose
   words share prefixes and q's with the empty word.
@@ -25,7 +25,7 @@ from envshift.classical import shifted_charpoly_values
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, format_poly, multiply, parse
 from envshift.shifts import shift_from_designator
-from oracles import bubble_normal_form
+from oracles import bubble_normal_form, rho
 
 PARAMS = ("a", "b")
 
@@ -79,23 +79,6 @@ def prefix_rich_terms(draw, spec):
 # the defining representation
 
 
-def _substitute(c, values):
-    return c.substitute(values) if isinstance(c, ParamPolynomial) else Fraction(c)
-
-
-def _rho(spec, terms, values):
-    """sum c * rho(X_w1) ... rho(X_wk) over raw terms, parameters substituted."""
-    m = spec.matrix_size
-    gens = spec.canonical_generators
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for word, c in terms.items():
-        mat = linalg.identity(m)
-        for g in word:
-            mat = linalg.mat_mul(mat, [list(r) for r in spec.defining_matrix(gens[g])])
-        out = linalg.mat_add(out, linalg.mat_scale(mat, _substitute(c, values)))
-    return out
-
-
 REP_SPECS = [parse_algebra(d) for d in ("gl:2", "gl:3", "so:3", "so:4", "sp:1", "sp:2")]
 
 
@@ -110,12 +93,10 @@ def test_defining_representation_is_multiplicative(spec, data):
         for name in PARAMS
     }
     p, q = NCPolynomial(spec, raw_p), NCPolynomial(spec, raw_q)
-    # normalizing keeps the represented operator
-    assert _rho(spec, p.terms, values) == _rho(spec, raw_p, values)
-    assert _rho(spec, q.terms, values) == _rho(spec, raw_q, values)
-    assert _rho(spec, multiply(p, q).terms, values) == linalg.mat_mul(
-        _rho(spec, p.terms, values), _rho(spec, q.terms, values)
-    )
+    # normalizing keeps the represented operator; the raw words stay unsorted
+    assert rho(p, 1, values) == rho(NCPolynomial(spec, raw_p, normalized=True), 1, values)
+    assert rho(q, 1, values) == rho(NCPolynomial(spec, raw_q, normalized=True), 1, values)
+    assert rho(multiply(p, q), 1, values) == linalg.mat_mul(rho(p, 1, values), rho(q, 1, values))
 
 
 # ---------------------------------------------------------------------------

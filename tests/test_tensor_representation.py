@@ -4,23 +4,26 @@
 acting on V^(x)d and each PBW word to the product of those operators.  It
 reads no structure constant and no rewrite table, so a wrong bracket or a
 corrupted product cache shows as rho failing to respect a bracket or a product.
+The theorem and the prop1/prop4 expansion are checked the same way: the
+shifted family's operators commute, and both sides of the expansion agree
+with every product taken as a matrix product.
 """
 
 import itertools
 import random
-from functools import reduce
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import rho
+from oracles import rho, violating_shift
 from test_product_oracles import raw_terms
 
 from envshift import elements as el
 from envshift import linalg, pbw
-from envshift.algebra import parse_algebra
+from envshift.algebra import orbit_representatives, parse_algebra
 from envshift.pbw import NCPolynomial, commutator, multiply
-from envshift.shifts import shift_from_rows
+from envshift.shifts import canonical_shift, shift_from_rows
 
 CASES = [("gl:3", 2), ("gl:3", 3), ("so:4", 2), ("sp:2", 2)]
 NUMERIC = ("int", "fraction")
@@ -90,6 +93,69 @@ def test_rho_of_the_builders_is_the_sum_of_generator_products(name, d):
         contracted = (linalg.mat_scale(power[i, j], A.rows[pj][pi])
                       for pi, i in enumerate(idx) for pj, j in enumerate(idx))
         assert rho(el.shift_generator(spec, A, M), d) == reduce(linalg.mat_add, contracted)
+
+
+def _theorem_shifts(spec):
+    """The dense shift matrix:1,2,3;... on gl, the canonical shift of each sign on so/sp."""
+    if spec.is_gl:
+        m = spec.matrix_size
+        return [shift_from_rows(spec, [[r * m + c + 1 for c in range(m)] for r in range(m)])]
+    return [canonical_shift(spec, -1), canonical_shift(spec, 1)]
+
+
+def _shifted_family_commutators(spec, A, d):
+    """[rho (A.X^M), rho (A.X^N)] for M < N <= 3, by (M, N)."""
+    ops = {M: rho(el.shift_generator(spec, A, M), d) for M in range(1, 4)}
+    return {(M, N): linalg.mat_commutator(ops[M], ops[N])
+            for M, N in itertools.combinations(ops, 2)}
+
+
+@pytest.mark.parametrize("name,d", [("gl:3", 2), ("so:4", 2), ("sp:2", 2)])
+def test_rho_of_the_shifted_family_commutes(name, d):
+    spec = parse_algebra(name)
+    zero = linalg.mat_scale(linalg.identity(spec.matrix_size ** d), 0)
+    for A in _theorem_shifts(spec):
+        for MN, bracket in _shifted_family_commutators(spec, A, d).items():
+            assert bracket == zero, (A.rows, MN)
+
+
+@pytest.mark.parametrize("name,d", [("so:4", 2), ("sp:2", 3)])
+def test_rho_tells_a_shift_without_a_symmetry_sign(name, d):
+    # at sp:2 the first nonzero bracket, [(A.X^2), (A.X^3)], is zero on V(x)V
+    spec = parse_algebra(name)
+    zero = linalg.mat_scale(linalg.identity(spec.matrix_size ** d), 0)
+    brackets = _shifted_family_commutators(spec, violating_shift(spec), d)
+    assert any(b != zero for b in brackets.values())
+
+
+@pytest.mark.parametrize("name", ["gl:3", "so:4"])
+def test_rho_of_both_sides_of_the_power_bracket_expansion_agree(name):
+    """prop1 (gl) / prop4 (so/sp) at every orbit representative for M, N <= 2, on V(x)V:
+    each product the matrix product of the operators of its factors."""
+    spec, d = parse_algebra(name), 2
+    X = cache(lambda a, i, j: rho(el.matrix_power_element(spec, a, i, j), d))
+
+    def product(coef, a, i, j, b, k, l):
+        return linalg.mat_scale(linalg.mat_mul(X(a, i, j), X(b, k, l)), coef)
+
+    flip = {N: [rho(c, d) for c in el.power_flip_coefficients(spec, N)]
+            for N in (1, 2) if not spec.is_gl}
+    for M, N in itertools.product((1, 2), repeat=2):
+        for i, j, k, l in orbit_representatives(spec, 4):
+            rhs = []
+            for S in range(1, M + 1):
+                rhs += [product(1, M + N - S, i, l, S - 1, k, j),
+                        product(-1, S - 1, i, l, M + N - S, k, j)]
+            e1, e2 = spec.eps(-l) * spec.eps(k), spec.eps(-k) * spec.eps(l)
+            for p, cp in enumerate(flip.get(N, ())):
+                part = []
+                for S in range(1, M + 1):
+                    part += [product(e1, M + p - S, i, -k, S - 1, -l, j),
+                             product(-e2, S - 1, i, -k, M + p - S, -l, j)]
+                rhs.append(linalg.mat_scale(linalg.mat_mul(cp, reduce(linalg.mat_add, part)),
+                                            spec.pair_sign))
+            lhs = linalg.mat_commutator(X(M, i, j), X(N, k, l))
+            assert lhs == reduce(linalg.mat_add, rhs), (M, N, i, j, k, l)
 
 
 @pytest.fixture
