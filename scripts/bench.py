@@ -18,7 +18,8 @@ The record, stored under --label (other labels in --out are kept):
   ``mul_word_gen`` of every sorted degree-3 word of gl:4 by every generator
   and ``matrix_power_element``, both from empty caches, one cold ``verify
   prop4 --algebra so:4`` with its ``multiply`` call count, the
-  ``power_bracket_residual`` calls of each COLD call, and the
+  ``power_bracket_residual`` calls of each COLD call, one cold ``verify
+  theorem1`` of a dense gl:3 shift with its ``commutator`` call count, and the
   ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
   default chains with the number of commutators it takes; and the classical
   layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
@@ -60,6 +61,9 @@ COLD = {
     "verify_prop1_gl4": ["verify", "prop1", "--algebra", "gl:4"],
     "verify_prop4_so5": ["verify", "prop4", "--algebra", "so:5"],
 }
+# the theorem1 call of perfbench's identities-numeric workload at seed 7
+THEOREM1_GL3_DENSE = ["verify", "theorem1", "--algebra", "gl:3",
+                      "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1", "--max-power", "4"]
 CLASSICAL = {
     "rank_so8_regular_s": ["rank", "--algebra", "so:8", "--A", "diag:-4,-3,-2,-1,1,2,3,4"],
     "rank_gl6_regular_s": ["rank", "--algebra", "gl:6", "--A", "diag:1,2,3,4,5,6"],
@@ -234,6 +238,12 @@ def _micro(root: Path) -> dict:
         passes(*argv)
         restore()
         out[f"{key}_power_bracket_residual_calls"] = count[0]
+    cold()
+    count, restore = counting(elements, "commutator")
+    passes(*THEOREM1_GL3_DENSE)
+    restore()
+    out["verify_theorem1_gl3_dense"] = {
+        "cold_s": median_s(lambda: passes(*THEOREM1_GL3_DENSE), cold), "commutators": count[0]}
 
     for name in CHAIN_FILES:
         cold()

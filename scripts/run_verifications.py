@@ -29,6 +29,10 @@ BATTERY = [
     ["verify", "theorem1", "--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"],
     ["verify", "theorem1", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "3"],
     ["verify", "theorem1", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "4"],
+    ["verify", "theorem1", "--algebra", "gl:5", "--A", "symbolic", "--max-power", "4"],
+    ["verify", "theorem1", "--algebra", "gl:6", "--A", "symbolic", "--max-power", "4"],
+    ["verify", "theorem1", "--algebra", "gl:4",
+     "--A", "matrix:5,-1,1,4;-5,3,-2,-5;-3,-4,1,3;-2,2,4,-4", "--max-power", "4"],
     ["verify", "theorem2", "--algebra", "so:3", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:4", "--max-power", "3"],
     ["verify", "theorem2", "--algebra", "so:5", "--max-power", "3"],

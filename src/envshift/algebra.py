@@ -150,22 +150,17 @@ class AlgebraSpec:
         return tuple(tuple(r) for r in rows)
 
 
-def orbit_representatives(spec: AlgebraSpec, length: int) -> list:
-    """The first index tuple of each orbit of the index symmetries, in the
-    order of ``itertools.product(spec.index_set, repeat=length)``.
+def index_symmetries(spec: AlgebraSpec) -> list:
+    """Generators of the family's index symmetry group, as maps of the index set.
 
     An index map s is a symmetry when X[i,j] -> X[s(i),s(j)] is an
     automorphism of g, and so of U(g).  gl takes every permutation of 1..n.
     so and sp permute the labels |i| with s(-i) = -s(i) (and s(0) = 0); so
     may flip the sign of any label, sp only of all labels at once.  Each map
     is conjugation by its permutation matrix, and eps(s(i))*eps(s(j)) =
-    eps(i)*eps(j), so it keeps the pair relation.  It fixes the Casimirs, so
-    a residual built from entries (X^a)[r,s] at the tuple's indices and
-    their negatives, Casimirs and such eps products maps to the residual at
-    s(t): it vanishes at every tuple once it vanishes at these, and the
-    first tuple where it does not is one of them.  Orbits are closed under
-    generators of the group: the adjacent transpositions of the labels, plus
-    the sign flip of label 1 (so) or the global negation (sp).
+    eps(i)*eps(j), so it keeps the pair relation.  The generators are the
+    adjacent transpositions of the labels, plus the sign flip of label 1
+    (so) or the global negation (sp).
     """
     idx = spec.index_set
     gens = []
@@ -179,22 +174,72 @@ def orbit_representatives(spec: AlgebraSpec, length: int) -> list:
         gens.append({i: -i for i in idx})
     elif not spec.is_gl:
         gens.append({**dict(zip(idx, idx)), 1: -1, -1: 1})
-    seen: set = set()
-    reps = []
-    for t in itertools.product(idx, repeat=length):
-        if t in seen:
+    return gens
+
+
+def _orbits(items, maps) -> dict:
+    """{item: the first item of its orbit}, the orbits closed under ``maps``.
+
+    ``items`` is walked in order and each map sends an item to an item, so
+    every orbit is complete before the next first item is met.
+    """
+    first: dict = {}
+    for t in items:
+        if t in first:
             continue
-        reps.append(t)
-        seen.add(t)
+        first[t] = t
         todo = [t]
         while todo:
             u = todo.pop()
-            for s in gens:
-                v = tuple(s[i] for i in u)
-                if v not in seen:
-                    seen.add(v)
+            for f in maps:
+                v = f(u)
+                if v not in first:
+                    first[v] = t
                     todo.append(v)
-    return reps
+    return first
+
+
+def index_orbits(spec: AlgebraSpec, length: int) -> dict:
+    """{index tuple: the first tuple of its orbit}, in the order of
+    ``itertools.product(spec.index_set, repeat=length)``.
+
+    The symmetries fix the Casimirs, so a residual built from entries
+    (X^a)[r,s] at the tuple's indices and their negatives, Casimirs and
+    eps products maps to the residual at s(t): it vanishes at every tuple
+    of an orbit once it vanishes at the first, and the first tuple where it
+    does not is the first of its orbit.
+    """
+    maps = [lambda u, s=s: tuple(s[i] for i in u) for s in index_symmetries(spec)]
+    return _orbits(itertools.product(spec.index_set, repeat=length), maps)
+
+
+def orbit_representatives(spec: AlgebraSpec, length: int) -> list:
+    """The first index tuple of each orbit of the index symmetries, in the
+    order of ``itertools.product(spec.index_set, repeat=length)``."""
+    return [t for t, first in index_orbits(spec, length).items() if t == first]
+
+
+def coordinate_pair_orbits(spec: AlgebraSpec, coordinates) -> list:
+    """The first unordered pair (c, c'), c <= c', of each orbit of coordinate pairs.
+
+    ``coordinates`` lists matrices C_c over index labels, each a sorted tuple
+    of ((i, j), value).  A symmetry s acts by (s.C)[s(i),s(j)] = C[i,j], and it
+    is used only when it maps every coordinate to +- a coordinate, s.C_c =
+    e_c*C_pi(c); the orbits are closed under those generators.  The
+    coordinates have disjoint supports, so pi is a permutation.
+    """
+    where = {}
+    for c, entries in enumerate(coordinates):
+        where[entries] = c
+        where[tuple((ij, -v) for ij, v in entries)] = c
+    perms = []
+    for s in index_symmetries(spec):
+        images = [tuple(sorted(((s[i], s[j]), v) for (i, j), v in e)) for e in coordinates]
+        if all(e in where for e in images):
+            perms.append([where[e] for e in images])
+    maps = [lambda p, pi=pi: tuple(sorted((pi[p[0]], pi[p[1]]))) for pi in perms]
+    pairs = itertools.combinations_with_replacement(range(len(coordinates)), 2)
+    return [p for p, first in _orbits(pairs, maps).items() if p == first]
 
 
 def make_algebra(family: str, n: int) -> AlgebraSpec:

@@ -19,7 +19,13 @@ from pathlib import Path
 
 from . import elements as el
 from . import independence as ind
-from .algebra import AlgebraError, dimension_and_index, orbit_representatives, parse_algebra
+from .algebra import (
+    AlgebraError,
+    dimension_and_index,
+    index_orbits,
+    orbit_representatives,
+    parse_algebra,
+)
 from .chains import chain_generators, load_chain_file, noncommuting_pairs
 from .classical import (
     PointOnDual,
@@ -205,20 +211,30 @@ def _suite_centralizer(report, spec, shifts, max_power):
 
 
 def _suite_tensorial(report, spec, shifts, max_power):
+    """The tensorial identity at every index tuple, each its own check.
+
+    The residual is equivariant as the prop1/prop4 one is, so it is
+    evaluated at the first tuple of each orbit (``index_orbits``), which
+    comes first in the walk; the orbit's other tuples PASS with it.  Where
+    it does not vanish, each tuple of that orbit is evaluated itself, so a
+    FAIL carries its own residual.
+    """
+    orbits = index_orbits(spec, 4)
     for M in range(1, max_power + 1):
-        for i in spec.index_set:
-            for j in spec.index_set:
-                for k in spec.index_set:
-                    for l in spec.index_set:
-                        _run_check(
-                            report,
-                            f"tensorial M={M} ({i},{j},{k},{l})",
-                            _residual_check(
-                                lambda M=M, i=i, j=j, k=k, l=l: el.tensorial_residual(
-                                    spec, M, i, j, k, l
-                                )
-                            ),
-                        )
+        vanishes: dict = {}  # first tuple of an orbit -> whether its residual is zero
+
+        def residual(t, M=M):
+            first = orbits[t]
+            if vanishes.get(first):
+                return NCPolynomial.zero(spec)
+            r = el.tensorial_residual(spec, M, *t)
+            if t == first:
+                vanishes[t] = r.is_zero
+            return r
+
+        for t in itertools.product(spec.index_set, repeat=4):
+            _run_check(report, "tensorial M={} ({},{},{},{})".format(M, *t),
+                       _residual_check(lambda t=t: residual(t)))
 
 
 def _suite_casimir_central(report, spec, shifts, max_power):

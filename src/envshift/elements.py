@@ -15,11 +15,14 @@ a zero polynomial certifies the identity at that instance.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import linalg
 from .algebra import (
     AlgebraError,
     AlgebraSpec,
     bracket_terms,
+    coordinate_pair_orbits,
     coordinates_to_matrix,
     matrix_in_algebra,
 )
@@ -178,8 +181,65 @@ def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomia
 
 def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
                               built=None) -> NCPolynomial:
-    """[(A X^M), (A X^N)], polarized: the form [(P X^M), (Q X^N)]."""
-    return polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)), built)
+    """[(A X^M), (A X^N)], polarized: the form F(P, Q) = [(P X^M), (Q X^N)].
+
+    Zero is first sought from A's coordinate pairs at orbit representatives
+    (``_coordinate_certificate``), when that takes fewer forms; if it is not
+    taken, or a representative does not vanish, ``polarize`` gives the
+    residual.  ``built`` keeps A's certificate and parts across calls.
+    """
+    if built is None:
+        built = {}
+    if "certificate" not in built:
+        built["certificate"] = _coordinate_certificate(spec, A)
+    certificate = built["certificate"]
+
+    def form(P, Q):
+        return commutator(P.element(M), Q.element(N))
+
+    if certificate is not None:
+        pairs, coords = certificate
+        if all((form(coords[c], coords[c]) if c == d else
+                form(coords[c], coords[d]) + form(coords[d], coords[c])).is_zero
+               for c, d in pairs):
+            return NCPolynomial.zero(spec)
+    return polarize(spec, A, form, built.setdefault("parts", {}))
+
+
+def _coordinate_certificate(spec: AlgebraSpec, A: ShiftMatrix):
+    """(representative coordinate pairs, coordinate parts), or None for ``polarize``.
+
+    With A = sum_c a_c*C_c (``ShiftMatrix.coordinates``) and F bilinear,
+    F(A, A) = sum_{c <= c'} a_c*a_c'*S_cc' with S_cc = F(C_c, C_c) and
+    S_cc' = F(C_c, C_c') + F(C_c', C_c).  An index symmetry s with s.C_c =
+    e_c*C_pi(c) gives an automorphism phi_s of U(g) with phi_s(S_cc') =
+    e_c*e_c'*S_pi(c)pi(c'), so every S vanishes once those at the first pair
+    of each orbit (``coordinate_pair_orbits``) do, and then F(A, A) = 0.
+
+    Taken only when it needs fewer forms than ``polarize``, whose form over
+    parts with k and k' coordinates counts k*k' pairs, halved when k*k' > 1:
+    one merged product covers many pairs for less than their separate forms.
+    """
+    if A.spec != spec:
+        raise AlgebraError("shift matrix belongs to a different algebra")
+    coords = A.coordinates()
+    if not coords:
+        return None
+    pairs = coordinate_pair_orbits(spec, [entries for entries, _ in coords])
+    per_part = Counter(mono for _, a in coords
+                       for mono in (a.terms if isinstance(a, ParamPolynomial) else ((),)))
+    exhaustive = sum(k * k2 if k * k2 <= 1 else k * k2 / 2
+                     for k in per_part.values() for k2 in per_part.values())
+    if sum(1 if c == d else 2 for c, d in pairs) >= exhaustive:
+        return None
+    pos = {i: p for p, i in enumerate(A.indices)}
+    parts = []
+    for c, (entries, _) in enumerate(coords):
+        rows = [[0] * A.size for _ in A.indices]
+        for (i, j), v in entries:
+            rows[pos[i]][pos[j]] = v
+        parts.append(_ShiftPart(spec, rows, A.indices, c))
+    return pairs, parts
 
 
 # ---------------------------------------------------------------------------

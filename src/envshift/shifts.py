@@ -67,6 +67,34 @@ class ShiftMatrix:
                         out[mono][r][c] = coef
         return out
 
+    def coordinates(self):
+        """A = sum_c a_c*C_c over the family's shift basis, as [(C_c, a_c)], a_c nonzero.
+
+        C_c is a sorted tuple of ((i, j), value) over index labels: on gl the
+        unit matrix E_ij of each nonzero entry; on so/sp, for a symmetry sign
+        s of A, the signed pair E_ij + s*eps(i)*eps(j)*E_{-j,-i} of
+        ``symbolic_shift(spec, s)`` (E_{i,-i} alone when self-paired), with
+        a_c = A[i,j].  The coefficients are numbers or parameter polynomials.
+        None for an so/sp matrix with neither sign, which has no such basis.
+        """
+        spec = self.spec
+        entries = {(i, j): x for i, row in zip(self.indices, self.rows)
+                   for j, x in zip(self.indices, row) if x}
+        if spec.is_gl:
+            return [((((i, j), 1),), x) for (i, j), x in entries.items()]
+        signs = self.symmetry_signs()
+        if not signs:
+            return None
+        s = min(signs)  # both signs hold only for the zero matrix
+        out = []
+        for (i, j), x in entries.items():
+            if (i, j) == (-j, -i):
+                out.append(((((i, j), 1),), x))
+            elif (i, j) < (-j, -i):  # A[-j,-i] = s*eps(i)*eps(j)*A[i,j] is then nonzero too
+                pair = (((i, j), 1), ((-j, -i), s * spec.eps(i) * spec.eps(j)))
+                out.append((tuple(sorted(pair)), x))
+        return out
+
     def symmetry_signs(self) -> set:
         """Signs s satisfied entrywise (so/sp; empty set for gl or neither sign)."""
         return symmetry_signs(self.spec, self.rows, self.indices)

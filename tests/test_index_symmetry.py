@@ -1,8 +1,9 @@
 """The index symmetries behind ``algebra.orbit_representatives``.
 
-prop1, prop3 and prop4 evaluate their residuals at one index tuple per orbit.
-That rests on three facts, each checked here against oracles that do not
-use the helper:
+prop1, prop3, prop4 and tensorial evaluate their residuals at one index
+tuple per orbit, and the theorem commutators at one pair of shift
+coordinates per orbit.  That rests on these facts, each checked here
+against oracles that do not use the helpers:
 
 * every index map of the family's group is an automorphism: the product
   (X^a)[r,s].(X^b)[t,u], mapped generator by generator and renormalized by
@@ -10,7 +11,10 @@ use the helper:
   Casimirs and flip coefficients are fixed;
 * the representatives are the lex-least tuples of the orbits, one per orbit;
 * a fault that respects the symmetry gives the same report bytes on the
-  representatives as on every tuple.
+  representatives as on every tuple;
+* each map that sends every coordinate of a shift to +- a coordinate sends
+  a form in two coordinates to +- the form at their images, and the
+  coordinate pair representatives are one per orbit of those maps.
 """
 
 import ast
@@ -22,8 +26,9 @@ from oracles import every_index_tuple, index_symmetry_group, map_indices
 
 from envshift import cli
 from envshift import elements as el
-from envshift.algebra import orbit_representatives, parse_algebra
+from envshift.algebra import coordinate_pair_orbits, orbit_representatives, parse_algebra
 from envshift.pbw import NCPolynomial, multiply, parse
+from envshift.shifts import shift_from_designator, symbolic_shift
 
 GROUP_ORDERS = {"gl:3": 6, "so:4": 8, "so:5": 8, "sp:2": 4}
 
@@ -149,3 +154,135 @@ def test_flip_fail_reports_match_every_pair(designator, tmp_path, monkeypatch):
         monkeypatch, tmp_path, ["prop3", "--algebra", designator, "--max-power", "2"])
     assert code == code_all == 1 and reps == every
     assert [c["outcome"] for c in json.loads(reps)["checks"]] == ["PASS", "FAIL", "PASS"]
+
+
+def _every_tuple_its_own_orbit(spec, length):
+    """``index_orbits`` with every tuple first of its own orbit: the exhaustive suite."""
+    return {t: t for t in every_index_tuple(spec, length)}
+
+
+def _tensorial_run(monkeypatch, tmp_path, argv, orbits):
+    """(tensorial_residual calls, report bytes, exit code) of one suite run."""
+    calls = []
+    real = el.tensorial_residual
+    with monkeypatch.context() as m:
+        m.setattr(el, "tensorial_residual", lambda *a: calls.append(a) or real(*a))
+        m.setattr(cli, "index_orbits", orbits)
+        path = tmp_path / "r.json"
+        code = cli.main(["verify", "tensorial", *argv, "--out", str(path)])
+    return len(calls), path.read_bytes(), code
+
+
+def test_tensorial_suite_evaluates_one_tuple_per_orbit(monkeypatch, tmp_path):
+    argv = ["--algebra", "so:5"]
+    reps = _tensorial_run(monkeypatch, tmp_path, argv, cli.index_orbits)
+    every = _tensorial_run(monkeypatch, tmp_path, argv, _every_tuple_its_own_orbit)
+    assert (every[0], reps[0]) == (1875, 297)
+    assert reps[1:] == every[1:] and reps[2] == 0
+    assert len(json.loads(reps[1])["checks"]) == 1875
+
+
+@pytest.mark.parametrize("designator", ["gl:2", "so:3", "sp:1"])
+def test_tensorial_fail_reports_match_every_tuple(designator, tmp_path, monkeypatch):
+    real = el.tensorial_residual
+
+    def fault(spec, M, i, j, k, l):
+        out = real(spec, M, i, j, k, l)
+        if M == 2 and len({i, j, k, l}) == min(3, spec.matrix_size):
+            out = out + multiply(NCPolynomial.generator(spec, i, j),
+                                 NCPolynomial.generator(spec, k, l))
+        return out
+
+    monkeypatch.setattr(el, "tensorial_residual", fault)
+    argv = ["--algebra", designator, "--max-power", "2"]
+    calls, reps, code = _tensorial_run(monkeypatch, tmp_path, argv, cli.index_orbits)
+    _, every, code_all = _tensorial_run(monkeypatch, tmp_path, argv, _every_tuple_its_own_orbit)
+    assert code == code_all == 1 and reps == every
+    outcomes = [c["outcome"] for c in json.loads(reps)["checks"]]
+    assert {"PASS", "FAIL"} == set(outcomes) and calls < len(outcomes)
+
+
+def _coordinate_shifts():
+    return {
+        "gl:2-symbolic": symbolic_shift(parse_algebra("gl:2")),
+        "gl:3-symbolic": symbolic_shift(parse_algebra("gl:3")),
+        "gl:4-symbolic": symbolic_shift(parse_algebra("gl:4")),
+        "gl:3-dense": shift_from_designator(parse_algebra("gl:3"), "matrix:1,2,3;4,5,6;7,8,9"),
+        "gl:4-sym-diag": shift_from_designator(parse_algebra("gl:4"), "sym-diag:a1,a2,0,0"),
+        "gl:3-diag-1-1-0": shift_from_designator(parse_algebra("gl:3"), "diag:1,1,0"),
+        # the swap of 1 and 2 maps E_11 and E_22 to each other but E_13 off the coordinates
+        "gl:3-no-symmetry": shift_from_designator(parse_algebra("gl:3"),
+                                                  "matrix:1,0,1;0,1,0;0,0,0"),
+        "so:4-minus": symbolic_shift(parse_algebra("so:4"), -1),
+        "so:4-plus": symbolic_shift(parse_algebra("so:4"), 1),
+        "so:5-minus": symbolic_shift(parse_algebra("so:5"), -1),
+        "sp:2-minus": symbolic_shift(parse_algebra("sp:2"), -1),
+        "sp:2-plus": symbolic_shift(parse_algebra("sp:2"), 1),
+    }
+
+
+def _coordinate_images(spec, coords, sigma):
+    """[(pi(c), e_c)] with sigma.C_c = e_c*C_pi(c), or None if sigma leaves the coordinates."""
+    where = {entries: c for c, entries in enumerate(coords)}
+    out = []
+    for entries in coords:
+        image = tuple(sorted(((sigma[i], sigma[j]), v) for (i, j), v in entries))
+        negated = tuple((ij, -v) for ij, v in image)
+        if image in where:
+            out.append((where[image], 1))
+        elif negated in where:
+            out.append((where[negated], -1))
+        else:
+            return None
+    return out
+
+
+@pytest.mark.parametrize("case, count", [
+    ("gl:2-symbolic", 6), ("gl:3-symbolic", 10), ("gl:4-symbolic", 11), ("gl:3-dense", 10),
+    ("gl:4-sym-diag", 2), ("gl:3-diag-1-1-0", 2), ("gl:3-no-symmetry", 6), ("so:4-minus", 6),
+    ("so:4-plus", 13), ("so:5-minus", 13), ("sp:2-minus", 19), ("sp:2-plus", 9)])
+def test_coordinate_pair_representatives_are_one_per_orbit(case, count):
+    # the orbits of the whole group's maps that keep the coordinates, listed
+    # in full: each holds exactly one representative, its least pair
+    A = _coordinate_shifts()[case]
+    spec = A.spec
+    coords = [entries for entries, _ in A.coordinates()]
+    reps = coordinate_pair_orbits(spec, coords)
+    images = [im for im in (_coordinate_images(spec, coords, s)
+                            for s in index_symmetry_group(spec)) if im is not None]
+    covered = set()
+    for c, d in reps:
+        orbit = {tuple(sorted((im[c][0], im[d][0]))) for im in images}
+        assert min(orbit) == (c, d) and not orbit & covered
+        covered |= orbit
+    assert len(covered) == len(coords) * (len(coords) + 1) // 2
+    assert len(reps) == count
+
+
+@pytest.mark.parametrize("case", ["gl:2-symbolic", "gl:3-diag-1-1-0", "so:4-minus", "so:4-plus",
+                                  "sp:2-minus"])
+def test_index_maps_send_coordinate_forms_to_coordinate_forms(case):
+    # phi_s((C.X^a)(C'.X^b)) = e_c*e_c'*(C_pi(c).X^a)(C_pi(c').X^b): the
+    # product, which does not vanish, stands for any form built from them
+    A = _coordinate_shifts()[case]
+    spec = A.spec
+    coords = [entries for entries, _ in A.coordinates()]
+
+    def element(c, K):
+        rows = [[0] * spec.matrix_size for _ in spec.index_set]
+        for (i, j), v in coords[c]:
+            rows[spec.position(i)][spec.position(j)] = v
+        return el.contract_rows(spec, rows, K)
+
+    forms = {(c, d): multiply(element(c, 1), element(d, 2))
+             for c in range(len(coords)) for d in range(len(coords))}
+    mapped = 0
+    for sigma in index_symmetry_group(spec):
+        im = _coordinate_images(spec, coords, sigma)
+        if im is None:
+            continue
+        mapped += 1
+        for (c, d), form in forms.items():
+            (pc, ec), (pd, ed) = im[c], im[d]
+            assert map_indices(spec, sigma, form) == forms[pc, pd] * (ec * ed), (case, sigma, c, d)
+    assert mapped > 1

@@ -6,11 +6,12 @@ over every numeric shift matrix in that subspace, not just sampled instances.
 
 import pytest
 
+from envshift import cli, pbw
 from envshift import elements as el
 from envshift.algebra import parse_algebra
 from envshift.params import ParamPolynomial
-from envshift.pbw import commutator, format_poly
-from envshift.shifts import shift_from_designator, shift_from_rows, symbolic_shift
+from envshift.pbw import NCPolynomial, commutator, format_poly
+from envshift.shifts import canonical_shift, shift_from_designator, shift_from_rows, symbolic_shift
 
 
 @pytest.mark.parametrize("name", ["gl:2", "gl:3"])
@@ -75,8 +76,6 @@ def test_contracted_recursion_for_every_matrix_gl3():
 
 
 def test_recursion_identities_so5():
-    from envshift.shifts import canonical_shift
-
     spec = parse_algebra("so:5")
     for sign in (-1, 1):
         A = canonical_shift(spec, sign)
@@ -231,3 +230,172 @@ def test_polarized_contractions_match_direct(monkeypatch):
                  lambda P, Q: el.crossed_contraction(P, Q, 1, 2)):
         r = _assert_matches_direct(monkeypatch, lambda: el.polarize(spec, A, form))
         assert any(isinstance(c, ParamPolynomial) for c in r.terms.values())
+
+
+# ---------------------------------------------------------------------------
+# the coordinate certificate of the theorem commutators against the
+# exhaustive polarizer, its oracle
+
+
+def _oracle(spec, A, M, N):
+    """[(A X^M), (A X^N)] by ``polarize`` over every pair of A's parts."""
+    return el.polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)))
+
+
+def _signed(sign):
+    return lambda spec: symbolic_shift(spec, sign)
+
+
+def _designated(text):
+    return lambda spec: shift_from_designator(spec, text)
+
+
+def _canonical(sign):
+    return lambda spec: canonical_shift(spec, sign)
+
+
+# (algebra, shift, max power, whether the certificate is taken)
+CERTIFICATE_CASES = {
+    "gl:2-symbolic": ("gl:2", symbolic_shift, 3, True),
+    "gl:3-symbolic": ("gl:3", symbolic_shift, 3, True),
+    "gl:4-symbolic": ("gl:4", symbolic_shift, 2, True),
+    "gl:4-sym-diag": ("gl:4", _designated("sym-diag:a1,a2,0,0"), 3, True),
+    "gl:3-dense": ("gl:3", _designated("matrix:1,3,2;-3,-3,-2;-1,-2,-1"), 3, True),
+    "gl:3-canonical": ("gl:3", _designated("diag:1,2,0"), 3, False),
+    "gl:3-diag-1-1-0": ("gl:3", _designated("diag:1,1,0"), 3, False),
+    "gl:3-zero": ("gl:3", _designated("diag:0,0,0"), 3, False),
+    "so:4-symbolic-minus": ("so:4", _signed(-1), 3, True),
+    "so:4-symbolic-plus": ("so:4", _signed(1), 3, True),
+    "so:4-unsigned": ("so:4", symbolic_shift, 2, False),
+    "so:4-violating": ("so:4", _designated("matrix:1,0,0,1;0,0,0,0;0,0,0,0;0,0,0,0"), 3, False),
+    "so:4-canonical-minus": ("so:4", _canonical(-1), 3, False),
+    "so:4-zero": ("so:4", _designated("diag:0,0,0,0"), 3, False),
+    "so:5-symbolic-minus": ("so:5", _signed(-1), 2, True),
+    "so:5-symbolic-plus": ("so:5", _signed(1), 2, True),
+    "so:5-canonical-plus": ("so:5", _canonical(1), 3, False),
+    "sp:2-symbolic-minus": ("sp:2", _signed(-1), 3, True),
+    "sp:2-symbolic-plus": ("sp:2", _signed(1), 3, True),
+    "sp:2-unsigned": ("sp:2", symbolic_shift, 2, False),
+    "sp:2-canonical-minus": ("sp:2", _canonical(-1), 3, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_certificate_matches_the_exhaustive_polarizer(case, monkeypatch):
+    name, shift, max_power, taken = CERTIFICATE_CASES[case]
+    spec = parse_algebra(name)
+    A = shift(spec)
+    built: dict = {}
+    verdicts, polarized = [], []
+    real = el.polarize
+    for M in range(1, max_power + 1):
+        for N in range(M + 1, max_power + 1):
+            with monkeypatch.context() as m:
+                m.setattr(el, "polarize", lambda *a: polarized.append(1) or real(*a))
+                residual = el.shift_commutator_residual(spec, A, M, N, built)
+            assert format_poly(residual) == format_poly(_oracle(spec, A, M, N)), (case, M, N)
+            verdicts.append(residual.is_zero)
+    assert (built["certificate"] is not None) == taken
+    fails = case.endswith(("unsigned", "violating"))
+    assert all(verdicts) != fails
+    # a taken certificate decides every passing check without the polarizer
+    assert len(polarized) == (0 if taken else len(verdicts))
+
+
+def _theorem_counts(monkeypatch, tmp_path, argv, certificate):
+    """(commutator calls, report bytes, exit code) of one suite run, cold."""
+    el.clear_caches()
+    calls = []
+    real = el.commutator
+    with monkeypatch.context() as m:
+        m.setattr(el, "commutator", lambda p, q: calls.append(1) or real(p, q))
+        if not certificate:
+            m.setattr(el, "_coordinate_certificate", lambda spec, A: None)
+        path = tmp_path / f"{certificate}.json"
+        code = cli.main(["verify", "theorem1", *argv, "--out", str(path)])
+    return len(calls), path.read_bytes(), code
+
+
+@pytest.mark.parametrize("argv, before, after", [
+    (["--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"], 243, 54),
+    (["--algebra", "gl:3", "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1", "--max-power", "4"], 6, 108),
+])
+def test_certificate_form_counts(argv, before, after, monkeypatch, tmp_path):
+    # one form is one commutator; without the certificate the suite is today's polarizer
+    calls, report, code = _theorem_counts(monkeypatch, tmp_path, argv, True)
+    calls_exhaustive, report_exhaustive, code_exhaustive = _theorem_counts(
+        monkeypatch, tmp_path, argv, False)
+    assert (calls_exhaustive, calls) == (before, after)
+    assert code == code_exhaustive == 0 and report == report_exhaustive
+
+
+@pytest.fixture
+def cold_caches():
+    el.clear_caches()
+    yield
+    el.clear_caches()
+
+
+def _raised_by_transpose(real):
+    """``_ShiftPart.element`` with (B.X^2) raised by (B^T.X): transposing commutes
+    with the index maps, so the fault maps with the symmetries."""
+    def faulty(self, K):
+        out = real(self, K)
+        if K == 2:
+            out = out + el.contract_rows(self.spec, [list(r) for r in zip(*self.rows)], 1,
+                                         self.indices)
+        return out
+    return faulty
+
+
+@pytest.mark.parametrize("case", ["gl:3-symbolic", "gl:3-dense", "so:4-symbolic-minus",
+                                  "sp:2-symbolic-minus"])
+def test_an_equivariant_fault_is_caught(case, monkeypatch, cold_caches):
+    name, shift, _, _ = CERTIFICATE_CASES[case]
+    spec = parse_algebra(name)
+    A = shift(spec)
+    monkeypatch.setattr(el._ShiftPart, "element", _raised_by_transpose(el._ShiftPart.element))
+    built: dict = {}
+    residual = el.shift_commutator_residual(spec, A, 2, 3, built)
+    oracle = _oracle(spec, A, 2, 3)
+    assert not oracle.is_zero and residual == oracle
+    # the fault shows at some representative pairs only, and the first of them vanishes
+    pairs, coords = built["certificate"]
+
+    def form(P, Q):
+        return commutator(P.element(2), Q.element(3))
+
+    vanishing = [(form(coords[c], coords[c]) if c == d else
+                  form(coords[c], coords[d]) + form(coords[d], coords[c])).is_zero
+                 for c, d in pairs]
+    assert vanishing[0] and not all(vanishing)
+
+
+@pytest.mark.parametrize("case", ["gl:3-dense", "sp:2-symbolic-minus"])
+def test_a_corrupted_product_entry_falls_back_or_is_caught_by_the_oracle(
+        case, monkeypatch, cold_caches):
+    # the bracket part of one cached word * X_g negated as it is built, the
+    # fault of the defining-representation tests: no index symmetry maps it,
+    # so the certificate may miss it (it does on sp:2, and falls back on
+    # gl:3), and the exhaustive oracle must not
+    name, shift, _, _ = CERTIFICATE_CASES[case]
+    spec = parse_algebra(name)
+    A = shift(spec)
+    assert _oracle(spec, A, 2, 3).is_zero
+    key = min(k for k, v in pbw._TABLES[spec]._mul.items()
+              if len(k[0]) == 2 and any(len(w) <= 2 for w in v))
+    el.clear_caches()
+    real = pbw._Tables.mul_word_gen
+
+    def corrupted(self, word, g):
+        out = real(self, word, g)
+        if (word, g) == key:
+            out = {w: -c if len(w) <= len(word) else c for w, c in out.items()}
+        return out
+
+    monkeypatch.setattr(pbw._Tables, "mul_word_gen", corrupted)
+    oracle = _oracle(spec, A, 2, 3)
+    el.clear_caches()
+    residual = el.shift_commutator_residual(spec, A, 2, 3)
+    assert not oracle.is_zero
+    assert residual.is_zero or residual == oracle
