@@ -19,7 +19,8 @@ The record, stored under --label (other labels in --out are kept):
   and ``matrix_power_element``, both from empty caches, one cold ``verify
   prop4 --algebra so:4`` with its ``multiply`` call count, the
   ``power_bracket_residual`` calls of each COLD call, one cold ``verify
-  theorem1`` of a dense gl:3 shift with its ``commutator`` call count, and the
+  theorem1`` of a dense gl:3 shift and one cold ``verify prop5 --algebra
+  so:4 --A symbolic``, each with its ``commutator`` call count, and the
   ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
   default chains with the number of commutators it takes; and the classical
   layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
@@ -64,6 +65,7 @@ COLD = {
 # the theorem1 call of perfbench's identities-numeric workload at seed 7
 THEOREM1_GL3_DENSE = ["verify", "theorem1", "--algebra", "gl:3",
                       "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1", "--max-power", "4"]
+PROP5_SO4_SYMBOLIC = ["verify", "prop5", "--algebra", "so:4", "--A", "symbolic"]
 CLASSICAL = {
     "rank_so8_regular_s": ["rank", "--algebra", "so:8", "--A", "diag:-4,-3,-2,-1,1,2,3,4"],
     "rank_gl6_regular_s": ["rank", "--algebra", "gl:6", "--A", "diag:1,2,3,4,5,6"],
@@ -238,12 +240,14 @@ def _micro(root: Path) -> dict:
         passes(*argv)
         restore()
         out[f"{key}_power_bracket_residual_calls"] = count[0]
-    cold()
-    count, restore = counting(elements, "commutator")
-    passes(*THEOREM1_GL3_DENSE)
-    restore()
-    out["verify_theorem1_gl3_dense"] = {
-        "cold_s": median_s(lambda: passes(*THEOREM1_GL3_DENSE), cold), "commutators": count[0]}
+    for key, argv in (("verify_theorem1_gl3_dense", THEOREM1_GL3_DENSE),
+                      ("verify_prop5_so4_symbolic", PROP5_SO4_SYMBOLIC)):
+        cold()
+        count, restore = counting(elements, "commutator")
+        passes(*argv)
+        restore()
+        out[key] = {"cold_s": median_s(lambda argv=argv: passes(*argv), cold),
+                    "commutators": count[0]}
 
     for name in CHAIN_FILES:
         cold()

@@ -54,6 +54,7 @@ BATTERY = [
     ["verify", "prop1", "--algebra", "gl:3", "--max-power", "3"],
     ["verify", "prop2", "--algebra", "gl:3", "--max-power", "3"],
     ["verify", "prop2", "--algebra", "gl:3", "--A", "symbolic"],
+    ["verify", "prop2", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "4"],
     ["verify", "prop3", "--algebra", "so:3", "--max-power", "3"],
     ["verify", "prop3", "--algebra", "sp:1", "--max-power", "3"],
     ["verify", "prop4", "--algebra", "so:3", "--max-power", "3"],
@@ -62,6 +63,8 @@ BATTERY = [
     ["verify", "prop5", "--algebra", "so:3", "--max-power", "3"],
     ["verify", "prop5", "--algebra", "so:4", "--max-power", "3"],
     ["verify", "prop5", "--algebra", "so:4", "--A", "symbolic"],
+    ["verify", "prop5", "--algebra", "so:5", "--A", "symbolic"],
+    ["verify", "prop5", "--algebra", "sp:2", "--A", "symbolic"],
     ["verify", "prop5", "--algebra", "sp:1", "--max-power", "3"],
     # chains
     ["chain", "--file", "scripts/chains/gl3.json"],

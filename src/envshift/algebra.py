@@ -224,9 +224,10 @@ def coordinate_pair_orbits(spec: AlgebraSpec, coordinates) -> list:
 
     ``coordinates`` lists matrices C_c over index labels, each a sorted tuple
     of ((i, j), value).  A symmetry s acts by (s.C)[s(i),s(j)] = C[i,j], and it
-    is used only when it maps every coordinate to +- a coordinate, s.C_c =
-    e_c*C_pi(c); the orbits are closed under those generators.  The
-    coordinates have disjoint supports, so pi is a permutation.
+    is used only when it maps every matrix to +- one of them, s.C_c =
+    e_c*C_pi(c); the orbits are closed under those generators.  Matrices with
+    disjoint supports make pi a permutation.  Otherwise (C_c = -C_c', say) a
+    pair is still reached only from pairs whose forms vanish with its own.
     """
     where = {}
     for c, entries in enumerate(coordinates):

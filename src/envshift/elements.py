@@ -15,7 +15,7 @@ a zero polynomial certifies the identity at that instance.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 
 from . import linalg
 from .algebra import (
@@ -26,7 +26,7 @@ from .algebra import (
     coordinates_to_matrix,
     matrix_in_algebra,
 )
-from .params import ParamPolynomial, _mono_mul, _scalar
+from .params import _scalar
 from .pbw import _TABLES, NCPolynomial, commutator, linear_combination, multiply
 from .shifts import ShiftMatrix
 
@@ -104,14 +104,14 @@ def shift_generator(spec: AlgebraSpec, A: ShiftMatrix, M: int) -> NCPolynomial:
 
 
 class _ShiftPart:
-    """One numeric part B of a shift, the coefficient matrix of its parameter
-    monomial, with each (B X^K), B*X^a, trace chain and bracket built once."""
+    """One numeric basis matrix B of a shift, with each (B X^K), B*X^a, trace
+    chain and bracket built once; ``key`` tells it from the shift's others."""
 
-    __slots__ = ("spec", "rows", "indices", "monomial", "_elements", "_scaled", "_chains",
+    __slots__ = ("spec", "rows", "indices", "key", "_elements", "_scaled", "_chains",
                  "_brackets")
 
-    def __init__(self, spec: AlgebraSpec, rows, indices, monomial=()):
-        self.spec, self.rows, self.indices, self.monomial = spec, rows, indices, monomial
+    def __init__(self, spec: AlgebraSpec, rows, indices, key=()):
+        self.spec, self.rows, self.indices, self.key = spec, rows, indices, key
         self._elements: dict = {}
         self._scaled: dict = {}
         self._chains: dict = {}
@@ -125,16 +125,16 @@ class _ShiftPart:
         return out
 
     def bracket(self, K: int, Q: _ShiftPart, L: int) -> NCPolynomial:
-        """[(B X^K), (B' X^L)] for Q's part B', kept by (Q's monomial, K, L).
+        """[(B X^K), (B' X^L)] for Q's matrix B', kept by (Q's key, K, L).
 
         [x, x] = 0, and [Q_L, P_K] already built gives this one as its negation.
         """
         if self is Q and K == L:
             return NCPolynomial.zero(self.spec)
-        key = (Q.monomial, K, L)
+        key = (Q.key, K, L)
         out = self._brackets.get(key)
         if out is None:
-            swapped = Q._brackets.get((self.monomial, L, K))
+            swapped = Q._brackets.get((self.key, L, K))
             if swapped is not None:
                 return -swapped
             out = self._brackets[key] = commutator(self.element(K), Q.element(L))
@@ -154,92 +154,78 @@ class _ShiftPart:
 
 
 def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomial:
-    """F(A, A) for a form F bilinear in the shift, from numeric products only.
+    """F(A, A) for a form F bilinear in the shift, from numeric forms only.
 
-    With A = sum_m m*B_m over parameter monomials (``ShiftMatrix.parts``),
-    F(A, A) = sum_mu mu*R_mu with R_mu = sum_{m*m' = mu} F(B_m, B_m'), where
-    ``form(P, Q)`` evaluates F on two numeric parts (``_ShiftPart``).  Each
-    R_mu is numeric, and the result vanishes exactly when every R_mu does;
-    it is assembled with parametric coefficients only where it does not.
-    A numeric A is the single part 1: one evaluation, as computed directly.
-    ``built`` caches A's parts, with their elements, across calls with the same A.
+    With A = sum_c a_c*C_c over one basis of numeric matrices (``_basis``),
+    F(A, A) = sum_{c <= c'} a_c*a_c'*S_cc' with S_cc = F(C_c, C_c) and
+    S_cc' = F(C_c, C_c') + F(C_c', C_c), where ``form(P, Q)`` evaluates F on
+    two basis matrices (``_ShiftPart``).  The forms are built from the
+    (C X^K) and central elements, so an index symmetry s with s.C_c =
+    e_c*C_pi(c) gives an automorphism phi_s of U(g) that maps S_cc' to a
+    nonzero multiple of S_pi(c)pi(c').  Every S therefore vanishes once those
+    at the first pair of each orbit (``coordinate_pair_orbits``) do, and
+    then F(A, A) = 0.  Otherwise the whole sum is assembled, each S taken
+    once, with parametric coefficients only where the a_c carry them.
+    ``built`` keeps A's basis, with its elements, across calls with the same A.
     """
     if A.spec != spec:
         raise AlgebraError("shift matrix belongs to a different algebra")
     if built is None:
         built = {}
-    if not built:
-        built.update((m, _ShiftPart(spec, rows, A.indices, m)) for m, rows in A.parts().items())
-    groups: dict = {}   # mu -> R_mu
-    for m, P in built.items():
-        for m2, Q in built.items():
-            mu, value = _mono_mul(m, m2), form(P, Q)
-            groups[mu] = groups[mu] + value if mu in groups else value
+    if "basis" not in built:
+        built["basis"] = _basis(spec, A)
+    parts, pairs = built["basis"]
+    values: dict = {}
+
+    def S(c, d):
+        out = values.get((c, d))
+        if out is None:
+            P, Q = parts[c][0], parts[d][0]
+            out = values[c, d] = form(P, P) if c == d else form(P, Q) + form(Q, P)
+        return out
+
+    if all(S(c, d).is_zero for c, d in pairs):
+        return NCPolynomial.zero(spec)
     return linear_combination(spec, (
-        (r, ParamPolynomial({mu: 1}) if mu else 1) for mu, r in groups.items()))
+        (S(c, d), parts[c][1] * parts[d][1])
+        for c, d in itertools.combinations_with_replacement(range(len(parts)), 2)))
+
+
+def _basis(spec: AlgebraSpec, A: ShiftMatrix):
+    """([(C_c as a _ShiftPart, a_c)], representative pairs) for ``polarize``.
+
+    The basis is A's parameter-monomial parts (``ShiftMatrix.parts``) or its
+    coordinates (``ShiftMatrix.coordinates``), whichever needs fewer forms at
+    the orbit representatives; ties keep the parts.  A pair of two matrices
+    takes two forms, and a form at matrices of k and k' coordinates counts
+    k*k' coordinate pairs, halved when k*k' > 1: one merged product covers
+    many pairs for less than their separate forms.
+    """
+    coords = A.coordinates()
+    owner = {ij: c for c, (entries, _) in enumerate(coords) for ij, _ in entries}
+
+    def forms(option):
+        basis, pairs = option
+        k = [len({owner[ij] for ij, _ in entries}) for entries, _ in basis]
+        return sum((1 if c == d else 2) * (k[c] * k[d] if k[c] * k[d] <= 1 else k[c] * k[d] / 2)
+                   for c, d in pairs)
+
+    basis, pairs = min(((basis, coordinate_pair_orbits(spec, [e for e, _ in basis]))
+                        for basis in (A.parts(), coords)), key=forms)
+    pos = {i: p for p, i in enumerate(A.indices)}
+    parts = []
+    for c, (entries, a) in enumerate(basis):
+        rows = [[0] * A.size for _ in A.indices]
+        for (i, j), v in entries:
+            rows[pos[i]][pos[j]] = v
+        parts.append((_ShiftPart(spec, rows, A.indices, c), a))
+    return parts, pairs
 
 
 def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
                               built=None) -> NCPolynomial:
-    """[(A X^M), (A X^N)], polarized: the form F(P, Q) = [(P X^M), (Q X^N)].
-
-    Zero is first sought from A's coordinate pairs at orbit representatives
-    (``_coordinate_certificate``), when that takes fewer forms; if it is not
-    taken, or a representative does not vanish, ``polarize`` gives the
-    residual.  ``built`` keeps A's certificate and parts across calls.
-    """
-    if built is None:
-        built = {}
-    if "certificate" not in built:
-        built["certificate"] = _coordinate_certificate(spec, A)
-    certificate = built["certificate"]
-
-    def form(P, Q):
-        return commutator(P.element(M), Q.element(N))
-
-    if certificate is not None:
-        pairs, coords = certificate
-        if all((form(coords[c], coords[c]) if c == d else
-                form(coords[c], coords[d]) + form(coords[d], coords[c])).is_zero
-               for c, d in pairs):
-            return NCPolynomial.zero(spec)
-    return polarize(spec, A, form, built.setdefault("parts", {}))
-
-
-def _coordinate_certificate(spec: AlgebraSpec, A: ShiftMatrix):
-    """(representative coordinate pairs, coordinate parts), or None for ``polarize``.
-
-    With A = sum_c a_c*C_c (``ShiftMatrix.coordinates``) and F bilinear,
-    F(A, A) = sum_{c <= c'} a_c*a_c'*S_cc' with S_cc = F(C_c, C_c) and
-    S_cc' = F(C_c, C_c') + F(C_c', C_c).  An index symmetry s with s.C_c =
-    e_c*C_pi(c) gives an automorphism phi_s of U(g) with phi_s(S_cc') =
-    e_c*e_c'*S_pi(c)pi(c'), so every S vanishes once those at the first pair
-    of each orbit (``coordinate_pair_orbits``) do, and then F(A, A) = 0.
-
-    Taken only when it needs fewer forms than ``polarize``, whose form over
-    parts with k and k' coordinates counts k*k' pairs, halved when k*k' > 1:
-    one merged product covers many pairs for less than their separate forms.
-    """
-    if A.spec != spec:
-        raise AlgebraError("shift matrix belongs to a different algebra")
-    coords = A.coordinates()
-    if not coords:
-        return None
-    pairs = coordinate_pair_orbits(spec, [entries for entries, _ in coords])
-    per_part = Counter(mono for _, a in coords
-                       for mono in (a.terms if isinstance(a, ParamPolynomial) else ((),)))
-    exhaustive = sum(k * k2 if k * k2 <= 1 else k * k2 / 2
-                     for k in per_part.values() for k2 in per_part.values())
-    if sum(1 if c == d else 2 for c, d in pairs) >= exhaustive:
-        return None
-    pos = {i: p for p, i in enumerate(A.indices)}
-    parts = []
-    for c, (entries, _) in enumerate(coords):
-        rows = [[0] * A.size for _ in A.indices]
-        for (i, j), v in entries:
-            rows[pos[i]][pos[j]] = v
-        parts.append(_ShiftPart(spec, rows, A.indices, c))
-    return pairs, parts
+    """[(A X^M), (A X^N)], polarized (``polarize``): the form F(P, Q) = [(P X^M), (Q X^N)]."""
+    return polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)), built)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +433,10 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
 def trace_chain(P: _ShiftPart, Q: _ShiftPart, a: int, b: int) -> NCPolynomial:
     """W(a,b) = sum P[j,i]Q[l,k] (X^a)[i,l](X^b)[k,j] = tr(P X^a Q X^b) in U-order.
 
-    P and Q are parts of one shift; P keeps W by (Q's monomial, a, b), so it
-    is built once for as long as the parts live (``polarize``'s ``built``).
+    P and Q are basis matrices of one shift; P keeps W by (Q's key, a, b), so
+    it is built once for as long as the basis lives (``polarize``'s ``built``).
     """
-    key = (Q.monomial, a, b)
+    key = (Q.key, a, b)
     out = P._chains.get(key)
     if out is not None:
         return out

@@ -185,10 +185,22 @@ class ParamPolynomial:
 
 
 def _mono_mul(m1, m2):
-    exps: dict = {}
-    for name, e in m1 + m2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    """The product of two monomials, each sorted by variable, in one merge."""
+    if not m1 or not m2:
+        return m1 or m2
+    out, i, j, n1, n2 = [], 0, 0, len(m1), len(m2)
+    while i < n1 and j < n2:
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i, j = i + 1, j + 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def coeff_to_str(c) -> str:

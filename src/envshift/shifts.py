@@ -49,42 +49,41 @@ class ShiftMatrix:
             raise AlgebraError("operation requires a numeric shift matrix")
         return [list(row) for row in self.rows]
 
-    def parts(self) -> dict:
-        """A as sum_m m*B_m: parameter monomial m (``()`` for 1) -> numeric rows B_m.
+    def parts(self) -> list:
+        """A = sum_m m*B_m over its parameter monomials m, as [(B_m, m)].
 
-        The rows follow the coefficient rule; a monomial is listed only with
-        a nonzero B_m, and a numeric matrix is the single part ``()``.
+        B_m is a sorted tuple of ((i, j), value) over index labels, as in
+        ``coordinates``, with values under the coefficient rule; m is 1 for
+        the numbers of A and a ``ParamPolynomial`` monomial otherwise.  A
+        monomial is listed only with a nonzero B_m, and a numeric matrix is
+        the single part (A, 1).
         """
-        size = self.size
         out: dict = {}
-        for r, row in enumerate(self.rows):
-            for c, x in enumerate(row):
+        for i, row in zip(self.indices, self.rows):
+            for j, x in zip(self.indices, row):
                 terms = x.terms.items() if isinstance(x, ParamPolynomial) else (((), x),)
                 for mono, coef in terms:
                     if coef:
-                        if mono not in out:
-                            out[mono] = [[0] * size for _ in range(size)]
-                        out[mono][r][c] = coef
-        return out
+                        out.setdefault(mono, []).append(((i, j), coef))
+        return [(tuple(sorted(entries)), ParamPolynomial({mono: 1}) if mono else 1)
+                for mono, entries in out.items()]
 
-    def coordinates(self):
+    def coordinates(self) -> list:
         """A = sum_c a_c*C_c over the family's shift basis, as [(C_c, a_c)], a_c nonzero.
 
-        C_c is a sorted tuple of ((i, j), value) over index labels: on gl the
-        unit matrix E_ij of each nonzero entry; on so/sp, for a symmetry sign
-        s of A, the signed pair E_ij + s*eps(i)*eps(j)*E_{-j,-i} of
-        ``symbolic_shift(spec, s)`` (E_{i,-i} alone when self-paired), with
-        a_c = A[i,j].  The coefficients are numbers or parameter polynomials.
-        None for an so/sp matrix with neither sign, which has no such basis.
+        C_c is a sorted tuple of ((i, j), value) over index labels: the unit
+        matrix E_ij of each nonzero entry, on gl and for an so/sp matrix with
+        neither symmetry sign; for a sign s of an so/sp matrix, the signed
+        pair E_ij + s*eps(i)*eps(j)*E_{-j,-i} of ``symbolic_shift(spec, s)``
+        (E_{i,-i} alone when self-paired).  a_c = A[i,j], a number or a
+        parameter polynomial.
         """
         spec = self.spec
         entries = {(i, j): x for i, row in zip(self.indices, self.rows)
                    for j, x in zip(self.indices, row) if x}
-        if spec.is_gl:
-            return [((((i, j), 1),), x) for (i, j), x in entries.items()]
         signs = self.symmetry_signs()
         if not signs:
-            return None
+            return [((((i, j), 1),), x) for (i, j), x in entries.items()]
         s = min(signs)  # both signs hold only for the zero matrix
         out = []
         for (i, j), x in entries.items():

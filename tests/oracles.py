@@ -1,5 +1,6 @@
 """Oracles kept for the tests only: superseded families, the symbolic classical
-side and the bubble-sort rewriter, to check the package against."""
+side, the bubble-sort rewriter and the exhaustive polarizer, to check the
+package against."""
 
 import itertools
 from fractions import Fraction
@@ -11,7 +12,8 @@ from envshift.algebra import GL, SP, AlgebraError, bracket_structure
 from envshift.classical import (
     _poly_trace, algebra_projection, coordinate_matrix, derive_rng, shifted_charpoly_values)
 from envshift.params import ParamPolynomial
-from envshift.pbw import NCPolynomial, _accumulate, _coerce_coeff, commutator, multiply
+from envshift.pbw import (
+    NCPolynomial, _accumulate, _coerce_coeff, commutator, linear_combination, multiply)
 from envshift.shifts import make_shift
 
 
@@ -327,3 +329,33 @@ def rho(p, d, values=None):
                     prefixes[word[:k - 1]], tensor_generator(p.spec, word[k - 1], d))
         out = linalg.mat_add(out, linalg.mat_scale(prefixes[word], c))
     return out
+
+
+def basis_part(A, entries, key):
+    """The ``elements._ShiftPart`` of one basis matrix of A, given as its entries."""
+    pos = {i: p for p, i in enumerate(A.indices)}
+    rows = [[0] * A.size for _ in A.indices]
+    for (i, j), v in entries:
+        rows[pos[i]][pos[j]] = v
+    return el._ShiftPart(A.spec, rows, A.indices, key)
+
+
+def exhaustive_polarize(spec, A, form, built=None):
+    """F(A, A) for a form F bilinear in the shift, over every ordered pair of
+    A's parameter-monomial parts, with no symmetry: with A = sum_m m*B_m,
+    F(A, A) = sum_mu mu*R_mu, R_mu = sum_{m*m' = mu} F(B_m, B_m').
+
+    A drop-in for ``elements.polarize``; ``built`` keeps the parts, with
+    their elements and brackets, across calls with the same A.
+    """
+    if built is None:
+        built = {}
+    if "oracle" not in built:
+        built["oracle"] = [(basis_part(A, entries, c), m)
+                           for c, (entries, m) in enumerate(A.parts())]
+    groups: dict = {}   # mu -> R_mu
+    for P, m in built["oracle"]:
+        for Q, m2 in built["oracle"]:
+            mu, value = m * m2, form(P, Q)
+            groups[mu] = groups[mu] + value if mu in groups else value
+    return linear_combination(spec, ((r, mu) for mu, r in groups.items()))

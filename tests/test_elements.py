@@ -357,8 +357,8 @@ def test_prop2_takes_each_shift_part_commutator_once(A, tmp_path, monkeypatch):
     real_bracket, real_commutator = el._ShiftPart.bracket, el.commutator
 
     def bracket(self, K, Q, L):
-        if (self.monomial, K) != (Q.monomial, L):
-            requested.add(frozenset({(self.monomial, K), (Q.monomial, L)}))
+        if (self.key, K) != (Q.key, L):
+            requested.add(frozenset({(self.key, K), (Q.key, L)}))
         return real_bracket(self, K, Q, L)
 
     def commutator_spy(p, q):
@@ -376,13 +376,13 @@ def test_prop2_takes_each_shift_part_commutator_once(A, tmp_path, monkeypatch):
 
 
 def test_prop5_builds_each_trace_chain_once(monkeypatch):
-    # the parts in ``built`` keep W(a,b) by (monomial, monomial, a, b) across
+    # the basis in ``built`` keeps W(a,b) by (key, key, a, b) across
     # both signs and every (M, N), as the prop5 suite shares them
     requested, built_chains = [], []
     real_chain, real_scaled = el.trace_chain, el._ShiftPart.scaled_power
 
     def chain(P, Q, a, b):
-        requested.append((P.monomial, Q.monomial, a, b))
+        requested.append((P.key, Q.key, a, b))
         return real_chain(P, Q, a, b)
 
     def scaled(self, a):

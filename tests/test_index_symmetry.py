@@ -218,6 +218,9 @@ def _coordinate_shifts():
         "so:5-minus": symbolic_shift(parse_algebra("so:5"), -1),
         "sp:2-minus": symbolic_shift(parse_algebra("sp:2"), -1),
         "sp:2-plus": symbolic_shift(parse_algebra("sp:2"), 1),
+        # neither sign: the unit matrices, which the maps permute with no sign
+        "so:4-unsigned": symbolic_shift(parse_algebra("so:4")),
+        "sp:2-unsigned": symbolic_shift(parse_algebra("sp:2")),
     }
 
 
@@ -260,7 +263,7 @@ def test_coordinate_pair_representatives_are_one_per_orbit(case, count):
 
 
 @pytest.mark.parametrize("case", ["gl:2-symbolic", "gl:3-diag-1-1-0", "so:4-minus", "so:4-plus",
-                                  "sp:2-minus"])
+                                  "sp:2-minus", "so:4-unsigned", "sp:2-unsigned"])
 def test_index_maps_send_coordinate_forms_to_coordinate_forms(case):
     # phi_s((C.X^a)(C'.X^b)) = e_c*e_c'*(C_pi(c).X^a)(C_pi(c').X^b): the
     # product, which does not vanish, stands for any form built from them

@@ -4,14 +4,17 @@ One parameter per free entry makes a single vanishing commutator an identity
 over every numeric shift matrix in that subspace, not just sampled instances.
 """
 
+import itertools
+
 import pytest
 
 from envshift import cli, pbw
 from envshift import elements as el
-from envshift.algebra import parse_algebra
+from envshift.algebra import coordinate_pair_orbits, parse_algebra
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, commutator, format_poly
 from envshift.shifts import canonical_shift, shift_from_designator, shift_from_rows, symbolic_shift
+from oracles import basis_part, exhaustive_polarize
 
 
 @pytest.mark.parametrize("name", ["gl:2", "gl:3"])
@@ -125,7 +128,9 @@ def test_polarized_residual_matches_direct_on_mixed_shift():
     # numbers beside parameters: the part of the monomial 1 pairs with each
     spec = parse_algebra("so:4")
     A = shift_from_designator(spec, "matrix:1,0,0,a;0,b,0,0;0,0,0,0;2,0,0,0")
-    assert set(A.parts()) == {(), (("a", 1),), (("b", 1),)}
+    a, b = ParamPolynomial.variable("a"), ParamPolynomial.variable("b")
+    assert [m for _, m in A.parts()] == [1, a, b]
+    assert A.parts()[0] == ((((-2, -2), 1), ((2, -2), 2)), 1)
     assert _assert_polarized_matches_direct(spec, A)
 
 
@@ -141,8 +146,9 @@ def test_polarized_residual_groups_by_product_monomial():
     B = shift_from_rows(so4, [[a + 2 * a * a, 0, 0, a + a * a], [0, a * b, 0, 0],
                               [0, 0, 0, 0], [1, 0, 0, b + 1]])
     assert _assert_polarized_matches_direct(so4, B)
-    P = {(m, K): el.contract_rows(so4, rows, K) for m, rows in B.parts().items() for K in (1, 2)}
-    one, lin, quad = (), (("a", 1),), (("a", 2),)
+    P = {(m, K): basis_part(B, entries, c).element(K)
+         for c, (entries, m) in enumerate(B.parts()) for K in (1, 2)}
+    one, lin, quad = 1, a, a * a
     square_pairs = commutator(P[quad, 1], P[one, 2]) + commutator(P[one, 1], P[quad, 2])
     linear_pair = commutator(P[lin, 1], P[lin, 2])
     assert not square_pairs.is_zero and not linear_pair.is_zero
@@ -152,8 +158,8 @@ def test_polarized_residual_groups_by_product_monomial():
 def test_numeric_shift_is_one_part():
     spec = parse_algebra("gl:3")
     A = shift_from_designator(spec, "matrix:1,2,0;0,1/2,0;3,0,-1")
-    assert list(A.parts()) == [()]
-    assert A.parts()[()] == A.numeric_rows()
+    [(entries, m)] = A.parts()
+    assert m == 1 and basis_part(A, entries, 0).rows == A.numeric_rows()
     assert not _assert_polarized_matches_direct(spec, A)
 
 
@@ -233,13 +239,13 @@ def test_polarized_contractions_match_direct(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the coordinate certificate of the theorem commutators against the
-# exhaustive polarizer, its oracle
+# the polarizer at orbit representatives against the exhaustive one, its
+# oracle (``oracles.exhaustive_polarize``)
 
 
 def _oracle(spec, A, M, N):
-    """[(A X^M), (A X^N)] by ``polarize`` over every pair of A's parts."""
-    return el.polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)))
+    """[(A X^M), (A X^N)] by the exhaustive polarizer."""
+    return exhaustive_polarize(spec, A, lambda P, Q: commutator(P.element(M), Q.element(N)))
 
 
 def _signed(sign):
@@ -254,77 +260,141 @@ def _canonical(sign):
     return lambda spec: canonical_shift(spec, sign)
 
 
-# (algebra, shift, max power, whether the certificate is taken)
+# (algebra, shift, max power, the basis ``polarize`` takes); where A's parts
+# and coordinates are one list, ties keep the parts
 CERTIFICATE_CASES = {
-    "gl:2-symbolic": ("gl:2", symbolic_shift, 3, True),
-    "gl:3-symbolic": ("gl:3", symbolic_shift, 3, True),
-    "gl:4-symbolic": ("gl:4", symbolic_shift, 2, True),
-    "gl:4-sym-diag": ("gl:4", _designated("sym-diag:a1,a2,0,0"), 3, True),
-    "gl:3-dense": ("gl:3", _designated("matrix:1,3,2;-3,-3,-2;-1,-2,-1"), 3, True),
-    "gl:3-canonical": ("gl:3", _designated("diag:1,2,0"), 3, False),
-    "gl:3-diag-1-1-0": ("gl:3", _designated("diag:1,1,0"), 3, False),
-    "gl:3-zero": ("gl:3", _designated("diag:0,0,0"), 3, False),
-    "so:4-symbolic-minus": ("so:4", _signed(-1), 3, True),
-    "so:4-symbolic-plus": ("so:4", _signed(1), 3, True),
-    "so:4-unsigned": ("so:4", symbolic_shift, 2, False),
-    "so:4-violating": ("so:4", _designated("matrix:1,0,0,1;0,0,0,0;0,0,0,0;0,0,0,0"), 3, False),
-    "so:4-canonical-minus": ("so:4", _canonical(-1), 3, False),
-    "so:4-zero": ("so:4", _designated("diag:0,0,0,0"), 3, False),
-    "so:5-symbolic-minus": ("so:5", _signed(-1), 2, True),
-    "so:5-symbolic-plus": ("so:5", _signed(1), 2, True),
-    "so:5-canonical-plus": ("so:5", _canonical(1), 3, False),
-    "sp:2-symbolic-minus": ("sp:2", _signed(-1), 3, True),
-    "sp:2-symbolic-plus": ("sp:2", _signed(1), 3, True),
-    "sp:2-unsigned": ("sp:2", symbolic_shift, 2, False),
-    "sp:2-canonical-minus": ("sp:2", _canonical(-1), 3, False),
+    "gl:2-symbolic": ("gl:2", symbolic_shift, 3, "parts"),
+    "gl:3-symbolic": ("gl:3", symbolic_shift, 3, "parts"),
+    "gl:4-symbolic": ("gl:4", symbolic_shift, 2, "parts"),
+    "gl:4-sym-diag": ("gl:4", _designated("sym-diag:a1,a2,0,0"), 3, "parts"),
+    "gl:3-dense": ("gl:3", _designated("matrix:1,3,2;-3,-3,-2;-1,-2,-1"), 3, "coordinates"),
+    "gl:3-canonical": ("gl:3", _designated("diag:1,2,0"), 3, "parts"),
+    "gl:3-diag-1-1-0": ("gl:3", _designated("diag:1,1,0"), 3, "parts"),
+    "gl:3-zero": ("gl:3", _designated("diag:0,0,0"), 3, "parts"),
+    "so:4-symbolic-minus": ("so:4", _signed(-1), 3, "parts"),
+    "so:4-symbolic-plus": ("so:4", _signed(1), 3, "parts"),
+    "so:4-unsigned": ("so:4", symbolic_shift, 2, "parts"),
+    "so:4-violating": ("so:4", _designated("matrix:1,0,0,1;0,0,0,0;0,0,0,0;0,0,0,0"), 3, "parts"),
+    "so:4-canonical-minus": ("so:4", _canonical(-1), 3, "parts"),
+    "so:4-zero": ("so:4", _designated("diag:0,0,0,0"), 3, "parts"),
+    "so:5-symbolic-minus": ("so:5", _signed(-1), 2, "parts"),
+    "so:5-symbolic-plus": ("so:5", _signed(1), 2, "parts"),
+    "so:5-canonical-plus": ("so:5", _canonical(1), 3, "parts"),
+    "sp:2-symbolic-minus": ("sp:2", _signed(-1), 3, "parts"),
+    "sp:2-symbolic-plus": ("sp:2", _signed(1), 3, "parts"),
+    "sp:2-unsigned": ("sp:2", symbolic_shift, 2, "parts"),
+    "sp:2-canonical-minus": ("sp:2", _canonical(-1), 3, "parts"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
-def test_certificate_matches_the_exhaustive_polarizer(case, monkeypatch):
-    name, shift, max_power, taken = CERTIFICATE_CASES[case]
+def _theorem_residuals(spec, A, max_power, built):
+    return [el.shift_commutator_residual(spec, A, M, N, built)
+            for M in range(1, max_power + 1) for N in range(M + 1, max_power + 1)]
+
+
+def _prop2_residuals(spec, A, max_power, built):
+    return [el.shift_bracket_recursion_residual(spec, M, N, A, built)
+            for M in range(1, max_power + 1) for N in range(1, max_power + 1)]
+
+
+def _prop5_residuals(spec, A, max_power, built):
+    [sign] = A.symmetry_signs()
+    return [r for M in range(1, max_power + 1) for N in range(1, max_power + 1)
+            for r in el.contracted_recursion_residuals(spec, A, M, N, sign, built)]
+
+
+# the prop2 form, and the prop5 straight and crossed forms, as the cases above
+RECURSION_CASES = {
+    "prop2-gl:3-symbolic": ("gl:3", symbolic_shift, 2, "parts"),
+    "prop2-gl:3-dense": ("gl:3", _designated("matrix:1,3,2;-3,-3,-2;-1,-2,-1"), 3, "coordinates"),
+    "prop2-gl:3-canonical": ("gl:3", _designated("diag:1,2,0"), 3, "parts"),
+    "prop5-so:4-symbolic-minus": ("so:4", _signed(-1), 2, "parts"),
+    "prop5-so:4-symbolic-plus": ("so:4", _signed(1), 2, "parts"),
+    "prop5-so:4-canonical-minus": ("so:4", _canonical(-1), 3, "parts"),
+    "prop5-so:4-canonical-plus": ("so:4", _canonical(1), 3, "parts"),
+    "prop5-sp:2-symbolic-minus": ("sp:2", _signed(-1), 2, "parts"),
+    "prop5-sp:2-symbolic-plus": ("sp:2", _signed(1), 2, "parts"),
+    "prop5-sp:2-canonical-minus": ("sp:2", _canonical(-1), 3, "parts"),
+    "prop5-sp:2-canonical-plus": ("sp:2", _canonical(1), 3, "parts"),
+}
+
+
+def _case(case):
+    """(spec, A, max power, basis, residuals function) of a case above."""
+    if case in CERTIFICATE_CASES:
+        name, shift, max_power, basis = CERTIFICATE_CASES[case]
+        residuals = _theorem_residuals
+    else:
+        name, shift, max_power, basis = RECURSION_CASES[case]
+        residuals = _prop2_residuals if case.startswith("prop2") else _prop5_residuals
     spec = parse_algebra(name)
-    A = shift(spec)
-    built: dict = {}
-    verdicts, polarized = [], []
+    return spec, shift(spec), max_power, basis, residuals
+
+
+def _entries(P):
+    """A ``_ShiftPart``'s matrix as the sorted ((i, j), value) tuple of its nonzero entries."""
+    return tuple(sorted(((i, j), v) for i, row in zip(P.indices, P.rows)
+                        for j, v in zip(P.indices, row) if v))
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES) + sorted(RECURSION_CASES))
+def test_certificate_matches_the_exhaustive_polarizer(case, monkeypatch):
+    spec, A, max_power, basis, residuals = _case(case)
     real = el.polarize
-    for M in range(1, max_power + 1):
-        for N in range(M + 1, max_power + 1):
-            with monkeypatch.context() as m:
-                m.setattr(el, "polarize", lambda *a: polarized.append(1) or real(*a))
-                residual = el.shift_commutator_residual(spec, A, M, N, built)
-            assert format_poly(residual) == format_poly(_oracle(spec, A, M, N)), (case, M, N)
-            verdicts.append(residual.is_zero)
-    assert (built["certificate"] is not None) == taken
+    forms = []  # (P, Q) of each form evaluation, one list per polarize call
+
+    def counting(spec, A, form, built=None):
+        forms.append([])
+        return real(spec, A, lambda P, Q: forms[-1].append((P.key, Q.key)) or form(P, Q), built)
+
+    built: dict = {}
+    with monkeypatch.context() as m:
+        m.setattr(el, "polarize", counting)
+        polarized = residuals(spec, A, max_power, built)
+    with monkeypatch.context() as m:
+        m.setattr(el, "polarize", exhaustive_polarize)
+        oracle = residuals(spec, A, max_power, {})
+    assert [format_poly(r) for r in polarized] == [format_poly(r) for r in oracle], case
+    parts, pairs = built["basis"]
+    chosen = [(_entries(P), a) for P, a in parts]
+    assert chosen == (A.parts() if basis == "parts" else A.coordinates())
     fails = case.endswith(("unsigned", "violating"))
-    assert all(verdicts) != fails
-    # a taken certificate decides every passing check without the polarizer
-    assert len(polarized) == (0 if taken else len(verdicts))
+    assert all(r.is_zero for r in polarized) != fails
+    # a passing check evaluates each form at the representative pairs once,
+    # a failing one each form at every pair once
+    every = sorted(itertools.product(range(len(parts)), repeat=2))
+    at_representatives = sorted({(c, d) for c, d in pairs} | {(d, c) for c, d in pairs})
+    assert len(forms) == len(polarized)
+    for r, evaluated in zip(polarized, forms):
+        assert sorted(evaluated) == (at_representatives if r.is_zero else every), case
 
 
-def _theorem_counts(monkeypatch, tmp_path, argv, certificate):
+def _suite_counts(monkeypatch, tmp_path, argv, polarize):
     """(commutator calls, report bytes, exit code) of one suite run, cold."""
     el.clear_caches()
     calls = []
     real = el.commutator
     with monkeypatch.context() as m:
         m.setattr(el, "commutator", lambda p, q: calls.append(1) or real(p, q))
-        if not certificate:
-            m.setattr(el, "_coordinate_certificate", lambda spec, A: None)
-        path = tmp_path / f"{certificate}.json"
-        code = cli.main(["verify", "theorem1", *argv, "--out", str(path)])
+        m.setattr(el, "polarize", polarize)
+        path = tmp_path / f"{polarize.__name__}.json"
+        code = cli.main(["verify", *argv, "--out", str(path)])
     return len(calls), path.read_bytes(), code
 
 
 @pytest.mark.parametrize("argv, before, after", [
-    (["--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"], 243, 54),
-    (["--algebra", "gl:3", "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1", "--max-power", "4"], 6, 108),
+    (["theorem1", "--algebra", "gl:3", "--A", "symbolic", "--max-power", "3"], 243, 54),
+    (["theorem1", "--algebra", "gl:3", "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1",
+      "--max-power", "4"], 6, 108),
+    (["prop2", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "4"], 3808, 296),
+    (["prop5", "--algebra", "so:4", "--A", "symbolic"], 1404, 339),
 ])
 def test_certificate_form_counts(argv, before, after, monkeypatch, tmp_path):
-    # one form is one commutator; without the certificate the suite is today's polarizer
-    calls, report, code = _theorem_counts(monkeypatch, tmp_path, argv, True)
-    calls_exhaustive, report_exhaustive, code_exhaustive = _theorem_counts(
-        monkeypatch, tmp_path, argv, False)
+    # the exhaustive oracle counts the commutators of the polarizer before
+    # the orbit reduction; both write the same report
+    calls, report, code = _suite_counts(monkeypatch, tmp_path, argv, el.polarize)
+    calls_exhaustive, report_exhaustive, code_exhaustive = _suite_counts(
+        monkeypatch, tmp_path, argv, exhaustive_polarize)
     assert (calls_exhaustive, calls) == (before, after)
     assert code == code_exhaustive == 0 and report == report_exhaustive
 
@@ -348,27 +418,54 @@ def _raised_by_transpose(real):
     return faulty
 
 
+def _representative_vanishing(built, form):
+    """Whether each form S_cc' at the representative pairs of ``built`` vanishes."""
+    parts, pairs = built["basis"]
+    P = [part for part, _ in parts]
+    return [(form(P[c], P[c]) if c == d else form(P[c], P[d]) + form(P[d], P[c])).is_zero
+            for c, d in pairs]
+
+
 @pytest.mark.parametrize("case", ["gl:3-symbolic", "gl:3-dense", "so:4-symbolic-minus",
                                   "sp:2-symbolic-minus"])
 def test_an_equivariant_fault_is_caught(case, monkeypatch, cold_caches):
-    name, shift, _, _ = CERTIFICATE_CASES[case]
-    spec = parse_algebra(name)
-    A = shift(spec)
+    spec, A, _, _, _ = _case(case)
     monkeypatch.setattr(el._ShiftPart, "element", _raised_by_transpose(el._ShiftPart.element))
     built: dict = {}
     residual = el.shift_commutator_residual(spec, A, 2, 3, built)
     oracle = _oracle(spec, A, 2, 3)
     assert not oracle.is_zero and residual == oracle
     # the fault shows at some representative pairs only, and the first of them vanishes
-    pairs, coords = built["certificate"]
-
-    def form(P, Q):
-        return commutator(P.element(2), Q.element(3))
-
-    vanishing = [(form(coords[c], coords[c]) if c == d else
-                  form(coords[c], coords[d]) + form(coords[d], coords[c])).is_zero
-                 for c, d in pairs]
+    vanishing = _representative_vanishing(
+        built, lambda P, Q: commutator(P.element(2), Q.element(3)))
     assert vanishing[0] and not all(vanishing)
+
+
+def _raised_chain(real):
+    """``trace_chain`` with W(0,1) raised by ((P.Q).X^2): the index maps act on
+    P and Q by conjugation, which commutes with their product, so the fault
+    maps with the symmetries."""
+    def faulty(P, Q, a, b):
+        out = real(P, Q, a, b)
+        if (a, b) == (0, 1):
+            rows = [[sum(p * q for p, q in zip(prow, qcol)) for qcol in zip(*Q.rows)]
+                    for prow in P.rows]
+            out = out + el.contract_rows(P.spec, rows, 2, P.indices)
+        return out
+    return faulty
+
+
+@pytest.mark.parametrize("case", ["prop5-so:4-symbolic-minus", "prop5-sp:2-symbolic-plus"])
+def test_an_equivariant_fault_in_a_prop5_form_is_caught(case, monkeypatch, cold_caches):
+    spec, A, _, _, _ = _case(case)
+    [sign] = A.symmetry_signs()
+    monkeypatch.setattr(el, "trace_chain", _raised_chain(el.trace_chain))
+    residuals = el.contracted_recursion_residuals(spec, A, 1, 1, sign)
+    with monkeypatch.context() as m:
+        m.setattr(el, "polarize", exhaustive_polarize)
+        oracles = el.contracted_recursion_residuals(spec, A, 1, 1, sign)
+    assert [format_poly(r) for r in residuals] == [format_poly(r) for r in oracles]
+    assert not all(r.is_zero for r in oracles)
 
 
 @pytest.mark.parametrize("case", ["gl:3-dense", "sp:2-symbolic-minus"])
@@ -376,11 +473,9 @@ def test_a_corrupted_product_entry_falls_back_or_is_caught_by_the_oracle(
         case, monkeypatch, cold_caches):
     # the bracket part of one cached word * X_g negated as it is built, the
     # fault of the defining-representation tests: no index symmetry maps it,
-    # so the certificate may miss it (it does on sp:2, and falls back on
+    # so the representatives may miss it (they do on sp:2, and show it on
     # gl:3), and the exhaustive oracle must not
-    name, shift, _, _ = CERTIFICATE_CASES[case]
-    spec = parse_algebra(name)
-    A = shift(spec)
+    spec, A, _, _, _ = _case(case)
     assert _oracle(spec, A, 2, 3).is_zero
     key = min(k for k, v in pbw._TABLES[spec]._mul.items()
               if len(k[0]) == 2 and any(len(w) <= 2 for w in v))
@@ -399,3 +494,34 @@ def test_a_corrupted_product_entry_falls_back_or_is_caught_by_the_oracle(
     residual = el.shift_commutator_residual(spec, A, 2, 3)
     assert not oracle.is_zero
     assert residual.is_zero or residual == oracle
+
+
+# ---------------------------------------------------------------------------
+# the unit-matrix basis of an so/sp shift with neither symmetry sign
+
+
+@pytest.mark.parametrize("name, text", [
+    ("so:4", "matrix:1,0,0,1;0,0,0,0;0,0,0,0;0,0,0,0"),
+    ("sp:2", "matrix:1,a,0,0;0,b,0,2;0,0,0,0;3,0,0,a"),
+])
+def test_an_unsigned_shift_polarizes_over_unit_matrices(name, text, cold_caches):
+    # (B.X^K) is linear in any matrix B and each index map sends E_ij to
+    # E_s(i)s(j), so the unit matrices are a basis for the orbit reduction
+    spec = parse_algebra(name)
+    A = shift_from_designator(spec, text)
+    assert not A.symmetry_signs()
+    coords = A.coordinates()
+    assert coords == [((((i, j), 1),), x) for i, row in zip(A.indices, A.rows)
+                      for j, x in zip(A.indices, row) if x]
+    pairs = coordinate_pair_orbits(spec, [entries for entries, _ in coords])
+    forced = {"basis": ([(basis_part(A, entries, c), a) for c, (entries, a) in enumerate(coords)],
+                        pairs)}
+    chosen: dict = {}
+    failed = False
+    for M in range(1, 4):
+        for N in range(M + 1, 4):
+            oracle = format_poly(_oracle(spec, A, M, N))
+            assert format_poly(el.shift_commutator_residual(spec, A, M, N, forced)) == oracle
+            assert format_poly(el.shift_commutator_residual(spec, A, M, N, chosen)) == oracle
+            failed = failed or oracle != "0"
+    assert failed
