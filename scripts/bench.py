@@ -25,7 +25,9 @@ The record, stored under --label (other labels in --out are kept):
   default chains with the number of commutators it takes; and the classical
   layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
   ``classical lemma2`` of so:8, each through ``cli.main``, and ``linalg.rank``
-  of a seeded integer matrix of the so:8 family's shape (36 x 28);
+  of a seeded integer matrix of the so:8 family's shape (36 x 28); and
+  ``cli.build_parser().parse_args`` of one ``classical lemma2`` call, the
+  parser cost that every CLI process pays once;
 * the ``src/`` line count, the Python version, ``nproc`` and HEAD.
 
 The checkout's ``src`` is compiled to bytecode first, so no timed child
@@ -73,6 +75,9 @@ CLASSICAL = {
                                 "--A", "diag:-1,0,0,0,0,0,0,1"],
     "classical_lemma2_so8_s": ["classical", "lemma2", "--algebra", "so:8"],
 }
+# perfbench's lemma2-gl6 call at seed 7, with the --seed and --out it appends
+PARSE_ARGV = ["classical", "lemma2", "--algebra", "gl:6", "--A", "diag:-2,2,0,0,0,0",
+              "--points", "3", "--seed", "7", "--out", "reports/lemma2-gl6.json"]
 
 
 def compile_sources(root: Path) -> None:
@@ -265,6 +270,8 @@ def _micro(root: Path) -> dict:
     rng = random.Random("bench-rank")
     rows = [[rng.randint(-10, 10) for _ in range(28)] for _ in range(36)]
     out["linalg_rank_36x28_s"] = median_s(lambda: linalg.rank(rows))
+    out["parse_args_classical_lemma2_s"] = median_s(
+        lambda: cli.build_parser().parse_args(PARSE_ARGV))
     return out
 
 

@@ -181,8 +181,9 @@ def _shifts(spec, A, default):
     ``default`` is the command's default shift (a function of spec), or None
     for a suite that reads no shift, which refuses ``--A``.  ``--A symbolic``
     is every gl matrix at once, or each signed so/sp subspace; the commands
-    whose checks need a numeric shift (those defaulting to the canonical sign
-    -1 one) read it as a bad designator.  Any other ``--A`` is that shift.
+    whose checks need a numeric shift pass the canonical sign -1 default
+    (``expand`` and ``classical tangent`` too, which require ``--A``) and
+    read it as a bad designator.  Any other ``--A`` is that shift.
     """
     if default is None:
         if A is not None:
@@ -344,19 +345,13 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    spec = parse_algebra(args.algebra)
+def _run_verify(report, spec, args):
     family, default, runner = VERIFY_SUITES[args.suite]
     if family is not None and (family == "gl") != spec.is_gl:
         raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
     label, shifts = _shifts(spec, args.A, default)
-    report = SuiteReport(
-        suite=args.suite,
-        algebra=spec.designator,
-        parameters={"A": label, "max_power": args.max_power, "seed": args.seed},
-    )
+    report.parameters.update({"A": label, "max_power": args.max_power})
     runner(report, spec, shifts, args.max_power)
-    return _finish(report, args)
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +369,14 @@ def _report_path(path: str) -> str:
     return path
 
 
-def cmd_chain(args) -> int:
-    chain = load_chain_file(args.file)
-    spec = chain.algebra
-    dim, index = dimension_and_index(spec)
-    report = SuiteReport(
-        suite="chain",
-        algebra=spec.designator,
-        parameters={
-            "file": _report_path(args.file),
-            "trials": args.trials,
-            "seed": args.seed,
-            "steps": [s.k for s in chain.steps],
-            "target": (dim + index) // 2,
-        },
-    )
+def _run_chain(report, chain, args):
+    dim, index = dimension_and_index(chain.algebra)
+    report.parameters.update({
+        "file": _report_path(args.file),
+        "trials": args.trials,
+        "steps": [s.k for s in chain.steps],
+        "target": (dim + index) // 2,
+    })
     family = chain_generators(chain)
     report.parameters["generators"] = family.labels
 
@@ -407,17 +395,11 @@ def cmd_chain(args) -> int:
         return _rank_outcome(cert)
 
     _run_check(report, "transcendency-rank", rank_check)
-    return _finish(report, args)
 
 
-def cmd_expand(args) -> int:
-    spec = parse_algebra(args.algebra)
-    A = shift_from_designator(spec, args.A)
-    report = SuiteReport(
-        suite="expand",
-        algebra=spec.designator,
-        parameters={"A": args.A, "M": args.M, "seed": args.seed},
-    )
+def _run_expand(report, spec, args):
+    name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
+    report.parameters.update({"A": name, "M": args.M})
     A_rows = A.numeric_rows()
 
     def run():
@@ -428,7 +410,6 @@ def cmd_expand(args) -> int:
         return True, None, None
 
     _run_check(report, "expansion-computed", run)
-    return _finish(report, args)
 
 
 def _rank_outcome(cert):
@@ -439,14 +420,9 @@ def _rank_outcome(cert):
     )
 
 
-def cmd_rank(args) -> int:
-    spec = parse_algebra(args.algebra)
+def _run_rank(report, spec, args):
     name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
-    report = SuiteReport(
-        suite="rank",
-        algebra=spec.designator,
-        parameters={"A": name, "seed": args.seed, "trials": args.trials},
-    )
+    report.parameters.update({"A": name, "trials": args.trials})
     A_rows = A.numeric_rows()
 
     def run():
@@ -456,10 +432,9 @@ def cmd_rank(args) -> int:
         return _rank_outcome(cert)
 
     _run_check(report, "jacobian-rank", run)
-    return _finish(report, args)
 
 
-def _classical_lemma2(report, spec, args):
+def _run_lemma2(report, spec, args):
     name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
     pairs = [(M, k) for M in range(1, spec.matrix_size + 1) for k in range(1, M) if M - k >= 3]
     report.parameters.update(
@@ -481,9 +456,7 @@ def _classical_lemma2(report, spec, args):
             _run_check(report, f"vanish M={M} k={k} point#{p}", run)
 
 
-def _classical_duality(report, spec, args):
-    if args.M is None or args.k is None:
-        raise AlgebraError("duality check needs --M and --k")
+def _run_duality(report, spec, args):
     if args.k >= args.M:
         raise AlgebraError("duality check needs --k < --M")
     if not spec.is_gl and args.M % 2:
@@ -508,11 +481,9 @@ def _classical_duality(report, spec, args):
         _run_check(report, f"duality M={args.M} k={args.k} seed#{s}", run)
 
 
-def _classical_tangent(report, spec, args):
-    if not args.A:
-        raise AlgebraError("tangent check needs --A")
-    A = shift_from_designator(spec, args.A)
-    report.parameters.update({"A": args.A, "trials": args.trials})
+def _run_tangent(report, spec, args):
+    name, [(_, A)] = _shifts(spec, args.A, _canonical_sign_minus)
+    report.parameters.update({"A": name, "trials": args.trials})
 
     def run():
         lhs, rhs = ind.tangent_intersection_dim(spec, A, trials=args.trials, seed=args.seed)
@@ -521,30 +492,11 @@ def _classical_tangent(report, spec, args):
     _run_check(report, "tangent-intersection", run)
 
 
-# classical check -> its runner; the keys are the parser's choices
-CLASSICAL_CHECKS = {
-    "lemma2": _classical_lemma2,
-    "duality": _classical_duality,
-    "tangent": _classical_tangent,
-}
-
-
-def cmd_classical(args) -> int:
-    spec = parse_algebra(args.algebra)
-    report = SuiteReport(
-        suite=f"classical-{args.what}",
-        algebra=spec.designator,
-        parameters={"seed": args.seed},
-    )
-    CLASSICAL_CHECKS[args.what](report, spec, args)
-    return _finish(report, args)
-
-
 # ---------------------------------------------------------------------------
 # plumbing
 
 
-def _finish(report: SuiteReport, args) -> int:
+def _finish(report: SuiteReport, out) -> int:
     if not report.checks:
         raise AlgebraError(f"suite {report.suite} on {report.algebra} has no checks to run")
     counts = report.counts
@@ -559,8 +511,8 @@ def _finish(report: SuiteReport, args) -> int:
         f"suite {report.suite} on {report.algebra}: "
         f"{counts['pass']} pass, {counts['fail']} fail, {counts['error']} error"
     )
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     return report.exit_code
 
@@ -576,62 +528,71 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One leaf parser per command (and per classical check); each declares
+    only the options its runner, or ``main``, reads."""
     top = argparse.ArgumentParser(
         prog="envshift",
         description="exact verification of commutative families in enveloping algebras",
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
+    def leaf(parent, name, run, summary, suite=None, algebra=True):
+        p = parent.add_parser(name, help=summary)
         if algebra:
             p.add_argument("--algebra", required=True, help="gl:N | so:N | sp:N")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="write the JSON report here")
+        p.set_defaults(run=run, suite=suite or name)
+        return p
 
-    v = sub.add_parser("verify", help="run an identity suite")
-    v.add_argument("suite", choices=VERIFY_SUITES)
-    common(v)
+    v = leaf(sub, "verify", _run_verify, "run an identity suite")
+    v.add_argument("suite", choices=VERIFY_SUITES)  # the report's suite is the one named
     v.add_argument("--A", help="diag:...|sym-diag:...|matrix:r;r;...|symbolic")
     v.add_argument("--max-power", type=int, default=3, dest="max_power")
-    v.set_defaults(fn=cmd_verify)
 
-    c = sub.add_parser("chain", help="verify a chain family from a chain file")
+    c = leaf(sub, "chain", _run_chain, "verify a chain family from a chain file", algebra=False)
     c.add_argument("--file", required=True)
-    common(c, algebra=False)
     c.add_argument("--trials", type=_positive_int, default=3)
-    c.set_defaults(fn=cmd_chain)
 
-    e = sub.add_parser("expand", help="print argument-shift expansion components")
-    common(e)
+    e = leaf(sub, "expand", _run_expand, "print argument-shift expansion components")
     e.add_argument("--A", required=True)
     e.add_argument("--M", type=_positive_int, required=True)
-    e.set_defaults(fn=cmd_expand)
 
-    r = sub.add_parser("rank", help="Jacobian rank certificate of the shift family")
-    common(r)
+    r = leaf(sub, "rank", _run_rank, "Jacobian rank certificate of the shift family")
     r.add_argument("--A")
     r.add_argument("--trials", type=_positive_int, default=3)
-    r.set_defaults(fn=cmd_rank)
 
-    k = sub.add_parser("classical", help="classical-side checks")
-    k.add_argument("what", choices=CLASSICAL_CHECKS)
-    common(k)
+    checks = sub.add_parser("classical", help="classical-side checks").add_subparsers(
+        dest="check", required=True)
+    k = leaf(checks, "lemma2", _run_lemma2, "order >= 3 minor invariants vanish on rank-2 orbits",
+             suite="classical-lemma2")
     k.add_argument("--A")
-    k.add_argument("--M", type=_positive_int)
-    k.add_argument("--k", type=_positive_int)
     k.add_argument("--points", type=_positive_int, default=5)
+    k = leaf(checks, "duality", _run_duality, "gradient duality of point and shift variables",
+             suite="classical-duality")
+    k.add_argument("--M", type=_positive_int, required=True)
+    k.add_argument("--k", type=_positive_int, required=True)
     k.add_argument("--seeds", type=_positive_int, default=5)
+    k = leaf(checks, "tangent", _run_tangent, "dim proj_[A,g] D(F_A) = dim[A,g]/2",
+             suite="classical-tangent")
+    k.add_argument("--A", required=True)
     k.add_argument("--trials", type=_positive_int, default=8)
-    k.set_defaults(fn=cmd_classical)
 
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse the command line, then build, run and finish the command's report."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.command == "chain":
+            source = load_chain_file(args.file)
+            spec = source.algebra
+        else:
+            source = spec = parse_algebra(args.algebra)
+        report = SuiteReport(args.suite, spec.designator, {"seed": args.seed})
+        args.run(report, source, args)
+        return _finish(report, args.out)
     except (AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

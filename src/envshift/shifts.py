@@ -105,7 +105,7 @@ class ShiftMatrix:
         return linalg.is_semisimple(self.numeric_rows())
 
 
-_PARAMETER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_PARAMETER = re.compile(r"(-?)([A-Za-z_][A-Za-z0-9_]*)")  # a name, or -name for its negation
 
 
 def _parse_entry(text: str):
@@ -117,8 +117,10 @@ def _parse_entry(text: str):
         return int(text)
     except (ValueError, ZeroDivisionError):
         pass
-    if _PARAMETER.fullmatch(text):
-        return ParamPolynomial.variable(text)
+    signed = _PARAMETER.fullmatch(text)
+    if signed:
+        p = ParamPolynomial.variable(signed[2])
+        return -p if signed[1] else p
     raise AlgebraError(f"bad shift matrix entry {text!r}")
 
 

@@ -291,10 +291,59 @@ def test_bad_arguments_exit_two_without_traceback():
         ("verify", "theorem2", "--algebra", "so:4", "--max-power", "2",
          "--A", "matrix:b+1,0,0,b+1;0,0,0,0;0,0,0,0;0,0,0,0"),
         ("verify", "theorem1", "--algebra", "gl:2", "--A", "sym-diag:a*b,0"),
+        # -name negates a parameter once; a second sign is not a name
+        ("verify", "theorem1", "--algebra", "gl:2", "--A", "sym-diag:--a,0"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert "error:" in r.stderr and "Traceback" not in r.stderr, args
+
+
+@pytest.mark.parametrize("argv, passes", [
+    # sign -1 parametric so:4 shifts, written with negated parameters
+    (("verify", "prop5", "--algebra", "so:4",
+      "--A", "matrix:a,0,0,0;0,1,0,0;0,0,-1,0;0,0,0,-a"), 9),
+    (("verify", "theorem2", "--algebra", "so:4",
+      "--A", "matrix:a,0,0,0;0,b,0,0;0,0,-b,0;0,0,0,-a", "--max-power", "3"), 6),
+], ids=["prop5", "theorem2"])
+def test_negated_parameters_give_signed_shifts(argv, passes, tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli(*argv, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text())["summary"] == {"pass": passes, "fail": 0, "error": 0}
+
+
+# each classical check with every option it reads, on gl:4
+CLASSICAL_CHECKS = {
+    "lemma2": ("--A", "diag:1,2,0,0", "--points", "2"),
+    "duality": ("--M", "2", "--k", "1", "--seeds", "2"),
+    "tangent": ("--A", "diag:1,2,0,0", "--trials", "2"),
+}
+
+
+@pytest.mark.parametrize("check", CLASSICAL_CHECKS)
+def test_classical_check_takes_every_option_it_reads(check, tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli("classical", check, "--algebra", "gl:4", *CLASSICAL_CHECKS[check],
+                "--seed", "3", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(out.read_text())
+    assert rep["suite"] == f"classical-{check}" and rep["parameters"]["seed"] == 3
+
+
+@pytest.mark.parametrize("check, option", [
+    *(("lemma2", o) for o in ("--M", "--k", "--seeds", "--trials")),
+    *(("duality", o) for o in ("--A", "--points", "--trials")),
+    *(("tangent", o) for o in ("--M", "--k", "--points", "--seeds")),
+])
+def test_classical_check_refuses_options_it_does_not_read(check, option, tmp_path):
+    out = tmp_path / "rep.json"
+    value = "diag:1,2,0,0" if option == "--A" else "2"
+    r = run_cli("classical", check, "--algebra", "gl:4", *CLASSICAL_CHECKS[check],
+                option, value, "--out", str(out))
+    assert r.returncode == 2
+    assert "error:" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
 
 
 def test_default_shift_on_gl1_is_bad_input(tmp_path):

@@ -7,8 +7,11 @@
   which ``clear_caches`` empties.
 * ``classical`` imports nothing from ``pbw``.
 * Every public function has a caller in the package or is a library entry point.
+* Every option of a CLI command is read by that command's runner or by
+  ``cli.main``, and a runner reads no option its command does not declare.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -69,3 +72,34 @@ def test_every_public_function_is_called_in_the_package(trees):
     used = {_reference(node) for top in tops for node in ast.walk(top)
             if _reference(node) != getattr(top, "name", None)}
     assert defined - used - ENTRY_POINTS == set()
+
+
+def _leaf_parsers(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, (*path, name))
+
+
+def _args_read(tree, function):
+    [fn] = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == function]
+    return {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_every_cli_option_is_read_where_it_is_declared(trees):
+    from envshift import cli
+
+    shared = _args_read(trees["cli.py"], "main")
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert sorted(leaves) == ["chain", "classical duality", "classical lemma2",
+                              "classical tangent", "expand", "rank", "verify"]
+    for command, parser in leaves.items():
+        dests = {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        options = {a.dest for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        read = _args_read(trees["cli.py"], parser.get_default("run").__name__)
+        assert options - read - shared == set(), command
+        assert read - dests == set(), command

@@ -13,7 +13,13 @@ from envshift import elements as el
 from envshift.algebra import coordinate_pair_orbits, parse_algebra
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, commutator, format_poly
-from envshift.shifts import canonical_shift, shift_from_designator, shift_from_rows, symbolic_shift
+from envshift.shifts import (
+    _parse_entry,
+    canonical_shift,
+    shift_from_designator,
+    shift_from_rows,
+    symbolic_shift,
+)
 from oracles import basis_part, exhaustive_polarize
 
 
@@ -153,6 +159,14 @@ def test_polarized_residual_groups_by_product_monomial():
     linear_pair = commutator(P[lin, 1], P[lin, 2])
     assert not square_pairs.is_zero and not linear_pair.is_zero
     assert not (square_pairs + linear_pair).is_zero
+
+
+def test_a_negated_parameter_is_the_negated_variable():
+    a = ParamPolynomial.variable("a")
+    assert _parse_entry("-a") == -a and _parse_entry(" a ") == a
+    spec = parse_algebra("so:4")
+    A = shift_from_designator(spec, "matrix:a,0,0,0;0,1,0,0;0,0,-1,0;0,0,0,-a")
+    assert A.symmetry_signs() == {-1}
 
 
 def test_numeric_shift_is_one_part():
