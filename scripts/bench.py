@@ -12,7 +12,9 @@ The record, stored under --label (other labels in --out are kept):
   report sha256, and the summed wall time (every subprocess is started by
   a bare launcher process, so its peak RSS is its own);
 * cold: each CLI call of COLD as one subprocess, with its median wall
-  time and peak RSS;
+  time and peak RSS, and the start-up cost every CLI process pays: the
+  median wall of STARTUP_RUNS fresh interpreters that import ``envshift.cli``,
+  beside that of ``python -c pass``, the floor, in alternating order;
 * micro: in-process timings in a child that imports the checkout's
   ``envshift``: ``multiply`` and ``commutator`` with warm rewrite caches,
   ``mul_word_gen`` of every sorted degree-3 word of gl:4 by every generator
@@ -25,9 +27,11 @@ The record, stored under --label (other labels in --out are kept):
   default chains with the number of commutators it takes; and the classical
   layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
   ``classical lemma2`` of so:8, each through ``cli.main``, and ``linalg.rank``
-  of a seeded integer matrix of the so:8 family's shape (36 x 28); and
+  of a seeded integer matrix of the so:8 family's shape (36 x 28);
   ``cli.build_parser().parse_args`` of one ``classical lemma2`` call, the
-  parser cost that every CLI process pays once;
+  parser cost that every CLI process pays once; and the default gl:6 chain
+  certificate in a process of its own, with its wall time, commutator count
+  and peak RSS;
 * the ``src/`` line count, the Python version, ``nproc`` and HEAD.
 
 The checkout's ``src`` is compiled to bytecode first, so no timed child
@@ -59,6 +63,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 REPEATS = 5
+STARTUP_RUNS = 15
 CHAIN_FILES = ("gl5.json", "so6.json", "sp3.json")
 COLD = {
     "verify_prop1_gl4": ["verify", "prop1", "--algebra", "gl:4"],
@@ -171,11 +176,56 @@ def cold_cli(root: Path) -> dict:
     return out
 
 
+def startup(root: Path) -> dict:
+    """Median wall time and peak RSS of a bare interpreter and of one that
+    imports the CLI, STARTUP_RUNS fresh processes each, the two alternating."""
+    codes = {"python_-c_pass": "pass", "python_-c_import_envshift.cli": "import envshift.cli"}
+    runs: dict = {key: [] for key in codes}
+    for _ in range(STARTUP_RUNS):
+        for key, code in codes.items():
+            runs[key].append(_timed([sys.executable, "-c", code], root)[1:])
+    return {key: {"wall_s": round(statistics.median(w for w, _ in r), 4),
+                  "peak_rss_mb": round(statistics.median(m for _, m in r), 1)}
+            for key, r in runs.items()}
+
+
+# The default chain certificate of the algebra named by its first argument,
+# timed in a process of its own so that its peak RSS is its own; it prints
+# its wall seconds, commutator count and failing pairs as JSON.
+CERTIFICATE = """
+import json, sys, time
+from envshift import chains
+from envshift.algebra import parse_algebra
+family = chains.chain_generators(chains.default_chain(parse_algebra(sys.argv[1])))
+real, count = chains.commutator, [0]
+def spy(p, q):
+    count[0] += 1
+    return real(p, q)
+chains.commutator = spy
+t0 = time.perf_counter()
+fails = chains.noncommuting_pairs(family)
+print(json.dumps({"cold_s": round(time.perf_counter() - t0, 2), "commutators": count[0],
+                  "failures": len(fails)}))
+"""
+
+
+def certificate(root: Path, algebra: str) -> dict:
+    """``chains.noncommuting_pairs`` of the default chain, with the peak RSS of its process."""
+    with tempfile.TemporaryFile("w+") as fh:
+        code, _, rss = _timed([sys.executable, "-c", CERTIFICATE, algebra], root, stdout=fh)
+        fh.seek(0)
+        out = json.loads(fh.read())
+    if code:
+        raise RuntimeError(f"the {algebra} chain certificate exited {code}")
+    return {**out, "peak_rss_mb": round(rss, 1)}
+
+
 def micro(root: Path) -> dict:
-    """Run ``_micro`` in a child that imports the checkout's envshift."""
+    """Run ``_micro`` in a child that imports the checkout's envshift, then
+    the gl:6 chain certificate in a child of its own."""
     out = subprocess.run([sys.executable, __file__, "--micro", "--root", str(root)],
                          cwd=root, env=_env(root), capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return {**json.loads(out.stdout), "noncommuting_pairs_gl6": certificate(root, "gl:6")}
 
 
 def _micro(root: Path) -> dict:
@@ -207,7 +257,8 @@ def _micro(root: Path) -> dict:
     mpe = elements.matrix_power_element
     p, q = mpe(gl4, 4, 1, 2), mpe(gl4, 4, 2, 1)
     pbw.commutator(p, q)  # fill the rewrite caches
-    words = list(itertools.combinations_with_replacement(range(gl4.dim), 3))
+    word = type(next(iter(p.terms)))  # the checkout's word type: tuple or bytes
+    words = [word(w) for w in itertools.combinations_with_replacement(range(gl4.dim), 3)]
 
     def mul_word_gen():
         tab = pbw._tables(gl4)
@@ -307,7 +358,7 @@ def main(argv=None) -> int:
         "src_lines": src_lines(root),
         "tier1": tier1(root),
         "battery": battery(root),
-        "cold": cold_cli(root),
+        "cold": {**cold_cli(root), **startup(root)},
         "micro": micro(root),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}

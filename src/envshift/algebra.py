@@ -15,7 +15,6 @@ for so the self-paired X[i,-i] vanish identically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -33,12 +32,26 @@ class AlgebraError(ValueError):
     """Unknown family, bad rank parameter, or an index outside the index set."""
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
-    """One classical matrix Lie algebra: a family tag plus rank parameter n."""
+    """One classical matrix Lie algebra: a family tag plus rank parameter n.
 
-    family: str
-    n: int
+    A value: equal specs are one algebra, and a spec keys the rewrite tables.
+    """
+
+    def __init__(self, family: str, n: int):
+        self.family = family
+        self.n = n
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraSpec):
+            return NotImplemented
+        return self.family == other.family and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.family, self.n))
+
+    def __repr__(self):
+        return f"AlgebraSpec({self.family!r}, {self.n})"
 
     @cached_property
     def index_set(self) -> tuple[int, ...]:

@@ -14,7 +14,6 @@ multiplying every pair, or by the generator-level certificate of
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -32,19 +31,31 @@ from .shifts import (
 )
 
 
-@dataclass(frozen=True)
 class ChainStep:
-    k: int
-    shift: ShiftMatrix | None = None
+    def __init__(self, k: int, shift: ShiftMatrix | None):
+        self.k = k
+        self.shift = shift
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainStep):
+            return NotImplemented
+        return self.k == other.k and self.shift == other.shift
 
 
-@dataclass(frozen=True)
 class ChainSpec:
-    algebra: AlgebraSpec
-    steps: tuple
+    """A validated chain; equal specs are the same chain (a chain file and its
+    default chain compare equal)."""
+
+    def __init__(self, algebra: AlgebraSpec, steps: tuple):
+        self.algebra = algebra
+        self.steps = steps
+
+    def __eq__(self, other):
+        if not isinstance(other, ChainSpec):
+            return NotImplemented
+        return self.algebra == other.algebra and self.steps == other.steps
 
 
-@dataclass(frozen=True)
 class FamilyGenerator:
     """The chain member (B X^N) = sum B[j,i] (X^N)[i,j] over a level block.
 
@@ -54,12 +65,14 @@ class FamilyGenerator:
     tr(B X^N) is ranked through its closed-form gradient alone.
     """
 
-    spec: AlgebraSpec
-    label: str
-    provenance: str
-    B: tuple
-    N: int
-    indices: tuple
+    def __init__(self, spec: AlgebraSpec, label: str, provenance: str, B: tuple, N: int,
+                 indices: tuple):
+        self.spec = spec
+        self.label = label
+        self.provenance = provenance
+        self.B = B
+        self.N = N
+        self.indices = indices
 
     @cached_property
     def poly(self) -> NCPolynomial:
@@ -77,11 +90,11 @@ class FamilyGenerator:
         return out
 
 
-@dataclass(frozen=True)
 class CommutativeFamily:
-    name: str
-    algebra: AlgebraSpec
-    generators: tuple
+    def __init__(self, name: str, algebra: AlgebraSpec, generators: tuple):
+        self.name = name
+        self.algebra = algebra
+        self.generators = generators
 
     @property
     def labels(self):

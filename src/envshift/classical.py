@@ -10,7 +10,6 @@ rank-2 point sampling, on ``algebra``, ``params`` and ``linalg`` alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -143,12 +142,12 @@ def shifted_charpoly_values(X_rows, A_rows, pairs) -> dict:
 # points on the dual space and gradients
 
 
-@dataclass(frozen=True)
 class PointOnDual:
     """A rational point of g*, stored as values of the canonical coordinates."""
 
-    spec: AlgebraSpec
-    values: tuple  # aligned with canonical_generators
+    def __init__(self, spec: AlgebraSpec, values: tuple):
+        self.spec = spec
+        self.values = values  # aligned with canonical_generators
 
     @classmethod
     def from_coordinates(cls, spec, coords: dict):

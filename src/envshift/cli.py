@@ -14,7 +14,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elements as el
@@ -35,25 +34,26 @@ from .classical import (
     shift_expand,
     shifted_charpoly_values,
 )
-from .pbw import NCPolynomial, commutator, format_poly, linear_combination
+from .pbw import NCPolynomial, _tables, commutator, format_poly, linear_combination
 from .shifts import canonical_shift, shift_from_designator, symbolic_shift
 
 
-@dataclass
 class CheckRecord:
-    check_id: str
-    outcome: str            # PASS | FAIL | ERROR
-    residual: str | None = None
-    detail: str | None = None
-    wall_ms: float = 0.0
+    def __init__(self, check_id: str, outcome: str, residual: str | None, detail: str | None,
+                 wall_ms: float):
+        self.check_id = check_id
+        self.outcome = outcome  # PASS | FAIL | ERROR
+        self.residual = residual
+        self.detail = detail
+        self.wall_ms = wall_ms
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    algebra: str
-    parameters: dict
-    checks: list = field(default_factory=list)
+    def __init__(self, suite: str, algebra: str, parameters: dict):
+        self.suite = suite
+        self.algebra = algebra
+        self.parameters = parameters
+        self.checks: list = []
 
     @property
     def counts(self):
@@ -278,7 +278,7 @@ def _suite_power_brackets(report, spec, shifts, max_power):
 def _suite_recursion_gl(report, spec, shifts, max_power):
     """prop2: the gl contracted recursion."""
     [(_, A)] = shifts
-    built: dict = {}
+    built = {"costs": el.recursion_costs(max_power)}
     for M in range(1, max_power + 1):
         for N in range(1, max_power + 1):
             _run_check(
@@ -318,7 +318,7 @@ def _suite_recursions_so_sp(report, spec, shifts, max_power):
         signs = sorted(A.symmetry_signs())
         if not signs:
             raise AlgebraError("identity 5 needs a shift matrix with a symmetry sign")
-        built: dict = {}
+        built = {"costs": el.contraction_costs(max_power)}
         for s in signs:
             for M in range(1, max_power + 1):
                 for N in range(1, max_power + 1):
@@ -350,6 +350,7 @@ def _run_verify(report, spec, args):
     if family is not None and (family == "gl") != spec.is_gl:
         raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
     label, shifts = _shifts(spec, args.A, default)
+    _tables(spec)  # an algebra too large for PBW words is bad input, before any check
     report.parameters.update({"A": label, "max_power": args.max_power})
     runner(report, spec, shifts, args.max_power)
 
@@ -370,6 +371,7 @@ def _report_path(path: str) -> str:
 
 
 def _run_chain(report, chain, args):
+    _tables(chain.algebra)  # as in _run_verify
     dim, index = dimension_and_index(chain.algebra)
     report.parameters.update({
         "file": _report_path(args.file),

@@ -166,14 +166,16 @@ def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomia
     at the first pair of each orbit (``coordinate_pair_orbits``) do, and
     then F(A, A) = 0.  Otherwise the whole sum is assembled, each S taken
     once, with parametric coefficients only where the a_c carry them.
-    ``built`` keeps A's basis, with its elements, across calls with the same A.
+    ``built`` keeps A's basis, with its elements, across calls with the same A;
+    a suite whose forms hold more than one commutator states their count
+    there first, as ``built["costs"]`` (``pair_costs``).
     """
     if A.spec != spec:
         raise AlgebraError("shift matrix belongs to a different algebra")
     if built is None:
         built = {}
     if "basis" not in built:
-        built["basis"] = _basis(spec, A)
+        built["basis"] = _basis(spec, A, built.get("costs", (1, 2)))
     parts, pairs = built["basis"]
     values: dict = {}
 
@@ -191,27 +193,44 @@ def polarize(spec: AlgebraSpec, A: ShiftMatrix, form, built=None) -> NCPolynomia
         for c, d in itertools.combinations_with_replacement(range(len(parts)), 2)))
 
 
-def _basis(spec: AlgebraSpec, A: ShiftMatrix):
+def pair_costs(brackets, chains=()) -> tuple:
+    """(at P = Q, at P != Q): the commutators and trace chains that a suite's
+    forms take at one pair of basis matrices, over all its checks.
+
+    ``brackets`` are the power pairs (K, L) of the brackets [(P X^K), (Q X^L)]
+    the forms take and ``chains`` the (a, b) of the trace chains W(a, b).
+    ``_ShiftPart`` keeps each, so a pair takes each once: at P = Q a bracket
+    once per unordered K != L ([x, x] = 0 and [y, x] = -[x, y]), at P != Q,
+    where S = F(P, Q) + F(Q, P), once per ordered pair, and a chain once per
+    (a, b) and part of the pair.
+    """
+    brackets, chains = set(brackets), set(chains)
+    same = len({frozenset(kl) for kl in brackets if kl[0] != kl[1]}) + len(chains)
+    return same, len(brackets | {(L, K) for K, L in brackets}) + 2 * len(chains)
+
+
+def _basis(spec: AlgebraSpec, A: ShiftMatrix, costs):
     """([(C_c as a _ShiftPart, a_c)], representative pairs) for ``polarize``.
 
     The basis is A's parameter-monomial parts (``ShiftMatrix.parts``) or its
-    coordinates (``ShiftMatrix.coordinates``), whichever needs fewer forms at
-    the orbit representatives; ties keep the parts.  A pair of two matrices
-    takes two forms, and a form at matrices of k and k' coordinates counts
-    k*k' coordinate pairs, halved when k*k' > 1: one merged product covers
-    many pairs for less than their separate forms.
+    coordinates (``ShiftMatrix.coordinates``), whichever takes fewer
+    commutators at the orbit representatives; ties keep the parts.  A pair
+    takes ``costs`` = (at c = c', at c != c') commutators (``pair_costs``;
+    a theorem form holds one, so (1, 2)).  A commutator at matrices of k and
+    k' coordinates counts k*k'/4 commutators at single coordinates, and at
+    least one: one merged product covers many pairs for less than their
+    separate commutators.
     """
     coords = A.coordinates()
     owner = {ij: c for c, (entries, _) in enumerate(coords) for ij, _ in entries}
 
-    def forms(option):
+    def commutators(option):
         basis, pairs = option
         k = [len({owner[ij] for ij, _ in entries}) for entries, _ in basis]
-        return sum((1 if c == d else 2) * (k[c] * k[d] if k[c] * k[d] <= 1 else k[c] * k[d] / 2)
-                   for c, d in pairs)
+        return sum(costs[c != d] * max(1, k[c] * k[d] / 4) for c, d in pairs)
 
     basis, pairs = min(((basis, coordinate_pair_orbits(spec, [e for e, _ in basis]))
-                        for basis in (A.parts(), coords)), key=forms)
+                        for basis in (A.parts(), coords)), key=commutators)
     pos = {i: p for p, i in enumerate(A.indices)}
     parts = []
     for c, (entries, a) in enumerate(basis):
@@ -415,15 +434,23 @@ def shift_bracket_recursion_residual(spec: AlgebraSpec, M: int, N: int, A: Shift
     """
     if not spec.is_gl:
         raise AlgebraError("the contracted recursion in this form is the gl case")
+    terms = _recursion_terms(M, N)
 
     def form(P, Q):
-        def pairs():
-            yield P.bracket(M, Q, N), 1
-            for p in range(1, M):
-                yield P.bracket(p - 1, Q, M + N - p - 1), p - M
-        return linear_combination(spec, pairs())
+        return linear_combination(spec, ((P.bracket(K, Q, L), w) for K, L, w in terms))
 
     return polarize(spec, A, form, built)
+
+
+def _recursion_terms(M: int, N: int) -> list:
+    """(K, L, weight) of each bracket [(P X^K), (Q X^L)] of the prop2 form at (M, N)."""
+    return [(M, N, 1)] + [(p - 1, M + N - p - 1, p - M) for p in range(1, M)]
+
+
+def recursion_costs(max_power: int) -> tuple:
+    """``pair_costs`` of the prop2 suite's forms up to ``max_power``."""
+    return pair_costs((K, L) for M in range(1, max_power + 1) for N in range(1, max_power + 1)
+                      for K, L, _ in _recursion_terms(M, N))
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +535,19 @@ def contracted_recursion_residuals(spec: AlgebraSpec, A: ShiftMatrix, M: int, N:
     if built is None:
         built = {}
     return polarize(spec, A, straight, built), polarize(spec, A, crossed, built)
+
+
+def contraction_costs(max_power: int) -> tuple:
+    """``pair_costs`` of the prop5 suite's two forms up to ``max_power``, with
+    every term whose flip coefficients may be nonzero: the brackets (M, N)
+    and (S-1, M+N-S), and the chains of crossed contractions (q, M+p-S),
+    q < S <= M, p <= N, and (M, N), each with its transpose."""
+    brackets, chains = set(), set()
+    for M in range(1, max_power + 1):
+        for N in range(1, max_power + 1):
+            brackets.add((M, N))
+            chains.add((M, N))
+            for S in range(1, M + 1):
+                brackets.add((S - 1, M + N - S))
+                chains.update((q, M + p - S) for p in range(N + 1) for q in range(S))
+    return pair_costs(brackets, chains | {(b, a) for a, b in chains})

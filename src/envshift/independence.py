@@ -9,7 +9,6 @@ from the theory, so PASS means the bound is attained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from . import linalg
@@ -25,14 +24,15 @@ from .classical import (
 from .shifts import ShiftMatrix
 
 
-@dataclass(frozen=True)
 class RankCertificate:
-    family: str
-    labels: tuple
-    target: int
-    seed: int
-    trials: int
-    ranks: tuple                 # per-point rank, in seed order
+    def __init__(self, family: str, labels: tuple, target: int, seed: int, trials: int,
+                 ranks: tuple):
+        self.family = family
+        self.labels = labels
+        self.target = target
+        self.seed = seed
+        self.trials = trials
+        self.ranks = ranks  # per-point rank, in seed order
 
     @property
     def rank(self) -> int:
@@ -123,13 +123,14 @@ def shift_family(spec: AlgebraSpec, A_rows):
 # gradient duality between the roles of the point and the shift
 
 
-@dataclass(frozen=True)
 class DualityOutcome:
-    k: int
-    M: int
-    holds_shifted_index: bool   # gradient match with index M-k-1
-    holds_plain_index: bool     # gradient match with index M-k
-    residual: tuple             # lhs - shifted-index gradient, per coordinate
+    def __init__(self, k: int, M: int, holds_shifted_index: bool, holds_plain_index: bool,
+                 residual: tuple):
+        self.k = k
+        self.M = M
+        self.holds_shifted_index = holds_shifted_index  # gradient match with index M-k-1
+        self.holds_plain_index = holds_plain_index      # gradient match with index M-k
+        self.residual = residual  # lhs - shifted-index gradient, per coordinate
 
     @property
     def validated(self):

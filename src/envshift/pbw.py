@@ -2,7 +2,7 @@
 
 Elements of the enveloping algebra are stored as sparse maps
 
-    word (tuple of canonical generator ids, non-decreasing) -> coefficient
+    word (bytes of canonical generator ids, non-decreasing) -> coefficient
 
 with exact coefficients under the rule of ``params``: an ``int`` when
 integral, a ``Fraction`` otherwise, a ``ParamPolynomial`` only when the
@@ -15,6 +15,12 @@ rewritten as Y X + [X, Y] until all words are sorted.  Each swap either keeps
 the degree and removes an inversion or strictly drops the degree, so
 rewriting terminates; confluence is checked by test against independent
 rewrite strategies.
+
+A word is ``bytes``, one byte per generator id, so an algebra may have at
+most 256 canonical generators (gl:16, so:23 and sp:11 are the largest of
+each family).  ``bytes`` cache their hash, which a dict lookup reads, and
+they compare as the tuples of their ids do, so the order of terms is the
+tuples' order.
 
 Polynomials are immutable values and all operations are pure.  The per-algebra
 rewrite caches are the only shared state: entries are deterministic functions
@@ -30,12 +36,18 @@ from .algebra import AlgebraError, AlgebraSpec, bracket_structure
 from .params import ParamPolynomial, _accumulate, _scalar, coeff_to_str
 
 
+_B = [bytes((g,)) for g in range(256)]  # the one-generator words
+
+
 class _Tables:
     """Per-algebra rewriting state: id-level bracket table and product cache."""
 
     __slots__ = ("spec", "gens", "ids", "_bracket", "_mul")
 
     def __init__(self, spec: AlgebraSpec):
+        if spec.dim > len(_B):
+            raise AlgebraError(f"{spec.designator} has {spec.dim} generators; PBW words "
+                               f"hold at most {len(_B)}")
         self.spec = spec
         self.gens = spec.canonical_generators
         self.ids = spec.generator_ids
@@ -51,10 +63,10 @@ class _Tables:
             self._bracket[key] = out
         return out
 
-    def mul_word_gen(self, word: tuple, g: int) -> dict:
+    def mul_word_gen(self, word: bytes, g: int) -> dict:
         """Normal form of (sorted word) * X_g as {sorted word: int}."""
         if not word or word[-1] <= g:
-            return {word + (g,): 1}
+            return {word + _B[g]: 1}
         key = (word, g)
         cached = self._mul.get(key)
         if cached is not None:
@@ -88,7 +100,7 @@ def _fold(tab: _Tables, terms: dict, g: int) -> dict:
     get = out.get
     for w, c in terms.items():
         if not w or w[-1] <= g:
-            w2 = w + (g,)
+            w2 = w + _B[g]
             v = get(w2)
             out[w2] = c if v is None else v + c
             continue
@@ -107,7 +119,11 @@ def _coerce_coeff(c):
 
 
 class NCPolynomial:
-    """An element of U(g) in canonical PBW form.  Value-immutable by contract."""
+    """An element of U(g) in canonical PBW form.  Value-immutable by contract.
+
+    Terms that are not declared normalized may key a word by any sequence of
+    generator ids; the normal form keys it by ``bytes``.
+    """
 
     __slots__ = ("spec", "terms")
 
@@ -125,7 +141,7 @@ class NCPolynomial:
             c = _coerce_coeff(c)
             if not c:
                 continue
-            folded = {(): c}
+            folded = {b"": c}
             for g in word:
                 folded = _fold(tab, folded, g)
             _accumulate(acc, folded)
@@ -139,7 +155,7 @@ class NCPolynomial:
 
     @classmethod
     def scalar(cls, spec, c):
-        return cls(spec, {(): _coerce_coeff(c)}, normalized=True)
+        return cls(spec, {b"": _coerce_coeff(c)}, normalized=True)
 
     @classmethod
     def one(cls, spec):
@@ -151,8 +167,8 @@ class NCPolynomial:
         sign, pair = spec.canonicalize_pair(i, j)
         if pair is None:
             return cls(spec)
-        g = spec.generator_ids[pair]
-        return cls(spec, {(g,): sign}, normalized=True)
+        _tables(spec)  # rejects an algebra whose ids do not fit in a byte
+        return cls(spec, {_B[spec.generator_ids[pair]]: sign}, normalized=True)
 
     @classmethod
     def from_word(cls, spec, pairs, coeff=1):
@@ -232,21 +248,21 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     q's words are visited in sorted order over a stack of the products
     p * prefix, so a prefix shared by several words of q is folded onto all
     of p once, and equal intermediate words merge.  A zero factor gives zero
-    and a bare scalar factor {(): c} scales the other one, with the
+    and a bare scalar factor {b"": c} scales the other one, with the
     coefficient products in the same order as the general path.
     """
     p._check_same(q)
     if not p.terms or not q.terms:
         return NCPolynomial(p.spec)
-    if len(q.terms) == 1 and () in q.terms:
-        c = q.terms[()]
+    if len(q.terms) == 1 and b"" in q.terms:
+        c = q.terms[b""]
         return NCPolynomial(p.spec, {w: v * c for w, v in p.terms.items()}, normalized=True)
-    if len(p.terms) == 1 and () in p.terms:
-        c = p.terms[()]
+    if len(p.terms) == 1 and b"" in p.terms:
+        c = p.terms[b""]
         return NCPolynomial(p.spec, {w: c * v for w, v in q.terms.items()}, normalized=True)
     tab = _tables(p.spec)
     acc: dict = {}
-    path: tuple = ()
+    path = b""
     stack = [p.terms]  # stack[k] = p * path[:k], as terms
     for word in sorted(q.terms):
         k, n = 0, min(len(word), len(path))

@@ -14,7 +14,6 @@ is detected on construction; the in-algebra case is s = -1.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -22,18 +21,21 @@ from .algebra import AlgebraError, AlgebraSpec, symmetry_signs
 from .params import ParamPolynomial, _scalar
 
 
-@dataclass(frozen=True)
 class ShiftMatrix:
-    spec: AlgebraSpec
-    indices: tuple          # algebra indices the matrix is defined over, in order
-    rows: tuple             # rows[r][c] aligned with ``indices``
-
-    def __post_init__(self):
-        m = len(self.indices)
-        if len(self.rows) != m or any(len(r) != m for r in self.rows):
+    def __init__(self, spec: AlgebraSpec, indices: tuple, rows: tuple):
+        m = len(indices)
+        if len(rows) != m or any(len(r) != m for r in rows):
             raise AlgebraError("shift matrix shape does not match its index set")
-        for idx in self.indices:
-            self.spec.position(idx)
+        for idx in indices:
+            spec.position(idx)
+        self.spec = spec
+        self.indices = indices  # algebra indices the matrix is defined over, in order
+        self.rows = rows        # rows[r][c] aligned with ``indices``
+
+    def __eq__(self, other):
+        if not isinstance(other, ShiftMatrix):
+            return NotImplemented
+        return (self.spec, self.indices, self.rows) == (other.spec, other.indices, other.rows)
 
     @property
     def size(self) -> int:

@@ -246,13 +246,14 @@ def bubble_normal_form(spec, terms, strategy="leftmost"):
 
     strategy picks the leftmost or rightmost descent first.  Deliberately simple,
     cache-free and reading ``bracket_structure`` directly, so it can serve as
-    an oracle for the production path.
+    an oracle for the production path.  It rewrites tuples of ids, takes any
+    sequence of ids as a word and keys its result as ``pbw`` does, by bytes.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
     gens, ids = spec.canonical_generators, spec.generator_ids
     out: dict = {}
-    work = [(w, _coerce_coeff(c)) for w, c in terms.items()]
+    work = [(tuple(w), _coerce_coeff(c)) for w, c in terms.items()]
     while work:
         word, c = work.pop()
         if not c:
@@ -266,7 +267,7 @@ def bubble_normal_form(spec, terms, strategy="leftmost"):
         work.append((word[:k] + (b, a) + word[k + 2 :], c))
         for pair, cb in bracket_structure(spec, gens[a], gens[b]).items():
             work.append((word[:k] + (ids[pair],) + word[k + 2 :], c * cb))
-    return {w: c for w, c in out.items() if c}
+    return {bytes(w): c for w, c in out.items() if c}
 
 
 def violating_shift(spec):
@@ -316,11 +317,14 @@ def tensor_generator(spec, g, d):
 def rho(p, d, values=None):
     """p as an operator on V^(x)d: each word the product of its generators'
     ``tensor_generator`` matrices, weighted by its coefficient, a parameter
-    polynomial taken at ``values``.  The words need not be in PBW order."""
+    polynomial taken at ``values``.  The words need not be in PBW order, and
+    may be any sequences of ids: normal forms key them by bytes, raw terms by
+    tuples."""
     n = p.spec.matrix_size ** d
     out = [[0] * n for _ in range(n)]
     prefixes = {(): linalg.identity(n)}
     for word, c in p.terms.items():
+        word = tuple(word)
         if isinstance(c, ParamPolynomial):
             c = c.substitute(values)
         for k in range(1, len(word) + 1):

@@ -293,10 +293,20 @@ def test_bad_arguments_exit_two_without_traceback():
         ("verify", "theorem1", "--algebra", "gl:2", "--A", "sym-diag:a*b,0"),
         # -name negates a parameter once; a second sign is not a name
         ("verify", "theorem1", "--algebra", "gl:2", "--A", "sym-diag:--a,0"),
+        # PBW words hold ids below 256; gl:17 has 289 generators
+        ("verify", "casimir-central", "--algebra", "gl:17", "--max-power", "1"),
     ):
         r = run_cli(*args)
         assert r.returncode == 2, args
         assert "error:" in r.stderr and "Traceback" not in r.stderr, args
+
+
+def test_classical_commands_run_on_an_algebra_too_large_for_pbw_words(tmp_path):
+    out = tmp_path / "rep.json"
+    r = run_cli("expand", "--algebra", "gl:17", "--A", "diag:1,2" + ",0" * 15, "--M", "2",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(out.read_text())["summary"] == {"pass": 1, "fail": 0, "error": 0}
 
 
 @pytest.mark.parametrize("argv, passes", [

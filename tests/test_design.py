@@ -9,10 +9,14 @@
 * Every public function has a caller in the package or is a library entry point.
 * Every option of a CLI command is read by that command's runner or by
   ``cli.main``, and a runner reads no option its command does not declare.
+* No module imports ``dataclasses``, and importing the CLI loads neither it
+  nor ``inspect``: every CLI process pays for its imports before any check.
 """
 
 import argparse
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +107,23 @@ def test_every_cli_option_is_read_where_it_is_declared(trees):
         read = _args_read(trees["cli.py"], parser.get_default("run").__name__)
         assert options - read - shared == set(), command
         assert read - dests == set(), command
+
+
+def test_no_module_imports_dataclasses(trees):
+    imported = {(name, alias.name.split(".")[0]) for name, tree in trees.items()
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {(name, node.module.split(".")[0]) for name, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
+    assert {name for name, module in imported if module == "dataclasses"} == set()
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -I -S: no site, no user paths, no PYTHON* variables, so the rule does
+    # not depend on what the machine's site-packages import at start-up
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import envshift.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

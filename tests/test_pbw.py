@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envshift.algebra import GL, SO_ODD, SP, AlgebraError, make_algebra
+from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra
 from envshift.params import ParamPolynomial
 from envshift.pbw import (
     NCPolynomial,
@@ -115,7 +115,7 @@ def test_degree_one_commutators_match_structure_constants():
                 want = NCPolynomial(
                     spec,
                     {
-                        (spec.generator_ids[pair],): Fraction(c)
+                        bytes((spec.generator_ids[pair],)): Fraction(c)
                         for pair, c in bracket_structure(spec, a, b).items()
                     },
                     normalized=True,
@@ -151,6 +151,21 @@ def test_zero_generator_kills_words():
     assert NCPolynomial.from_word(SO3, [(1, 1), (1, -1)]).is_zero
 
 
+def test_word_ids_fit_in_a_byte():
+    # gl:16 has 256 generators, ids 0 to 255: the most a bytes word holds
+    gl16 = make_algebra(GL, 16)
+    top, below = NCPolynomial.generator(gl16, 16, 16), NCPolynomial.generator(gl16, 16, 15)
+    assert top.terms == {bytes((255,)): 1} and below.terms == {bytes((254,)): 1}
+    assert format_poly(multiply(top, below)) == "X[16,15].X[16,16] + X[16,15]"
+    # gl:17, so:24 and sp:12 have 289, 276 and 300
+    for spec in (make_algebra(GL, 17), make_algebra(SO_EVEN, 12), make_algebra(SP, 12)):
+        assert spec.dim > 256
+        with pytest.raises(AlgebraError, match="at most 256"):
+            NCPolynomial.generator(spec, 1, 1)
+        with pytest.raises(AlgebraError, match="at most 256"):
+            parse(spec, "X[1,1]")
+
+
 def test_mixed_algebra_rejected():
     p = NCPolynomial.generator(GL2, 1, 1)
     q = NCPolynomial.generator(make_algebra(GL, 3), 1, 1)
@@ -168,8 +183,8 @@ def test_parse_examples():
     assert parse(GL2, "0").is_zero
     p = parse(GL2, "3/2*X[1,2].X[2,1] + -1*X[1,1]")
     assert p.terms == {
-        (GL2.generator_ids[(1, 2)], GL2.generator_ids[(2, 1)]): Fraction(3, 2),
-        (GL2.generator_ids[(1, 1)],): Fraction(-1),
+        bytes((GL2.generator_ids[(1, 2)], GL2.generator_ids[(2, 1)])): Fraction(3, 2),
+        bytes((GL2.generator_ids[(1, 1)],)): Fraction(-1),
     }
     q = parse(GL2, "X[2,1].X[1,2]")
     assert format_poly(q) == "X[1,2].X[2,1] + -1*X[1,1] + X[2,2]"

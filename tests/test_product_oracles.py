@@ -221,7 +221,7 @@ def test_entry_points_give_ints_for_integral_numbers(designator):
     )
     parsed = parse(spec, text + " + 6/3")
     assert not _integral_fractions(parsed.terms.values())
-    assert parsed.terms[()] == 2 and type(parsed.terms[()]) is int
+    assert parsed.terms[b""] == 2 and type(parsed.terms[b""]) is int
     m = spec.matrix_size
     diag = "diag:" + ",".join(["4/2", "1/2"] + ["0"] * (m - 2))
     A = shift_from_designator(spec, diag)

@@ -402,6 +402,9 @@ def _suite_counts(monkeypatch, tmp_path, argv, polarize):
       "--max-power", "4"], 6, 108),
     (["prop2", "--algebra", "gl:4", "--A", "symbolic", "--max-power", "4"], 3808, 296),
     (["prop5", "--algebra", "so:4", "--A", "symbolic"], 1404, 339),
+    # a prop2 form holds many commutators, so the merged single part of a
+    # dense A costs less than its coordinates (150 commutators) here
+    (["prop2", "--algebra", "gl:3", "--A", "matrix:4,2,2;-2,2,4;3,3,2"], 7, 7),
 ])
 def test_certificate_form_counts(argv, before, after, monkeypatch, tmp_path):
     # the exhaustive oracle counts the commutators of the polarizer before
