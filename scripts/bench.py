@@ -18,16 +18,17 @@ The record, stored under --label (other labels in --out are kept):
 * micro: in-process timings in a child that imports the checkout's
   ``envshift``: ``multiply`` and ``commutator`` with warm rewrite caches,
   ``mul_word_gen`` of every sorted degree-3 word of gl:4 by every generator
-  and ``matrix_power_element``, both from empty caches, one cold ``verify
-  prop4 --algebra so:4`` with its ``multiply`` call count, the
-  ``power_bracket_residual`` calls of each COLD call, one cold ``verify
-  theorem1`` of a dense gl:3 shift and one cold ``verify prop5 --algebra
-  so:4 --A symbolic``, each with its ``commutator`` call count, and the
-  ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
-  default chains with the number of commutators it takes; and the classical
-  layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical tangent`` and
-  ``classical lemma2`` of so:8, each through ``cli.main``, and ``linalg.rank``
-  of a seeded integer matrix of the so:8 family's shape (36 x 28);
+  and ``matrix_power_element``, both from empty caches, ``parse`` of the
+  printed ``commutator`` of (X^4)[1,2] and (X^4)[2,1] on gl:3 with its term
+  count, one cold ``verify prop4 --algebra so:4`` with its ``multiply``
+  call count, the ``power_bracket_residual`` calls of each COLD call, one
+  cold ``verify theorem1`` of a dense gl:3 shift and one cold ``verify
+  prop5 --algebra so:4 --A symbolic``, each with its ``commutator`` call
+  count, and the ``chains.noncommuting_pairs`` certificate of the gl:5,
+  so:6 and sp:3 default chains with the number of commutators it takes; and
+  the classical layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical
+  tangent`` and ``classical lemma2`` of so:8, each through ``cli.main``, and
+  ``linalg.rank`` of a seeded integer matrix of the so:8 family's shape (36 x 28);
   ``cli.build_parser().parse_args`` of one ``classical lemma2`` call, the
   parser cost that every CLI process pays once; and the default gl:6 chain
   certificate in a process of its own, with its wall time, commutator count
@@ -273,6 +274,12 @@ def _micro(root: Path) -> dict:
         "matrix_power_element_gl4_M4_all_cold_s": median_s(
             lambda: [mpe(gl4, 4, i, j) for i in gl4.index_set for j in gl4.index_set], cold),
     }
+
+    gl3 = parse_algebra("gl:3")
+    residual = pbw.commutator(mpe(gl3, 4, 1, 2), mpe(gl3, 4, 2, 1))
+    text = pbw.format_poly(residual)
+    out["parse_gl3_commutator_X4[1,2]_X4[2,1]"] = {
+        "s": median_s(lambda: pbw.parse(gl3, text)), "terms": len(residual.terms)}
 
     def passes(*argv):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

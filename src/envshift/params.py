@@ -139,32 +139,6 @@ class ParamPolynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e for _, e in m) for m in self.terms), default=-1)
-
-    def partial(self, var) -> "ParamPolynomial":
-        """The derivative in one variable."""
-        terms = {}
-        for mono, c in self.terms.items():
-            for t, (name, e) in enumerate(mono):
-                if name == var:
-                    # distinct monomials keep distinct rests, so nothing merges
-                    rest = mono[:t] + (((name, e - 1),) if e > 1 else ()) + mono[t + 1:]
-                    terms[rest] = c * e
-                    break
-        return ParamPolynomial._of(terms)
-
-    def substitute(self, values: dict) -> Fraction:
-        """Evaluate at rational variable values (all variables must be bound)."""
-        total = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for name, exp in mono:
-                v *= Fraction(values[name]) ** exp
-            total += v
-        return total
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -30,6 +30,7 @@ recompute a value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .algebra import AlgebraError, AlgebraSpec, bracket_structure
@@ -135,17 +136,12 @@ class NCPolynomial:
         if normalized:
             self.terms = {w: c for w, c in terms.items() if c}
             return
-        tab = _tables(spec)
-        acc: dict = {}
-        for word, c in terms.items():
-            c = _coerce_coeff(c)
-            if not c:
-                continue
-            folded = {b"": c}
-            for g in word:
-                folded = _fold(tab, folded, g)
-            _accumulate(acc, folded)
-        self.terms = {w: c for w, c in acc.items() if c}
+        tab = _tables(spec)  # an algebra whose ids do not fit in a byte fails here, not in bytes()
+        words: dict = {}
+        for w, c in terms.items():
+            w = bytes(w)
+            words[w] = words.get(w, 0) + _coerce_coeff(c)
+        self.terms = {w: c for w, c in _walk(tab, {b"": 1}, words).items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -170,28 +166,11 @@ class NCPolynomial:
         _tables(spec)  # rejects an algebra whose ids do not fit in a byte
         return cls(spec, {_B[spec.generator_ids[pair]]: sign}, normalized=True)
 
-    @classmethod
-    def from_word(cls, spec, pairs, coeff=1):
-        """Product of raw-index generators X[i1,j1]...X[ik,jk] times coeff."""
-        c = _coerce_coeff(coeff)
-        word = []
-        for i, j in pairs:
-            sign, pair = spec.canonicalize_pair(i, j)
-            if pair is None:
-                return cls(spec)
-            c = c * sign
-            word.append(spec.generator_ids[pair])
-        return cls(spec, {tuple(word): c})
-
     # -- basic queries --------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Maximal word length; -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -232,9 +211,6 @@ class NCPolynomial:
             return NotImplemented
         return self.spec == other.spec and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.spec, frozenset((w, str(c)) for w, c in self.terms.items())))
-
     def __str__(self):
         return format_poly(self)
 
@@ -245,11 +221,8 @@ class NCPolynomial:
 def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     """Product in U(g): concatenate words, then rewrite to PBW normal form.
 
-    q's words are visited in sorted order over a stack of the products
-    p * prefix, so a prefix shared by several words of q is folded onto all
-    of p once, and equal intermediate words merge.  A zero factor gives zero
-    and a bare scalar factor {b"": c} scales the other one, with the
-    coefficient products in the same order as the general path.
+    A zero factor gives zero and a bare scalar factor {b"": c} scales the
+    other one, with the coefficient products in the same order as the walk.
     """
     p._check_same(q)
     if not p.terms or not q.terms:
@@ -260,11 +233,21 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
     if len(p.terms) == 1 and b"" in p.terms:
         c = p.terms[b""]
         return NCPolynomial(p.spec, {w: c * v for w, v in q.terms.items()}, normalized=True)
-    tab = _tables(p.spec)
+    return NCPolynomial(p.spec, _walk(_tables(p.spec), p.terms, q.terms), normalized=True)
+
+
+def _walk(tab: _Tables, start: dict, terms: dict) -> dict:
+    """The terms of start * sum c*w over the (word w, c) of terms; zeros stay.
+
+    start holds sorted words; the words w may be unsorted.  They are visited
+    in sorted order over a stack of the products start * prefix, so a prefix
+    shared by several words is folded onto all of start once, and equal
+    intermediate words merge.
+    """
     acc: dict = {}
     path = b""
-    stack = [p.terms]  # stack[k] = p * path[:k], as terms
-    for word in sorted(q.terms):
+    stack = [start]  # stack[k] = start * path[:k], as terms
+    for word in sorted(terms):
         k, n = 0, min(len(word), len(path))
         while k < n and word[k] == path[k]:
             k += 1
@@ -272,8 +255,8 @@ def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
         for g in word[k:]:
             stack.append(_fold(tab, stack[-1], g))
         path = word
-        _accumulate(acc, stack[-1], q.terms[word])
-    return NCPolynomial(p.spec, acc, normalized=True)
+        _accumulate(acc, stack[-1], terms[word])
+    return acc
 
 
 def commutator(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
@@ -332,167 +315,121 @@ def format_poly(p: NCPolynomial) -> str:
     return " + ".join(parts)
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def _skip(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self._skip()
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def expect(self, ch):
-        self._skip()
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def take_int(self):
-        self._skip()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ParseError("expected integer", start)
-        return int(self.text[start:self.pos])
-
-    def take_name(self):
-        self._skip()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected name", start)
-        return self.text[start:self.pos]
-
-    def done(self):
-        self._skip()
-        return self.pos >= len(self.text)
+# An integer (a sign only directly before digits), a name, or one symbol;
+# whitespace separates tokens and is otherwise ignored.  ``re`` compiles it
+# at the first parse, so a CLI process, which never parses, does not.
+_TOKEN = r"(-?\d+)|(\w+)|(\S)"
+_INT, _NAME, _SYMBOL = 1, 2, 3  # the group that matched
 
 
 def parse(spec: AlgebraSpec, text: str) -> NCPolynomial:
-    """Parse the text format back into a normalized polynomial."""
-    lex = _Lexer(text)
-    if lex.done():
+    """Parse the text format back into a normalized polynomial.
+
+    A ``ParseError`` points at the offending token or at the end of the text;
+    a bad generator points at where it began.
+    """
+    # (kind, text, start, end) of each token, the next one last, over an end marker
+    toks = [(None, None, len(text), len(text))]
+    toks += reversed([(m.lastindex, m.group(), m.start(), m.end())
+                      for m in re.finditer(_TOKEN, text)])
+
+    def accept(sym) -> int | None:
+        """Consume the symbol sym if it is next; the offset after it, else None."""
+        return toks.pop()[3] if toks[-1][1] == sym else None
+
+    def expect(sym) -> int:
+        end = accept(sym)
+        if end is None:
+            raise ParseError(f"expected {sym!r}", toks[-1][2])
+        return end
+
+    def integer():
+        """Consume an integer; (its value, the offset after it)."""
+        if toks[-1][0] != _INT:
+            raise ParseError("expected integer", toks[-1][2])
+        _, tok, _, end = toks.pop()
+        return int(tok), end
+
+    def rational():
+        num, _ = integer()
+        if not accept("/"):
+            return num
+        den, end = integer()
+        if den == 0:
+            raise ParseError("zero denominator", end)
+        return _scalar(Fraction(num, den))
+
+    def factor():
+        kind, tok, start, _ = toks[-1]
+        if kind == _INT or tok == "-":
+            return rational()
+        if kind != _NAME:
+            raise ParseError("expected parameter factor", start)
+        toks.pop()
+        exp = 1
+        if accept("^"):
+            exp, end = integer()
+            if exp < 1:
+                raise ParseError("exponent must be positive", end)
+        return ParamPolynomial({((tok, exp),): 1})
+
+    def param_poly():
+        total = ParamPolynomial()
+        while True:
+            part = factor()
+            while accept("*"):
+                part = part * factor()
+            total = total + part
+            if not accept("+"):
+                return total
+
+    def word(pos):
+        """(sign, ids) of gen ("." gen)* whose first gen begins at pos; (1, ()) for None."""
+        sign, ids = 1, []
+        while pos is not None:
+            kind, tok, start, _ = toks[-1]
+            if kind in (None, _SYMBOL) or tok[0] == "-":  # no word character begins it
+                raise ParseError("expected name", start)
+            if tok != "X":
+                raise ParseError("expected generator 'X[i,j]'", pos)
+            toks.pop()
+            expect("[")
+            i, _ = integer()
+            expect(",")
+            j, _ = integer()
+            expect("]")
+            try:
+                s, pair = spec.canonicalize_pair(i, j)
+            except AlgebraError as exc:
+                raise ParseError(str(exc), pos) from None
+            if pair is None:
+                sign = 0
+            else:
+                sign *= s
+                ids.append(spec.generator_ids[pair])
+            pos = accept(".")
+        return sign, tuple(ids)
+
+    def term():
+        kind, tok, start, _ = toks[-1]
+        if kind is None:
+            raise ParseError("unexpected end of input", start)
+        if kind == _INT or tok == "-":
+            coeff = rational()
+        elif accept("("):
+            coeff = param_poly()
+            expect(")")
+        else:
+            return word(start)
+        sign, ids = word(accept("*"))
+        return coeff * sign, ids
+
+    if len(toks) == 1:
         raise ParseError("empty input", 0)
     terms: dict = {}
     while True:
-        coeff, word = _parse_term(spec, lex)
-        word = tuple(word)
-        terms[word] = terms.get(word, 0) + coeff
-        if lex.done():
-            break
-        lex.expect("+")
-    return NCPolynomial(spec, terms)
-
-
-def _parse_rational(lex: _Lexer):
-    num = lex.take_int()
-    if lex.peek() == "/":
-        lex.expect("/")
-        den = lex.take_int()
-        if den == 0:
-            raise ParseError("zero denominator", lex.pos)
-        return _scalar(Fraction(num, den))
-    return num
-
-
-def _parse_param_poly(lex: _Lexer):
-    total = ParamPolynomial()
-    while True:
-        part = ParamPolynomial.const(1)
-        while True:
-            ch = lex.peek()
-            if ch is not None and (ch.isdigit() or ch == "-"):
-                part = part * _parse_rational(lex)
-            elif ch is not None and (ch.isalpha() or ch == "_"):
-                name = lex.take_name()
-                exp = 1
-                if lex.peek() == "^":
-                    lex.expect("^")
-                    exp = lex.take_int()
-                    if exp < 1:
-                        raise ParseError("exponent must be positive", lex.pos)
-                mono = ParamPolynomial({((name, 1),): 1})
-                for _ in range(exp):
-                    part = part * mono
-            else:
-                raise ParseError("expected parameter factor", lex.pos)
-            if lex.peek() == "*":
-                lex.expect("*")
-            else:
-                break
-        total = total + part
-        if lex.peek() == "+":
-            lex.expect("+")
-        else:
-            break
-    return total
-
-
-def _parse_gen(spec: AlgebraSpec, lex: _Lexer):
-    pos = lex.pos
-    name = lex.take_name()
-    if name != "X":
-        raise ParseError("expected generator 'X[i,j]'", pos)
-    lex.expect("[")
-    i = lex.take_int()
-    lex.expect(",")
-    j = lex.take_int()
-    lex.expect("]")
-    try:
-        sign, pair = spec.canonicalize_pair(i, j)
-    except AlgebraError as exc:
-        raise ParseError(str(exc), pos) from None
-    return sign, pair
-
-
-def _parse_word(spec: AlgebraSpec, lex: _Lexer):
-    sign = 1
-    word = []
-    while True:
-        s, pair = _parse_gen(spec, lex)
-        if pair is None:
-            sign = 0
-        else:
-            sign *= s
-            word.append(spec.generator_ids[pair])
-        if lex.peek() == ".":
-            lex.expect(".")
-        else:
-            break
-    return sign, word
-
-
-def _parse_term(spec: AlgebraSpec, lex: _Lexer):
-    ch = lex.peek()
-    if ch is None:
-        raise ParseError("unexpected end of input", lex.pos)
-    if ch.isdigit() or ch == "-":
-        coeff = _parse_rational(lex)
-        if lex.peek() == "*":
-            lex.expect("*")
-            sign, word = _parse_word(spec, lex)
-            return coeff * sign, word
-        return coeff, []
-    if ch == "(":
-        lex.expect("(")
-        coeff = _parse_param_poly(lex)
-        lex.expect(")")
-        if lex.peek() == "*":
-            lex.expect("*")
-            sign, word = _parse_word(spec, lex)
-            return coeff * sign, word
-        return coeff, []
-    sign, word = _parse_word(spec, lex)
-    return sign, word
+        coeff, ids = term()
+        terms[ids] = terms.get(ids, 0) + coeff
+        if len(toks) == 1:
+            return NCPolynomial(spec, terms)
+        expect("+")

@@ -157,6 +157,53 @@ def map_indices(spec, s, p):
     return NCPolynomial(spec, bubble_normal_form(spec, raw))
 
 
+def from_word(spec, pairs, coeff=1):
+    """The product of raw-index generators X[i1,j1]...X[ik,jk] times coeff."""
+    c = _coerce_coeff(coeff)
+    word = []
+    for i, j in pairs:
+        sign, pair = spec.canonicalize_pair(i, j)
+        if pair is None:
+            return NCPolynomial(spec)
+        c = c * sign
+        word.append(spec.generator_ids[pair])
+    return NCPolynomial(spec, {tuple(word): c})
+
+
+def degree(p):
+    """The maximal word length of a PBW polynomial; -1 for zero."""
+    return max((len(w) for w in p.terms), default=-1)
+
+
+def total_degree(f):
+    """The total degree of a commutative polynomial; -1 for zero."""
+    return max((sum(e for _, e in m) for m in f.terms), default=-1)
+
+
+def partial_derivative(f, var):
+    """The derivative of a commutative polynomial in one variable."""
+    terms = {}
+    for mono, c in f.terms.items():
+        for t, (name, e) in enumerate(mono):
+            if name == var:
+                # distinct monomials keep distinct rests, so nothing merges
+                rest = mono[:t] + (((name, e - 1),) if e > 1 else ()) + mono[t + 1:]
+                terms[rest] = c * e
+                break
+    return ParamPolynomial._of(terms)
+
+
+def substitute(f, values):
+    """A commutative polynomial at rational variable values (all variables bound)."""
+    total = Fraction(0)
+    for mono, c in f.terms.items():
+        v = c
+        for name, exp in mono:
+            v *= Fraction(values[name]) ** exp
+        total += v
+    return total
+
+
 def graded_symbol(p, degree):
     """The degree-d graded part of a PBW polynomial as a commutative polynomial."""
     acc: dict = {}
@@ -174,16 +221,16 @@ def top_symbol(p):
     """Highest-degree part of a PBW polynomial as a commutative polynomial."""
     if p.is_zero:
         return ParamPolynomial()
-    return graded_symbol(p, p.degree())
+    return graded_symbol(p, degree(p))
 
 
 def lie_poisson_bracket(spec, f, g):
     """{f, g} = sum df/dx_a dg/dx_b {x_a, x_b} on g*; bilinear, antisymmetric, Leibniz."""
     gens, ids = spec.canonical_generators, spec.generator_ids
-    dg = {gb: g.partial(gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
+    dg = {gb: partial_derivative(g, gb) for gb in sorted({gid for m in g.terms for gid, _ in m})}
     acc: dict = {}
     for ga in sorted({gid for m in f.terms for gid, _ in m}):
-        dfa = f.partial(ga)
+        dfa = partial_derivative(f, ga)
         for gb, dgb in dg.items():
             br = bracket_structure(spec, gens[ga], gens[gb])
             if br:
@@ -221,13 +268,13 @@ def charpoly_shift_invariants(spec, M, k, rows):
 
 
 def evaluate(f, point):
-    return f.substitute(dict(enumerate(point.values)))
+    return substitute(f, dict(enumerate(point.values)))
 
 
 def gradient(f, point):
     """Exact partial derivatives over the canonical coordinates at the point."""
     vals = dict(enumerate(point.values))
-    return tuple(f.partial(g).substitute(vals) for g in range(point.spec.dim))
+    return tuple(substitute(partial_derivative(f, g), vals) for g in range(point.spec.dim))
 
 
 def antisymmetric_rank2_matrix(size, seed):
@@ -326,7 +373,7 @@ def rho(p, d, values=None):
     for word, c in p.terms.items():
         word = tuple(word)
         if isinstance(c, ParamPolynomial):
-            c = c.substitute(values)
+            c = substitute(c, values)
         for k in range(1, len(word) + 1):
             if word[:k] not in prefixes:
                 prefixes[word[:k]] = linalg.mat_mul(

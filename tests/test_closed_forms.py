@@ -27,7 +27,7 @@ from envshift.chains import chain_generators, default_chain
 from envshift.independence import jacobian_rank, shift_family
 from envshift.shifts import canonical_shift, shift_from_designator
 from oracles import (charpoly_shift_invariants, evaluate, gradient, power_trace,
-                     shift_expand_gradient, shift_pair_gradient, shift_pair_trace)
+                     shift_expand_gradient, shift_pair_gradient, shift_pair_trace, substitute)
 
 ALGEBRAS = ("gl:2", "gl:3", "gl:4", "so:3", "so:4", "so:5", "sp:1", "sp:2")
 
@@ -85,7 +85,7 @@ def test_point_realizations_differ_only_on_sp():
         X = coordinate_matrix(spec)
         vals = dict(enumerate(point.values))
         assert point.coordinate_realization() == [
-            [x.substitute(vals) for x in row] for row in X
+            [substitute(x, vals) for x in row] for row in X
         ]
 
 

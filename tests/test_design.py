@@ -6,7 +6,12 @@
 * ``elements`` reaches no private name of ``pbw`` but the rewrite tables,
   which ``clear_caches`` empties.
 * ``classical`` imports nothing from ``pbw``.
-* Every public function has a caller in the package or is a library entry point.
+* Every public function has a caller in the package or is a library entry point,
+  and every public method or property of a package class is referenced in the
+  package outside its own body.
+* Only ``pbw._walk`` and the product cache ``_Tables.mul_word_gen`` call
+  ``pbw._fold``: every product and every raw term map reaches normal form
+  through the one prefix walk.
 * Every option of a CLI command is read by that command's runner or by
   ``cli.main``, and a runner reads no option its command does not declare.
 * No module imports ``dataclasses``, and importing the CLI loads neither it
@@ -17,6 +22,7 @@ import argparse
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -76,6 +82,37 @@ def test_every_public_function_is_called_in_the_package(trees):
     used = {_reference(node) for top in tops for node in ast.walk(top)
             if _reference(node) != getattr(top, "name", None)}
     assert defined - used - ENTRY_POINTS == set()
+
+
+def _functions(tree):
+    """(qualified name, node) of each top-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{fn.name}", fn) for fn in top.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_every_public_method_is_referenced_in_the_package(trees):
+    references = Counter(_reference(node) for tree in trees.values() for node in ast.walk(tree))
+    unused = set()
+    for tree in trees.values():
+        for name, fn in _functions(tree):
+            method = name.split(".")[-1]
+            if "." not in name or method.startswith("_"):
+                continue  # a function, a dunder or a private method
+            # a reference inside the method's own body does not count
+            if references[method] == sum(_reference(n) == method for n in ast.walk(fn)):
+                unused.add(name)
+    assert unused == set()
+
+
+def test_fold_is_called_only_by_the_walk_and_the_product_cache(trees):
+    callers = {(module, name) for module, tree in trees.items() for name, fn in _functions(tree)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and _reference(node.func) == "_fold"}
+    assert callers == {("pbw.py", "_walk"), ("pbw.py", "_Tables.mul_word_gen")}
 
 
 def _leaf_parsers(parser, path=()):

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import every_index_tuple, power_bracket_residual_direct, top_symbol, violating_shift
+from oracles import (degree, every_index_tuple, from_word, power_bracket_residual_direct,
+                     top_symbol, total_degree, violating_shift)
 
 from envshift import cli, pbw
 from envshift import elements as el
@@ -36,9 +37,7 @@ def test_matrix_power_base_cases():
 
 def test_matrix_power_gl2_square():
     got = el.matrix_power_element(GL2, 2, 1, 1)
-    want = NCPolynomial.from_word(GL2, [(1, 1), (1, 1)]) + NCPolynomial.from_word(
-        GL2, [(1, 2), (2, 1)]
-    )
+    want = from_word(GL2, [(1, 1), (1, 1)]) + from_word(GL2, [(1, 2), (2, 1)])
     assert got == want
 
 
@@ -47,7 +46,7 @@ def test_matrix_power_so3_square_definition():
     got = el.matrix_power_element(SO3, 2, 1, 1)
     want = NCPolynomial.zero(SO3)
     for u in SO3.index_set:
-        want = want + NCPolynomial.from_word(SO3, [(1, u), (u, 1)])
+        want = want + from_word(SO3, [(1, u), (u, 1)])
     assert got == want
 
 
@@ -88,9 +87,9 @@ def test_odd_trace_powers_vanish_classically_for_so_sp():
         # central lower-degree elements whose classical image is zero
         assert el.casimir(spec, 1).is_zero, spec.designator
         c3 = el.casimir(spec, 3)
-        assert c3.degree() < 3, spec.designator
+        assert degree(c3) < 3, spec.designator
         if not c3.is_zero:
-            assert top_symbol(c3).degree() < 3
+            assert total_degree(top_symbol(c3)) < 3
         for pair in spec.canonical_generators:
             assert commutator(c3, NCPolynomial.generator(spec, *pair)).is_zero
 

@@ -22,7 +22,7 @@ import json
 import random
 
 import pytest
-from oracles import every_index_tuple, index_symmetry_group, map_indices
+from oracles import degree, every_index_tuple, index_symmetry_group, map_indices
 
 from envshift import cli
 from envshift import elements as el
@@ -60,7 +60,7 @@ def test_index_maps_fix_the_casimirs_and_flip_coefficients(designator):
     central = [el.casimir(spec, M) for M in (1, 2, 3)]
     if not spec.is_gl:
         central += [c for N in (1, 2, 3) for c in el.power_flip_coefficients(spec, N)]
-    assert any(c.degree() > 0 for c in central)
+    assert any(degree(c) > 0 for c in central)
     for sigma in index_symmetry_group(spec):
         for c in central:
             assert map_indices(spec, sigma, c) == c

@@ -15,24 +15,24 @@ from envshift.pbw import (
     multiply,
     parse,
 )
-from oracles import bubble_normal_form
+from oracles import bubble_normal_form, from_word
 
 GL2 = make_algebra(GL, 2)
 SO3 = make_algebra(SO_ODD, 1)
 
 
 def test_normal_form_one_swap():
-    p = NCPolynomial.from_word(GL2, [(2, 1), (1, 2)])
+    p = from_word(GL2, [(2, 1), (1, 2)])
     assert format_poly(p) == "X[1,2].X[2,1] + -1*X[1,1] + X[2,2]"
 
 
 def test_normal_form_ordered_input_unchanged():
-    p = NCPolynomial.from_word(GL2, [(1, 2), (2, 1)])
+    p = from_word(GL2, [(1, 2), (2, 1)])
     assert format_poly(p) == "X[1,2].X[2,1]"
 
 
 def test_multiply_unit_and_ordered():
-    p = NCPolynomial.from_word(GL2, [(1, 2), (2, 1)]) + NCPolynomial.scalar(GL2, 5)
+    p = from_word(GL2, [(1, 2), (2, 1)]) + NCPolynomial.scalar(GL2, 5)
     assert multiply(NCPolynomial.one(GL2), p) == p
     q = multiply(NCPolynomial.generator(GL2, 1, 1), NCPolynomial.generator(GL2, 1, 2))
     assert format_poly(q) == "X[1,1].X[1,2]"
@@ -43,9 +43,9 @@ def test_multiply_square_of_sum():
     s = NCPolynomial.generator(GL2, 1, 2) + NCPolynomial.generator(GL2, 2, 1)
     got = multiply(s, s)
     want = (
-        NCPolynomial.from_word(GL2, [(1, 2), (1, 2)])
-        + NCPolynomial.from_word(GL2, [(1, 2), (2, 1)]) * 2
-        + NCPolynomial.from_word(GL2, [(2, 1), (2, 1)])
+        from_word(GL2, [(1, 2), (1, 2)])
+        + from_word(GL2, [(1, 2), (2, 1)]) * 2
+        + from_word(GL2, [(2, 1), (2, 1)])
         + NCPolynomial.generator(GL2, 1, 1) * -1
         + NCPolynomial.generator(GL2, 2, 2)
     )
@@ -53,7 +53,7 @@ def test_multiply_square_of_sum():
 
 
 def test_commutator_basics():
-    p = NCPolynomial.from_word(GL2, [(1, 2), (2, 2)]) + NCPolynomial.generator(GL2, 2, 1) * 3
+    p = from_word(GL2, [(1, 2), (2, 2)]) + NCPolynomial.generator(GL2, 2, 1) * 3
     assert commutator(p, p).is_zero
     assert commutator(
         NCPolynomial.generator(GL2, 1, 1), NCPolynomial.generator(GL2, 1, 2)
@@ -67,7 +67,7 @@ def test_trace_element_is_central_on_low_degree_words():
     words += [[a, b] for a in gens for b in gens]
     words += [[a, b, c] for a in gens for b in gens for c in gens]
     for w in words:
-        r = commutator(trace, NCPolynomial.from_word(GL2, w))
+        r = commutator(trace, from_word(GL2, w))
         assert r.is_zero, w
 
 
@@ -137,7 +137,7 @@ def test_confluence_of_rewrite_strategies(spec):
 
 
 def test_confluence_worked_example_so3():
-    p = NCPolynomial.from_word(SO3, [(1, 0), (0, 1), (1, 1)])
+    p = from_word(SO3, [(1, 0), (0, 1), (1, 1)])
     raw = {}
     ids = [SO3.generator_ids[(1, 0)], SO3.generator_ids[(0, 1)], SO3.generator_ids[(1, 1)]]
     raw[tuple(ids)] = Fraction(1)
@@ -148,7 +148,7 @@ def test_confluence_worked_example_so3():
 
 def test_zero_generator_kills_words():
     assert NCPolynomial.generator(SO3, 1, -1).is_zero
-    assert NCPolynomial.from_word(SO3, [(1, 1), (1, -1)]).is_zero
+    assert from_word(SO3, [(1, 1), (1, -1)]).is_zero
 
 
 def test_word_ids_fit_in_a_byte():
@@ -206,6 +206,24 @@ def test_parse_errors_carry_positions():
         parse(GL2, "")
     with pytest.raises(ParseError):
         parse(GL2, "1/0")
+    for text, message, pos in [
+        ("X[1,2]..X[2,1]", "expected name", 7),
+        ("3/", "expected integer", 2),
+        ("1*", "expected name", 2),
+        ("X[1,2] X[2,1]", "expected '+'", 7),
+        ("(a^0)*X[1,1]", "exponent must be positive", 4),
+        ("X[1,2] + ", "unexpected end of input", 9),
+        ("Y[1,2]", "expected generator 'X[i,j]'", 0),
+        ("(a + )", "expected parameter factor", 5),
+        ("- 1", "expected integer", 0),
+        ("1/0", "zero denominator", 3),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(GL2, text)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos), text
+    # a digit that int() does not read is no integer
+    with pytest.raises(ParseError, match=r"expected integer \(at position 4\)"):
+        parse(GL2, "X[1,²]")
 
 
 def test_parse_parametric_coefficients():
