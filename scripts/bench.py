@@ -36,7 +36,9 @@ The record, stored under --label (other labels in --out are kept):
 * the ``src/`` line count, the Python version, ``nproc`` and HEAD.
 
 The checkout's ``src`` is compiled to bytecode first, so no timed child
-compiles it, whatever PYTHONDONTWRITEBYTECODE says.
+compiles it, whatever PYTHONDONTWRITEBYTECODE says.  After writing --out the
+script prints ``readme_table`` of the record: the README's measured table,
+which holds the ``change`` record of the highest-numbered BENCH_<n>.json.
 
 Timings are medians of REPEATS runs where repeated.  The benchmark gate is
 ``perfbench/run.py``; this file is the per-change record beside it.
@@ -258,8 +260,7 @@ def _micro(root: Path) -> dict:
     mpe = elements.matrix_power_element
     p, q = mpe(gl4, 4, 1, 2), mpe(gl4, 4, 2, 1)
     pbw.commutator(p, q)  # fill the rewrite caches
-    word = type(next(iter(p.terms)))  # the checkout's word type: tuple or bytes
-    words = [word(w) for w in itertools.combinations_with_replacement(range(gl4.dim), 3)]
+    words = [bytes(w) for w in itertools.combinations_with_replacement(range(gl4.dim), 3)]
 
     def mul_word_gen():
         tab = pbw._tables(gl4)
@@ -344,6 +345,34 @@ def head(root: Path) -> str:
     return out.stdout.strip() or "unknown"
 
 
+def readme_table(record: dict) -> str:
+    """The README's measured table, in Markdown, from one record of a BENCH_<n>.json.
+
+    A header line with the ``src/`` line count, the tier-1 summary and wall,
+    the Python version and ``nproc``; then one row per battery entry, the
+    start-up floor and the default gl:6 chain certificate.
+    """
+    tier1, cold = record["tier1"], record["cold"]
+    summary = re.sub(r"\s+in .*", "", tier1["summary"])
+    cert = record["micro"]["noncommuting_pairs_gl6"]
+    rows = [(f"`{s['args']}`", s["exit"], s["wall_s"], s["peak_rss_mb"])
+            for s in record["battery"]["suites"]]
+    rows += [(label, "", cold[key]["wall_s"], cold[key]["peak_rss_mb"]) for key, label in (
+        ("python_-c_pass", "`python -c pass`"),
+        ("python_-c_import_envshift.cli", "`python -c 'import envshift.cli'`"))]
+    rows.append((f"default gl:6 chain certificate, {cert['commutators']} commutators, "
+                 f"{cert['failures']} failing pairs", "", cert["cold_s"], cert["peak_rss_mb"]))
+    return "\n".join([
+        f"`src/envshift` {record['src_lines']:,} lines; tier-1 {summary}, {tier1['wall_s']} s; "
+        f"battery {record['battery']['wall_s']} s summed; Python {record['python']}, "
+        f"nproc {record['nproc']}.",
+        "",
+        "| command | exit | wall | peak RSS |",
+        "|---|---|---|---|",
+        *(f"| {cmd} | {code} | {wall} s | {rss} MB |" for cmd, code, wall, rss in rows),
+    ])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=HERE, help="checkout to measure")
@@ -371,9 +400,7 @@ def main(argv=None) -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
     data[args.label] = record
     args.out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    summary = re.sub(r"\s+in .*", "", record["tier1"]["summary"])
-    print(f"{args.label}: tier-1 {record['tier1']['wall_s']} s ({summary}), "
-          f"battery {record['battery']['wall_s']} s, src {record['src_lines']} lines")
+    print(readme_table(record))
     return 0
 
 

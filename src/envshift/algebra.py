@@ -146,11 +146,11 @@ class AlgebraSpec:
 
     @property
     def dim(self) -> int:
-        return len(self.canonical_generators)
-
-    @property
-    def rank(self) -> int:
-        return self.n
+        """len(canonical_generators), from the family and n alone."""
+        n = self.n
+        if self.family == GL:
+            return n * n
+        return n * (2 * n - 1) if self.family == SO_EVEN else n * (2 * n + 1)
 
     def defining_matrix(self, pair) -> tuple:
         """The generator as a matrix over the index set (rows/cols by position)."""

@@ -346,8 +346,8 @@ def load_chain_file(path) -> ChainSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise AlgebraError(f"chain file is not valid JSON: {exc}") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise AlgebraError(f"chain file is not valid UTF-8 JSON: {exc}") from None
     return chain_from_dict(data)
 
 

@@ -349,8 +349,8 @@ def _run_verify(report, spec, args):
     family, default, runner = VERIFY_SUITES[args.suite]
     if family is not None and (family == "gl") != spec.is_gl:
         raise AlgebraError(f"{args.suite} is stated for {family}, not {spec.designator}")
+    _tables(spec)  # an algebra too large for PBW words is bad input, before any shift is built
     label, shifts = _shifts(spec, args.A, default)
-    _tables(spec)  # an algebra too large for PBW words is bad input, before any check
     report.parameters.update({"A": label, "max_power": args.max_power})
     runner(report, spec, shifts, args.max_power)
 

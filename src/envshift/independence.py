@@ -21,6 +21,7 @@ from .classical import (
     derive_rng,
     shift_expand_gradients,
 )
+from .elements import stabilizer_basis
 from .shifts import ShiftMatrix
 
 
@@ -182,8 +183,6 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
     family's trace powers tr(X^M) (its k = 0 members) attain the full rank
     ind g.
     """
-    from .elements import stabilizer_basis  # local import to avoid a cycle
-
     rows_A = A.numeric_rows()
     if linalg.rank(rows_A) != 2:
         raise AlgebraError("the shift matrix must have matrix rank exactly 2")

@@ -189,6 +189,14 @@ def test_dimension_formulas_up_to_four():
             assert make_algebra(SO_EVEN, n).dim == n * (2 * n - 1)
 
 
+def test_dimension_is_the_number_of_canonical_generators():
+    # dim is computed from the family and n; the generators are built here only to compare
+    for family in (GL, SO_ODD, SO_EVEN, SP):
+        for n in range(1, 9):
+            spec = make_algebra(family, n)
+            assert spec.dim == len(spec.canonical_generators), (family, n)
+
+
 def test_matrix_coordinates_roundtrip():
     for spec in ALL_SMALL:
         for pair in spec.canonical_generators:

@@ -1,6 +1,9 @@
-"""scripts/bench.py compiles the checkout before it times it and reads each call's own RSS."""
+"""scripts/bench.py compiles the checkout before it times it, reads each call's own RSS
+and renders the README's measured table."""
 
 import importlib.util
+import json
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -34,3 +37,17 @@ def test_timed_call_reads_its_own_peak_rss(tmp_path):
     assert code == 0 and 0 < wall and rss < 50
     assert _bench()._timed([sys.executable, "-c", "raise SystemExit(3)"], tmp_path)[0] == 3
     del held
+
+
+def test_readme_states_the_latest_bench_record():
+    # the README's only wall and memory figures are the block rendered from the
+    # change record of the highest-numbered BENCH_<n>.json
+    latest = max(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    record = json.loads(latest.read_text())["change"]
+    readme = (ROOT / "README.md").read_text()
+    before, block, after = re.fullmatch(
+        r"(.*)<!-- bench:begin -->\n(.*)\n<!-- bench:end -->(.*)", readme, re.S).groups()
+    assert block == _bench().readme_table(record), latest.name
+    figure = re.compile(r"\d[\d,]*(\.\d+)?\s?(ms|s|MB|GB)\b")
+    stray = [ln for ln in (before + after).splitlines() if figure.search(ln)]
+    assert not stray, stray

@@ -166,8 +166,12 @@ def test_malformed_chain_files_exit_two_without_internal_error(tmp_path, capsys)
     from envshift import cli
 
     f, out = tmp_path / "bad.json", tmp_path / "rep.json"
-    for data in MALFORMED_CHAINS:
-        f.write_text(json.dumps(data))
+    # the last file is not UTF-8 at all: it starts with a UTF-16 byte order mark
+    for data in (*MALFORMED_CHAINS, b"\xff\xfe{}"):
+        if isinstance(data, bytes):
+            f.write_bytes(data)
+        else:
+            f.write_text(json.dumps(data))
         assert cli.main(["chain", "--file", str(f), "--out", str(out)]) == 2, data
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (data, lines)

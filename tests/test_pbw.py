@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra
+from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra, parse_algebra
 from envshift.params import ParamPolynomial
 from envshift.pbw import (
     NCPolynomial,
     ParseError,
+    _tables,
     commutator,
     format_poly,
     multiply,
@@ -164,6 +165,14 @@ def test_word_ids_fit_in_a_byte():
             NCPolynomial.generator(spec, 1, 1)
         with pytest.raises(AlgebraError, match="at most 256"):
             parse(spec, "X[1,1]")
+
+
+def test_an_oversized_algebra_is_refused_before_its_generators_are_built():
+    # building the canonical generators of gl:1000 would take about a million pairs
+    spec = parse_algebra("gl:1000")
+    with pytest.raises(AlgebraError, match="at most 256"):
+        _tables(spec)
+    assert "canonical_generators" not in vars(spec)
 
 
 def test_mixed_algebra_rejected():
