@@ -9,7 +9,6 @@ from .algebra import (
     AlgebraSpec,
     bracket_structure,
     dimension_and_index,
-    lie_generating_set,
     make_algebra,
     parse_algebra,
 )

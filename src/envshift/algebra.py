@@ -309,53 +309,6 @@ def bracket_structure(spec: AlgebraSpec, a, b) -> dict:
     return {pair: c for pair, c in acc.items() if c}
 
 
-def lie_generating_set(spec: AlgebraSpec, indices) -> tuple:
-    """Canonical generators that generate, as a Lie algebra, those of an index block.
-
-    The block's linear generators are the canonical forms of X[i,j] with i, j
-    in ``indices``.  They are taken in PBW order, and each one is kept when it
-    lies outside the Lie subalgebra generated by those kept before; that
-    subalgebra is held as an echelon basis, closed under the brackets of
-    ``bracket_structure``.  gl(n) keeps the 2n-1 generators X[1,j] and X[i,1].
-    """
-    order = spec.generator_ids.get
-    block = sorted({spec.canonicalize_pair(i, j)[1] for i in indices for j in indices} - {None},
-                   key=order)
-    basis: dict = {}  # pivot -> vector {pair: coefficient} whose first pair in PBW order is the pivot
-    kept = []
-
-    def reduce(vec):
-        while True:
-            pivots = [q for q in vec if q in basis]
-            if not pivots:
-                return vec
-            # eliminating the first pivot brings in only pairs after it
-            q = min(pivots, key=order)
-            vec = {r: c for r, c in _accumulate(vec, basis[q], -vec[q]).items() if c}
-
-    def close(todo):
-        while todo:
-            vec = reduce(todo.pop())
-            if vec:
-                pivot = min(vec, key=order)
-                basis[pivot] = {q: Fraction(d) / vec[pivot] for q, d in vec.items()}
-                todo.extend(_bracket_with(spec, g, vec) for g in kept)
-
-    for pair in block:
-        if reduce({pair: 1}):
-            kept.append(pair)
-            close([{pair: 1}] + [_bracket_with(spec, pair, v) for v in basis.values()])
-    return tuple(kept)
-
-
-def _bracket_with(spec: AlgebraSpec, pair, vec: dict) -> dict:
-    """[X[pair], v] for v = sum_q vec[q] X[q]."""
-    out: dict = {}
-    for q, c in vec.items():
-        _accumulate(out, bracket_structure(spec, pair, q), c)
-    return {r: c for r, c in out.items() if c}
-
-
 def dimension_and_index(spec: AlgebraSpec) -> tuple[int, int]:
     """(dim g, ind g); the index equals the rank for these families."""
     return spec.dim, spec.n

@@ -7,7 +7,7 @@ powers; even ones for so/sp), every size-2 step (and every sp level of rank
 >= 2) contributes shifted generators for its attached rank-2 semisimple shift
 matrix, and the terminal abelian level contributes its linear generator.
 Pairwise commutativity of the emitted family is checked, never assumed: by
-multiplying every pair, or by the generator-level certificate of
+multiplying every pair, or by the level-by-level certificate of
 ``noncommuting_pairs``.
 """
 
@@ -17,11 +17,11 @@ import json
 from functools import cached_property
 from itertools import combinations
 
-from .algebra import GL, SP, AlgebraError, AlgebraSpec, lie_generating_set, parse_algebra
+from .algebra import GL, SP, AlgebraError, AlgebraSpec, parse_algebra
 from .classical import shift_powers
 from .elements import contract_rows
-from .linalg import identity
-from .pbw import NCPolynomial, commutator
+from .linalg import identity, mat_commutator
+from .pbw import NCPolynomial, _tables, commutator
 from .shifts import (
     ShiftMatrix,
     _parse_entry,
@@ -266,31 +266,36 @@ def commutativity_failures(family: CommutativeFamily):
 
 
 def noncommuting_pairs(family: CommutativeFamily):
-    """``commutativity_failures(family)``, certified from Lie generators when it is empty.
+    """``commutativity_failures(family)``, certified level by level when it is empty.
 
-    A member on the level block I lies in U(h_I), h_I the Lie algebra generated
-    by the block's linear generators, and the blocks of a chain are nested.
-    The family commutes when
-      (a) each Casimir and terminal abelian member commutes with a Lie
-          generating set of h_I, so it is central in U(h_I);
-      (b) each shift commutes with a Lie generating set of h_J, J the next
-          smaller block, so it commutes with every member below its level;
-      (c) the shifts on one block commute pairwise;
-    because ad is a derivation, the centralizer of an element meets g in a Lie
-    subalgebra, and U(h) is generated by h.  If a step fails, or the blocks
-    are not nested, the all-pairs result is returned.
+    A member (B X^N) on the level block I lies in U(h_I), h_I spanned by the
+    block's linear generators, and the blocks of a chain are nested.  The
+    tensorial identity gives [(C X), (B X^N)] = c*([B,C] X^N) for every B
+    (c = 1 on gl, 2 on so/sp; ``elements.check_centralizer``), and the (C X)
+    span h_J as C runs over the defining matrices of block J's generators.
+    So the member commutes with U(h_J) when [B, C] = 0 for each such C, read
+    on I's positions.  The family commutes when
+      (a) each Casimir and terminal abelian member passes this for its own
+          block, so it is central in U(h_I);
+      (b) each shift passes it for J, the next smaller block, so it commutes
+          with every member below its level;
+      (c) the shifts on one block commute pairwise, by products in U(g).
+    If a step fails, or the blocks are not nested, the all-pairs result is
+    returned.
     """
     spec, gens = family.algebra, family.generators
     blocks = sorted({g.indices for g in gens}, key=len, reverse=True)
     if any(not set(b) <= set(a) for a, b in zip(blocks, blocks[1:])):
         return commutativity_failures(family)
     below = dict(zip(blocks, blocks[1:]))
-    lie: dict = {}  # block -> its Lie generating set, as elements
 
     def centralizes(g, block):
-        if block not in lie:
-            lie[block] = [NCPolynomial.generator(spec, *p) for p in lie_generating_set(spec, block)]
-        return all(commutator(g.poly, x).is_zero for x in lie[block])
+        pos = [spec.position(i) for i in g.indices]
+        for pair in {spec.canonicalize_pair(i, j)[1] for i in block for j in block} - {None}:
+            C = spec.defining_matrix(pair)
+            if any(map(any, mat_commutator(g.B, [[C[r][c] for c in pos] for r in pos]))):
+                return False
+        return True
 
     shifts = [g for g in gens if g.provenance.startswith("shift@")]
     central = [g for g in gens if not g.provenance.startswith("shift@")]
@@ -316,6 +321,7 @@ def chain_from_dict(data: dict) -> ChainSpec:
     if not isinstance(text, str) or not isinstance(raw_steps, list):
         raise AlgebraError("chain file needs an 'algebra' string and a 'steps' list")
     spec = parse_algebra(text)
+    _tables(spec)  # an algebra too large for PBW words is bad input, before any step is validated
     steps = []
     for entry in raw_steps:
         if not isinstance(entry, dict) or "k" not in entry:

@@ -371,7 +371,6 @@ def _report_path(path: str) -> str:
 
 
 def _run_chain(report, chain, args):
-    _tables(chain.algebra)  # as in _run_verify
     dim, index = dimension_and_index(chain.algebra)
     report.parameters.update({
         "file": _report_path(args.file),

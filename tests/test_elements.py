@@ -8,7 +8,8 @@ from oracles import (degree, every_index_tuple, from_word, power_bracket_residua
 
 from envshift import cli, pbw
 from envshift import elements as el
-from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra
+from envshift.algebra import GL, SO_EVEN, SO_ODD, SP, AlgebraError, make_algebra, matrix_in_algebra
+from envshift.chains import level_indices
 from envshift.params import ParamPolynomial
 from envshift.pbw import NCPolynomial, commutator, format_poly, parse
 from envshift.shifts import (
@@ -147,15 +148,36 @@ def test_centralizer_identity_gl():
     assert el.check_centralizer(GL2, A2, B, 2).is_zero
 
 
+def _centralizer_shifts(spec):
+    """The canonical shift, the identity on a chain block and an integer matrix outside g."""
+    m = spec.matrix_size
+    block = {spec.position(i) for i in level_indices(spec, m - 2)}
+    return {
+        "shift": canonical_shift(spec, -1).numeric_rows(),
+        "block-identity": [[int(r == c and r in block) for c in range(m)] for r in range(m)],
+        "dense": [[(3 * r + c * c) % 5 - 2 for c in range(m)] for r in range(m)],
+    }
+
+
+@pytest.mark.parametrize("A", ["shift", "block-identity", "dense"])
+@pytest.mark.parametrize("spec", [GL3, SO4, make_algebra(SO_ODD, 2), SP2],
+                         ids=lambda s: s.designator)
+def test_centralizer_identity_holds_for_every_A(spec, A):
+    # [(B X), (A X^N)] = c*([A,B] X^N) needs B in g, not A: the chain certificate reads
+    # it with A a member's matrix, so a block identity or a shift on a level block
+    rows = _centralizer_shifts(spec)[A]
+    assert spec.is_gl or matrix_in_algebra(spec, rows) == (A == "shift")
+    for pair in spec.canonical_generators:
+        B = [list(r) for r in spec.defining_matrix(pair)]
+        for N in (1, 2, 3):
+            assert el.check_centralizer(spec, rows, B, N).is_zero, (pair, N)
+
+
 def test_centralizer_identity_so_sp_has_factor_two():
-    A = canonical_shift(SO4, -1)
-    for pair in SO4.canonical_generators:
-        B = [list(r) for r in SO4.defining_matrix(pair)]
-        for N in (1, 2):
-            assert el.check_centralizer(SO4, A, B, N).is_zero, (pair, N)
     # without the factor 2 the identity fails for a non-commuting member
     from envshift import linalg
 
+    A = canonical_shift(SO4, -1)
     B = [list(r) for r in SO4.defining_matrix((1, 2))]
     lhs = commutator(el.contract_rows(SO4, B, 1), el.shift_generator(SO4, A, 2))
     bk = linalg.mat_commutator(A.numeric_rows(), B)
