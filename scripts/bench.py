@@ -12,9 +12,11 @@ The record, stored under --label (other labels in --out are kept):
   report sha256, and the summed wall time (every subprocess is started by
   a bare launcher process, so its peak RSS is its own);
 * cold: each CLI call of COLD as one subprocess, with its median wall
-  time and peak RSS, and the start-up cost every CLI process pays: the
-  median wall of STARTUP_RUNS fresh interpreters that import ``envshift.cli``,
-  beside that of ``python -c pass``, the floor, in alternating order;
+  time and peak RSS, and the floor every CLI process stands on: the median
+  wall of STARTUP_RUNS fresh processes of each STARTUP command, in
+  alternating order.  ``python -c pass`` is the bare interpreter, ``import
+  envshift.cli`` adds the imports, and the smallest full CLI call adds a
+  check, its report and the process exit;
 * micro: in-process timings in a child that imports the checkout's
   ``envshift``: ``multiply`` and ``commutator`` with warm rewrite caches,
   ``mul_word_gen`` of every sorted degree-3 word of gl:4 by every generator
@@ -57,6 +59,7 @@ import json
 import os
 import random
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -82,6 +85,13 @@ CLASSICAL = {
     "classical_tangent_so8_s": ["classical", "tangent", "--algebra", "so:8",
                                 "--A", "diag:-1,0,0,0,0,0,0,1"],
     "classical_lemma2_so8_s": ["classical", "lemma2", "--algebra", "so:8"],
+}
+# the floor of a CLI process, from the bare interpreter to a whole call
+STARTUP = {
+    "python_-c_pass": ["-c", "pass"],
+    "python_-c_import_envshift.cli": ["-c", "import envshift.cli"],
+    "python_-m_envshift_verify_theorem2_sp2": ["-m", "envshift", "verify", "theorem2",
+                                               "--algebra", "sp:2"],
 }
 # perfbench's lemma2-gl6 call at seed 7, with the --seed and --out it appends
 PARSE_ARGV = ["classical", "lemma2", "--algebra", "gl:6", "--A", "diag:-2,2,0,0,0,0",
@@ -180,13 +190,16 @@ def cold_cli(root: Path) -> dict:
 
 
 def startup(root: Path) -> dict:
-    """Median wall time and peak RSS of a bare interpreter and of one that
-    imports the CLI, STARTUP_RUNS fresh processes each, the two alternating."""
-    codes = {"python_-c_pass": "pass", "python_-c_import_envshift.cli": "import envshift.cli"}
-    runs: dict = {key: [] for key in codes}
+    """Median wall time and peak RSS of each STARTUP command, STARTUP_RUNS
+    fresh processes each, the commands alternating; each must exit 0."""
+    runs: dict = {key: [] for key in STARTUP}
     for _ in range(STARTUP_RUNS):
-        for key, code in codes.items():
-            runs[key].append(_timed([sys.executable, "-c", code], root)[1:])
+        for key, argv in STARTUP.items():
+            code, wall, rss = _timed([sys.executable, *argv], root,
+                                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            if code:
+                raise RuntimeError(f"python {' '.join(argv)} exited {code}")
+            runs[key].append((wall, rss))
     return {key: {"wall_s": round(statistics.median(w for w, _ in r), 4),
                   "peak_rss_mb": round(statistics.median(m for _, m in r), 1)}
             for key, r in runs.items()}
@@ -349,17 +362,16 @@ def readme_table(record: dict) -> str:
     """The README's measured table, in Markdown, from one record of a BENCH_<n>.json.
 
     A header line with the ``src/`` line count, the tier-1 summary and wall,
-    the Python version and ``nproc``; then one row per battery entry, the
-    start-up floor and the default gl:6 chain certificate.
+    the Python version and ``nproc``; then one row per battery entry, one per
+    STARTUP command the record holds and the default gl:6 chain certificate.
     """
     tier1, cold = record["tier1"], record["cold"]
     summary = re.sub(r"\s+in .*", "", tier1["summary"])
     cert = record["micro"]["noncommuting_pairs_gl6"]
     rows = [(f"`{s['args']}`", s["exit"], s["wall_s"], s["peak_rss_mb"])
             for s in record["battery"]["suites"]]
-    rows += [(label, "", cold[key]["wall_s"], cold[key]["peak_rss_mb"]) for key, label in (
-        ("python_-c_pass", "`python -c pass`"),
-        ("python_-c_import_envshift.cli", "`python -c 'import envshift.cli'`"))]
+    rows += [(f"`{shlex.join(['python', *argv])}`", "", cold[key]["wall_s"],
+              cold[key]["peak_rss_mb"]) for key, argv in STARTUP.items() if key in cold]
     rows.append((f"default gl:6 chain certificate, {cert['commutators']} commutators, "
                  f"{cert['failures']} failing pairs", "", cert["cold_s"], cert["peak_rss_mb"]))
     return "\n".join([

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -512,6 +513,7 @@ def _finish(report: SuiteReport, out) -> int:
         f"suite {report.suite} on {report.algebra}: "
         f"{counts['pass']} pass, {counts['fail']} fail, {counts['error']} error"
     )
+    sys.stdout.flush()  # a stdout that cannot be written fails the run before its report
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
@@ -602,5 +604,18 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """The ``envshift`` command: ``main``, then the end of the process.
+
+    The report is closed when ``main`` returns, so the interpreter's teardown
+    would only free modules and caches; the streams are flushed and the
+    process leaves with ``os._exit``.  A stream that cannot be flushed makes
+    the exit code 2.  ``SystemExit`` from argparse leaves the normal way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            code = 2
+    os._exit(code)

@@ -8,6 +8,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "bench.py"
 
@@ -37,6 +39,20 @@ def test_timed_call_reads_its_own_peak_rss(tmp_path):
     assert code == 0 and 0 < wall and rss < 50
     assert _bench()._timed([sys.executable, "-c", "raise SystemExit(3)"], tmp_path)[0] == 3
     del held
+
+
+def test_startup_floor_runs_each_command_and_a_whole_cli_call(monkeypatch):
+    module = _bench()
+    assert list(module.STARTUP) == ["python_-c_pass", "python_-c_import_envshift.cli",
+                                    "python_-m_envshift_verify_theorem2_sp2"]
+    monkeypatch.setattr(module, "STARTUP_RUNS", 1)
+    floor = module.startup(ROOT)
+    assert list(floor) == list(module.STARTUP)
+    assert all(row["wall_s"] > 0 and row["peak_rss_mb"] > 0 for row in floor.values())
+    # a command that fails is not a floor
+    monkeypatch.setitem(module.STARTUP, "python_-c_pass", ["-c", "raise SystemExit(1)"])
+    with pytest.raises(RuntimeError, match="exited 1"):
+        module.startup(ROOT)
 
 
 def test_readme_states_the_latest_bench_record():

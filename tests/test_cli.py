@@ -1,5 +1,7 @@
+import ast
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -561,3 +563,68 @@ def test_equal_power_checks_multiply_nothing(argv, monkeypatch):
     for check_id, n in per_check.items():
         M, N = re.match(r"\[\(AX\^(\d+)\),\(AX\^(\d+)\)\]", check_id).groups()
         assert (n == 0) == (M == N), (check_id, n)
+
+
+SP2 = ("verify", "theorem2", "--algebra", "sp:2")
+
+
+def _block_buffered_cli(*args, stdout):
+    # without PYTHONUNBUFFERED a stdout that is not a terminal holds the
+    # summary in its buffer until it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "envshift", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=300, cwd=str(REPO), env=env)
+
+
+def test_a_stdout_that_cannot_be_written_exits_two_without_a_report(tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    out = tmp_path / "rep.json"
+    with open("/dev/full", "w") as full:
+        r = _block_buffered_cli(*SP2, "--out", str(out), stdout=full)
+    assert r.returncode == 2, r.stderr
+    errors = [ln for ln in r.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and "Exception ignored" not in r.stderr, r.stderr
+    assert not out.exists()
+
+
+def test_the_summary_reaches_a_block_buffered_stdout():
+    r = _block_buffered_cli(*SP2, stdout=subprocess.PIPE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "suite theorem2 on sp:2: 12 pass, 0 fail, 0 error"
+
+
+class _Full:
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_stream_that_cannot_be_flushed_at_exit_makes_the_code_two(monkeypatch):
+    from envshift import cli
+
+    exits = []
+
+    def leave(code):
+        exits.append(code)
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "main", lambda: 0)
+    monkeypatch.setattr(cli.os, "_exit", leave)
+    with pytest.raises(SystemExit):
+        cli.run()
+    monkeypatch.setattr(cli.sys, "stdout", _Full())
+    with pytest.raises(SystemExit):
+        cli.run()
+    assert exits == [0, 2]
+
+
+def test_the_installed_script_runs_what_python_m_envshift_runs():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    tree = ast.parse((REPO / "src" / "envshift" / "__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"envshift.{node.module}:{alias.name}"
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    called = [imported[node.func.id] for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == [scripts["envshift"]] == ["envshift.cli:run"]

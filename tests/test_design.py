@@ -16,6 +16,9 @@
   ``cli.main``, and a runner reads no option its command does not declare.
 * No module imports ``dataclasses``, and importing the CLI loads neither it
   nor ``inspect``: every CLI process pays for its imports before any check.
+* Nothing waits for interpreter teardown, which ``cli.run`` skips with its one
+  ``os._exit``: no module imports ``atexit``, ``threading``, ``weakref`` or
+  ``signal`` or defines ``__del__``, and every ``open`` is a ``with`` item.
 """
 
 import argparse
@@ -146,14 +149,35 @@ def test_every_cli_option_is_read_where_it_is_declared(trees):
         assert read - dests == set(), command
 
 
-def test_no_module_imports_dataclasses(trees):
+def _imported(trees):
+    """(module file, top-level name of a library it imports)."""
     imported = {(name, alias.name.split(".")[0]) for name, tree in trees.items()
                 for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
-    imported |= {(name, node.module.split(".")[0]) for name, tree in trees.items()
-                 for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
-    assert {name for name, module in imported if module == "dataclasses"} == set()
+    return imported | {(name, node.module.split(".")[0]) for name, tree in trees.items()
+                       for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
+
+
+def test_no_module_imports_dataclasses(trees):
+    assert {name for name, module in _imported(trees) if module == "dataclasses"} == set()
+
+
+def test_nothing_waits_for_interpreter_teardown(trees):
+    # ``python -m envshift`` leaves through os._exit once its report is closed
+    teardown = {"atexit", "threading", "weakref", "signal"}
+    assert {(name, module) for name, module in _imported(trees) if module in teardown} == set()
+    assert [name for name, tree in trees.items() for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__del__"] == []
+    managed = {id(item.context_expr) for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.With) for item in node.items}
+    assert [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _reference(node.func) in ("open", "fdopen")
+            and id(node) not in managed] == []
+    exits = {(module, name) for module, tree in trees.items() for name, fn in _functions(tree)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and _reference(node.func) == "_exit"}
+    assert exits == {("cli.py", "run")}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
