@@ -207,17 +207,19 @@ def startup(root: Path) -> dict:
 
 # The default chain certificate of the algebra named by its first argument,
 # timed in a process of its own so that its peak RSS is its own; it prints
-# its wall seconds, commutator count and failing pairs as JSON.
+# its wall seconds, commutator count and failing pairs as JSON.  Step (c)
+# takes its commutators in ``elements``, the all-pairs fallback in ``chains``.
 CERTIFICATE = """
 import json, sys, time
-from envshift import chains
+from envshift import chains, elements
 from envshift.algebra import parse_algebra
 family = chains.chain_generators(chains.default_chain(parse_algebra(sys.argv[1])))
-real, count = chains.commutator, [0]
-def spy(p, q):
-    count[0] += 1
-    return real(p, q)
-chains.commutator = spy
+count = [0]
+for module in (chains, elements):
+    def spy(p, q, real=module.commutator):
+        count[0] += 1
+        return real(p, q)
+    module.commutator = spy
 t0 = time.perf_counter()
 fails = chains.noncommuting_pairs(family)
 print(json.dumps({"cold_s": round(time.perf_counter() - t0, 2), "commutators": count[0],
@@ -260,14 +262,15 @@ def _micro(root: Path) -> dict:
             times.append(time.perf_counter() - t0)
         return round(statistics.median(times), 4)
 
-    def counting(module, name):
-        real, count = getattr(module, name), [0]
-
-        def spy(*args):
-            count[0] += 1
-            return real(*args)
-        setattr(module, name, spy)
-        return count, lambda: setattr(module, name, real)
+    def counting(name, *modules):
+        """Count the calls of ``name`` made through any of ``modules``, in one count."""
+        reals, count = [getattr(m, name) for m in modules], [0]
+        for module, real in zip(modules, reals):
+            def spy(*args, real=real):
+                count[0] += 1
+                return real(*args)
+            setattr(module, name, spy)
+        return count, lambda: [setattr(m, name, r) for m, r in zip(modules, reals)]
 
     gl4 = parse_algebra("gl:4")
     mpe = elements.matrix_power_element
@@ -304,7 +307,7 @@ def _micro(root: Path) -> dict:
         passes("verify", "prop4", "--algebra", "so:4")
     out["verify_prop4_so4_cold_s"] = median_s(prop4, cold)
     cold()
-    count, restore_pbw = counting(pbw, "multiply")
+    count, restore_pbw = counting("multiply", pbw)
     real_el = elements.multiply
     elements.multiply = pbw.multiply
     prop4()
@@ -313,14 +316,14 @@ def _micro(root: Path) -> dict:
     out["verify_prop4_so4_multiply_calls"] = count[0]
     for key, argv in COLD.items():
         cold()
-        count, restore = counting(elements, "power_bracket_residual")
+        count, restore = counting("power_bracket_residual", elements)
         passes(*argv)
         restore()
         out[f"{key}_power_bracket_residual_calls"] = count[0]
     for key, argv in (("verify_theorem1_gl3_dense", THEOREM1_GL3_DENSE),
                       ("verify_prop5_so4_symbolic", PROP5_SO4_SYMBOLIC)):
         cold()
-        count, restore = counting(elements, "commutator")
+        count, restore = counting("commutator", elements)
         passes(*argv)
         restore()
         out[key] = {"cold_s": median_s(lambda argv=argv: passes(*argv), cold),
@@ -329,7 +332,7 @@ def _micro(root: Path) -> dict:
     for name in CHAIN_FILES:
         cold()
         family = chains.chain_generators(chains.load_chain_file(root / "scripts/chains" / name))
-        count, restore = counting(chains, "commutator")
+        count, restore = counting("commutator", chains, elements)
         t0 = time.perf_counter()
         fails = chains.noncommuting_pairs(family)
         wall = time.perf_counter() - t0

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .algebra import GL, SP, AlgebraError, AlgebraSpec, parse_algebra
 from .classical import shift_powers
-from .elements import contract_rows
+from .elements import contract_rows, shift_commutator_residual
 from .linalg import identity, mat_commutator
 from .pbw import NCPolynomial, _tables, commutator
 from .shifts import (
@@ -279,9 +279,10 @@ def noncommuting_pairs(family: CommutativeFamily):
           block, so it is central in U(h_I);
       (b) each shift passes it for J, the next smaller block, so it commutes
           with every member below its level;
-      (c) the shifts on one block commute pairwise, by products in U(g).
-    If a step fails, or the blocks are not nested, the all-pairs result is
-    returned.
+      (c) the shifts on one block share its B and commute pairwise, by
+          theorem1's ``elements.shift_commutator_residual`` on that B.
+    If a step fails, the blocks are not nested or a block's shifts differ in
+    B, the all-pairs result is returned.
     """
     spec, gens = family.algebra, family.generators
     blocks = sorted({g.indices for g in gens}, key=len, reverse=True)
@@ -299,11 +300,22 @@ def noncommuting_pairs(family: CommutativeFamily):
 
     shifts = [g for g in gens if g.provenance.startswith("shift@")]
     central = [g for g in gens if not g.provenance.startswith("shift@")]
+    levels: dict = {}  # block -> (the shift B of its members, their powers)
+    for g in shifts:
+        B, powers = levels.setdefault(g.indices, (g.B, set()))
+        if g.B != B:
+            return commutativity_failures(family)
+        powers.add(g.N)
+
+    def shifts_commute(block, B, powers):
+        A, built = ShiftMatrix(spec, block, B), {}
+        return all(shift_commutator_residual(spec, A, M, N, built).is_zero
+                   for M, N in combinations(sorted(powers), 2))
+
     certified = (
         all(centralizes(g, g.indices) for g in central)
         and all(centralizes(g, below[g.indices]) for g in shifts if g.indices in below)
-        and all(commutator(a.poly, b.poly).is_zero
-                for a, b in combinations(shifts, 2) if a.indices == b.indices)
+        and all(shifts_commute(block, B, powers) for block, (B, powers) in levels.items())
     )
     return [] if certified else commutativity_failures(family)
 

@@ -609,10 +609,14 @@ def run() -> None:
 
     The report is closed when ``main`` returns, so the interpreter's teardown
     would only free modules and caches; the streams are flushed and the
-    process leaves with ``os._exit``.  A stream that cannot be flushed makes
-    the exit code 2.  ``SystemExit`` from argparse leaves the normal way.
+    process leaves with ``os._exit``, also after argparse's ``SystemExit``
+    (``--help``, bad arguments), whose code it takes.  A stream that cannot
+    be flushed makes the exit code 2.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

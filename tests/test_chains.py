@@ -10,10 +10,14 @@ from envshift.algebra import (
     SO_ODD,
     SP,
     AlgebraError,
+    coordinate_pair_orbits,
+    index_symmetries,
     make_algebra,
     parse_algebra,
 )
 from envshift.chains import (
+    CommutativeFamily,
+    FamilyGenerator,
     chain_from_dict,
     chain_generators,
     commutativity_failures,
@@ -23,6 +27,10 @@ from envshift.chains import (
     make_chain,
     noncommuting_pairs,
 )
+from envshift.elements import contract_rows, shift_commutator_residual
+from envshift.pbw import commutator
+from envshift.shifts import shift_from_rows
+from oracles import basis_part
 
 GL3 = make_algebra(GL, 3)
 GL4 = make_algebra(GL, 4)
@@ -287,10 +295,57 @@ def test_moved_shifts_do_not_commute():
 
 
 @pytest.mark.parametrize("name", ["gl:3", "gl:4", "so:5", "sp:2"])
-def test_certificate_builds_no_casimir(name):
-    # steps (a) and (b) are matrix commutators; only step (c) builds members, all shifts
+def test_certificate_builds_no_casimir(name, monkeypatch):
+    # steps (a) and (b) are matrix commutators and step (c) is theorem1's
+    # evaluator, which takes the shift elements from the polarizer's parts:
+    # no member's element is built and no member pair is multiplied
+    from envshift import chains
+
+    monkeypatch.setattr(chains, "commutator", lambda p, q: pytest.fail("a member product"))
     fam = chain_generators(default_chain(parse_algebra(name)))
     assert noncommuting_pairs(fam) == []
-    built = [g for g in fam.generators if "poly" in vars(g)]
-    assert built and all(g.provenance.startswith("shift@") for g in built), [
-        g.label for g in built]
+    assert [g.label for g in fam.generators if "poly" in vars(g)] == []
+
+
+def test_a_block_whose_shifts_differ_is_decided_by_all_pairs():
+    # C = E12 + E21 fixes the gl(2) below, so steps (a) and (b) pass; its
+    # (C X^2) fails against (A X^N) only in pairs of different B
+    fam = chain_generators(default_chain(GL4))
+    C = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 0))
+    extra = FamilyGenerator(GL4, "tr(C.X^2)@gl(4)", "shift@gl(4)", C, 2, (1, 2, 3, 4))
+    mixed = CommutativeFamily("mixed", GL4, fam.generators + (extra,))
+    fails = commutativity_failures(mixed)
+    assert {b for _, b, _ in fails} == {extra.label}
+    assert noncommuting_pairs(mixed) == fails
+
+
+@pytest.mark.parametrize("name, size, moved, entries, vanishes", [
+    ("gl:5", 3, 3, {(4, 4): 1, (4, 5): 2, (5, 4): 3, (5, 5): 5}, True),
+    # neither lies in the algebra, and both fail at (M, N) = (2, 3)
+    ("so:7", 5, 2, {(0, 0): 1, (1, 1): 1}, False),
+    ("sp:3", 4, 2, {(1, 1): 1, (1, -1): 1}, False),
+])
+def test_orbit_reduction_on_a_block_shift_is_exact(name, size, moved, entries, vanishes):
+    # an index symmetry that fixes the shift's support is admitted even when
+    # it moves an index of the block out of it; it fixes every coordinate, so
+    # it merges no pair and the reduced residual is still [(A X^M), (A X^N)]
+    spec = parse_algebra(name)
+    block = level_indices(spec, size)
+    pos = {i: p for p, i in enumerate(block)}
+    rows = [[0] * size for _ in block]
+    for (i, j), v in entries.items():
+        rows[pos[i]][pos[j]] = v
+    A = shift_from_rows(spec, rows, indices=block)
+    [s] = [s for s in index_symmetries(spec) if s[moved] != moved and s[moved] not in block]
+    assert all(s[k] == k for ij in entries for k in ij)
+    coords = A.coordinates()
+    forced = {"basis": ([(basis_part(A, e, c), a) for c, (e, a) in enumerate(coords)],
+                        coordinate_pair_orbits(spec, [e for e, _ in coords]))}
+    residuals = []
+    for M in range(1, 4):
+        for N in range(M + 1, 4):
+            oracle = commutator(contract_rows(spec, A.rows, M, block),
+                                contract_rows(spec, A.rows, N, block))
+            assert shift_commutator_residual(spec, A, M, N, forced) == oracle, (M, N)
+            residuals.append(oracle)
+    assert all(r.is_zero for r in residuals) == vanishes

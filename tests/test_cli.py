@@ -588,6 +588,18 @@ def test_a_stdout_that_cannot_be_written_exits_two_without_a_report(tmp_path):
     assert not out.exists()
 
 
+def test_help_leaves_through_the_same_exit():
+    # argparse's SystemExit takes the flush and the exit of every other call
+    r = _block_buffered_cli("--help", stdout=subprocess.PIPE)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: envshift")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "w") as full:
+        r = _block_buffered_cli("--help", stdout=full)
+    assert r.returncode == 2 and r.stderr == "", r.stderr
+
+
 def test_the_summary_reaches_a_block_buffered_stdout():
     r = _block_buffered_cli(*SP2, stdout=subprocess.PIPE)
     assert r.returncode == 0, r.stderr
