@@ -23,11 +23,12 @@ The record, stored under --label (other labels in --out are kept):
   and ``matrix_power_element``, both from empty caches, ``parse`` of the
   printed ``commutator`` of (X^4)[1,2] and (X^4)[2,1] on gl:3 with its term
   count, one cold ``verify prop4 --algebra so:4`` with its ``multiply``
-  call count, the ``power_bracket_residual`` calls of each COLD call, one
-  cold ``verify theorem1`` of a dense gl:3 shift and one cold ``verify
-  prop5 --algebra so:4 --A symbolic``, each with its ``commutator`` call
-  count, and the ``chains.noncommuting_pairs`` certificate of the gl:5,
-  so:6 and sp:3 default chains with the number of commutators it takes; and
+  call count, the ``power_bracket_residual`` calls of the prop1 and prop4
+  COLD calls, one cold ``verify theorem1`` of a dense gl:3 shift, one cold
+  ``verify prop5 --algebra so:4 --A symbolic`` and the casimir-central
+  COLD call, each with its ``commutator`` call count, and the
+  ``chains.noncommuting_pairs`` certificate of the gl:5, so:6 and sp:3
+  default chains with the number of commutators it takes; and
   the classical layer: ``rank`` of gl:6 and so:8 at a regular A, ``classical
   tangent`` and ``classical lemma2`` of so:8, each through ``cli.main``, and
   ``linalg.rank`` of a seeded integer matrix of the so:8 family's shape (36 x 28);
@@ -71,10 +72,13 @@ HERE = Path(__file__).resolve().parent.parent
 REPEATS = 5
 STARTUP_RUNS = 15
 CHAIN_FILES = ("gl5.json", "so6.json", "sp3.json")
-COLD = {
+POWER_BRACKETS = {
     "verify_prop1_gl4": ["verify", "prop1", "--algebra", "gl:4"],
     "verify_prop4_so5": ["verify", "prop4", "--algebra", "so:5"],
 }
+# a casimir-central call at a rank and power that perfbench does not run
+CASIMIR_CENTRAL_GL5 = ["verify", "casimir-central", "--algebra", "gl:5", "--max-power", "5"]
+COLD = {**POWER_BRACKETS, "verify_casimir_central_gl5_m5": CASIMIR_CENTRAL_GL5}
 # the theorem1 call of perfbench's identities-numeric workload at seed 7
 THEOREM1_GL3_DENSE = ["verify", "theorem1", "--algebra", "gl:3",
                       "--A", "matrix:1,3,2;-3,-3,-2;-1,-2,-1", "--max-power", "4"]
@@ -314,16 +318,17 @@ def _micro(root: Path) -> dict:
     elements.multiply = real_el
     restore_pbw()
     out["verify_prop4_so4_multiply_calls"] = count[0]
-    for key, argv in COLD.items():
+    for key, argv in POWER_BRACKETS.items():
         cold()
         count, restore = counting("power_bracket_residual", elements)
         passes(*argv)
         restore()
         out[f"{key}_power_bracket_residual_calls"] = count[0]
     for key, argv in (("verify_theorem1_gl3_dense", THEOREM1_GL3_DENSE),
-                      ("verify_prop5_so4_symbolic", PROP5_SO4_SYMBOLIC)):
+                      ("verify_prop5_so4_symbolic", PROP5_SO4_SYMBOLIC),
+                      ("verify_casimir_central_gl5_m5", CASIMIR_CENTRAL_GL5)):
         cold()
-        count, restore = counting("commutator", elements)
+        count, restore = counting("commutator", elements, cli)
         passes(*argv)
         restore()
         out[key] = {"cold_s": median_s(lambda argv=argv: passes(*argv), cold),

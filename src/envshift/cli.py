@@ -212,46 +212,46 @@ def _suite_centralizer(report, spec, shifts, max_power):
             )
 
 
-def _suite_tensorial(report, spec, shifts, max_power):
-    """The tensorial identity at every index tuple, each its own check.
+def _per_entry_checks(report, spec, orbits, entries, label, residual):
+    """One check per entry, in order.  ``residual`` is equivariant, so it is
+    evaluated once per orbit (``orbits``, from ``index_orbits``), at the orbit's
+    first tuple, and the other entries of a vanishing orbit PASS with it; in
+    any other orbit each entry is evaluated, so a FAIL carries its own residual."""
+    vanishes: dict = {}  # first tuple of an orbit -> whether its residual is zero
 
-    The residual is equivariant as the prop1/prop4 one is, so it is
-    evaluated at the first tuple of each orbit (``index_orbits``), which
-    comes first in the walk; the orbit's other tuples PASS with it.  Where
-    it does not vanish, each tuple of that orbit is evaluated itself, so a
-    FAIL carries its own residual.
-    """
+    def evaluate(t):
+        first = orbits[t]
+        if first not in vanishes:
+            r = residual(first)
+            vanishes[first] = r.is_zero
+            if t == first:
+                return r
+        return NCPolynomial.zero(spec) if vanishes[first] else residual(t)
+
+    for t in entries:
+        _run_check(report, label(t), _residual_check(lambda t=t: evaluate(t)))
+
+
+def _suite_tensorial(report, spec, shifts, max_power):
+    """The tensorial identity at every index tuple, each its own check."""
     orbits = index_orbits(spec, 4)
     for M in range(1, max_power + 1):
-        vanishes: dict = {}  # first tuple of an orbit -> whether its residual is zero
-
-        def residual(t, M=M):
-            first = orbits[t]
-            if vanishes.get(first):
-                return NCPolynomial.zero(spec)
-            r = el.tensorial_residual(spec, M, *t)
-            if t == first:
-                vanishes[t] = r.is_zero
-            return r
-
-        for t in itertools.product(spec.index_set, repeat=4):
-            _run_check(report, "tensorial M={} ({},{},{},{})".format(M, *t),
-                       _residual_check(lambda t=t: residual(t)))
+        _per_entry_checks(report, spec, orbits, itertools.product(spec.index_set, repeat=4),
+                          lambda t, M=M: "tensorial M={} ({},{},{},{})".format(M, *t),
+                          lambda t, M=M: el.tensorial_residual(spec, M, *t))
 
 
 def _suite_casimir_central(report, spec, shifts, max_power):
+    """[(X^M), X[i,j]] = 0 at each canonical generator.  The symmetries fix the
+    Casimirs and send X[i,j] to X[s(i),s(j)], +- a canonical generator."""
+    orbits = index_orbits(spec, 2)
     for M in range(1, max_power + 1):
         cas = el.casimir(spec, M)
-        for pair in spec.canonical_generators:
-            _run_check(
-                report,
-                f"[(X^{M}),X[{pair[0]},{pair[1]}]]=0",
-                _residual_check(
-                    lambda cas=cas, pair=pair: commutator(
-                        cas, NCPolynomial.generator(spec, *pair)
-                    )
-                ),
-            )
+        _per_entry_checks(
+            report, spec, orbits, spec.canonical_generators,
+            lambda pair, M=M: f"[(X^{M}),X[{pair[0]},{pair[1]}]]=0",
+            lambda pair, cas=cas: commutator(cas, NCPolynomial.generator(spec, *pair)),
+        )
 
 
 def _suite_power_brackets(report, spec, shifts, max_power):
@@ -392,7 +392,7 @@ def _run_chain(report, chain, args):
     _run_check(report, "pairwise-commutativity", commutative)
 
     def rank_check():
-        cert = ind.transcendency_check(chain, trials=args.trials, seed=args.seed)
+        cert = ind.transcendency_check(family, trials=args.trials, seed=args.seed)
         report.parameters["certificate"] = cert.serialize()
         return _rank_outcome(cert)
 

@@ -13,7 +13,6 @@ from functools import partial
 
 from . import linalg
 from .algebra import AlgebraError, AlgebraSpec, dimension_and_index
-from .chains import ChainSpec, chain_generators
 from .classical import (
     PointOnDual,
     algebra_projection,
@@ -96,12 +95,11 @@ def jacobian_rank(gradients, spec: AlgebraSpec, trials=3, seed=42,
     )
 
 
-def transcendency_check(chain: ChainSpec, trials=3, seed=42) -> RankCertificate:
+def transcendency_check(family, trials=3, seed=42) -> RankCertificate:
     """Rank the top symbols of a chain family against (dim g + ind g)/2."""
-    fam = chain_generators(chain)
     return jacobian_rank(
-        lambda X: [g.matrix_gradient(X) for g in fam.generators], chain.algebra, trials=trials,
-        seed=seed, labels=fam.labels, family=fam.name,
+        lambda X: [g.matrix_gradient(X) for g in family.generators], family.algebra,
+        trials=trials, seed=seed, labels=family.labels, family=family.name,
     )
 
 

@@ -94,8 +94,8 @@ def _tables(spec: AlgebraSpec) -> _Tables:
 def _fold(tab: _Tables, terms: dict, g: int) -> dict:
     """Normal form of terms * X_g, for terms over sorted words.
 
-    Equal result words from different input words merge; zero entries are
-    dropped.  The input is only read, so cached dicts may be passed.
+    Equal result words from different input words merge and zeros stay; the
+    input is only read, so cached dicts may be passed.
     """
     out: dict = {}
     get = out.get
@@ -108,7 +108,7 @@ def _fold(tab: _Tables, terms: dict, g: int) -> dict:
         for w2, c2 in tab.mul_word_gen(w, g).items():
             v = get(w2)
             out[w2] = c * c2 if v is None else v + c * c2
-    return {w: c for w, c in out.items() if c}
+    return out
 
 
 def _coerce_coeff(c):

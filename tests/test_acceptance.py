@@ -190,7 +190,7 @@ def test_criterion_5_chain_families(name, steps, target):
     family = chain_generators(chain)
     fails = commutativity_failures(family)
     assert fails == [], [(a, b, format_poly(r)) for a, b, r in fails]
-    cert = transcendency_check(chain, trials=3, seed=42)
+    cert = transcendency_check(family, trials=3, seed=42)
     assert cert.target == target
     assert cert.verdict == "PASS", cert.serialize()
     assert cert.rank == target and cert.trials >= 3

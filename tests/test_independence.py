@@ -126,7 +126,7 @@ def test_transcendency_check_chain_targets():
         from envshift.algebra import parse_algebra
 
         spec = parse_algebra(name)
-        cert = transcendency_check(make_chain(spec, steps), trials=3, seed=42)
+        cert = transcendency_check(chain_generators(make_chain(spec, steps)), trials=3, seed=42)
         assert cert.target == target and cert.verdict == "PASS", name
         assert cert.rank <= len(cert.labels)
 
@@ -171,7 +171,8 @@ def test_transcendency_check_builds_no_enveloping_element(monkeypatch):
                 if value is target:
                     monkeypatch.setattr(mod, attr, spy)
     for name in ("gl:3", "so:5", "sp:2"):
-        cert = transcendency_check(default_chain(parse_algebra(name)), trials=2, seed=5)
+        family = chain_generators(default_chain(parse_algebra(name)))
+        cert = transcendency_check(family, trials=2, seed=5)
         assert cert.verdict == "PASS", name
     assert calls == []
 
@@ -180,7 +181,8 @@ def test_transcendency_check_builds_no_enveloping_element(monkeypatch):
     ("gl:6", 21), ("gl:7", 28), ("so:7", 12), ("so:8", 16), ("sp:4", 20),
 ])
 def test_default_chains_reach_their_targets_at_larger_rank(name, target):
-    cert = transcendency_check(default_chain(parse_algebra(name)), trials=1, seed=42)
+    family = chain_generators(default_chain(parse_algebra(name)))
+    cert = transcendency_check(family, trials=1, seed=42)
     assert cert.target == target and cert.ranks == (target,), name
 
 

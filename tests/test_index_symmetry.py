@@ -1,9 +1,9 @@
 """The index symmetries behind ``algebra.orbit_representatives``.
 
-prop1, prop3, prop4 and tensorial evaluate their residuals at one index
-tuple per orbit, and the theorem commutators at one pair of shift
-coordinates per orbit.  That rests on these facts, each checked here
-against oracles that do not use the helpers:
+prop1, prop3, prop4, tensorial and casimir-central evaluate their
+residuals at one index tuple per orbit, and the theorem commutators at one
+pair of shift coordinates per orbit.  That rests on these facts, each
+checked here against oracles that do not use the helpers:
 
 * every index map of the family's group is an automorphism: the product
   (X^a)[r,s].(X^b)[t,u], mapped generator by generator and renormalized by
@@ -20,13 +20,19 @@ against oracles that do not use the helpers:
 import ast
 import json
 import random
+import re
 
 import pytest
 from oracles import degree, every_index_tuple, index_symmetry_group, map_indices
 
 from envshift import cli
 from envshift import elements as el
-from envshift.algebra import coordinate_pair_orbits, orbit_representatives, parse_algebra
+from envshift.algebra import (
+    coordinate_pair_orbits,
+    index_orbits,
+    orbit_representatives,
+    parse_algebra,
+)
 from envshift.pbw import NCPolynomial, multiply, parse
 from envshift.shifts import shift_from_designator, symbolic_shift
 
@@ -161,16 +167,29 @@ def _every_tuple_its_own_orbit(spec, length):
     return {t: t for t in every_index_tuple(spec, length)}
 
 
-def _tensorial_run(monkeypatch, tmp_path, argv, orbits):
-    """(tensorial_residual calls, report bytes, exit code) of one suite run."""
+def _suite_run(monkeypatch, tmp_path, argv, orbits, module, name):
+    """(calls of ``module.name``, report bytes, exit code) of one ``verify`` run
+    with ``orbits`` in place of ``index_orbits``."""
     calls = []
-    real = el.tensorial_residual
+    real = getattr(module, name)
     with monkeypatch.context() as m:
-        m.setattr(el, "tensorial_residual", lambda *a: calls.append(a) or real(*a))
+        m.setattr(module, name, lambda *a: calls.append(a) or real(*a))
         m.setattr(cli, "index_orbits", orbits)
         path = tmp_path / "r.json"
-        code = cli.main(["verify", "tensorial", *argv, "--out", str(path)])
+        code = cli.main(["verify", *argv, "--out", str(path)])
     return len(calls), path.read_bytes(), code
+
+
+def _tensorial_run(monkeypatch, tmp_path, argv, orbits):
+    """(tensorial_residual calls, report bytes, exit code) of one suite run."""
+    return _suite_run(monkeypatch, tmp_path, ["tensorial", *argv], orbits,
+                      el, "tensorial_residual")
+
+
+def _casimir_central_run(monkeypatch, tmp_path, argv, orbits):
+    """(commutators taken, report bytes, exit code) of one suite run."""
+    return _suite_run(monkeypatch, tmp_path, ["casimir-central", *argv], orbits,
+                      cli, "commutator")
 
 
 def test_tensorial_suite_evaluates_one_tuple_per_orbit(monkeypatch, tmp_path):
@@ -200,6 +219,50 @@ def test_tensorial_fail_reports_match_every_tuple(designator, tmp_path, monkeypa
     assert code == code_all == 1 and reps == every
     outcomes = [c["outcome"] for c in json.loads(reps)["checks"]]
     assert {"PASS", "FAIL"} == set(outcomes) and calls < len(outcomes)
+
+
+@pytest.mark.parametrize("designator, max_power, every, reps", [
+    ("gl:4", 4, 64, 8), ("gl:5", 5, 125, 10), ("so:5", 4, 40, 16), ("sp:2", 4, 40, 16),
+    ("so:6", 4, 60, 8)])
+def test_casimir_central_suite_evaluates_one_pair_per_orbit(
+        designator, max_power, every, reps, monkeypatch, tmp_path):
+    argv = ["--algebra", designator, "--max-power", str(max_power)]
+    run = _casimir_central_run(monkeypatch, tmp_path, argv, cli.index_orbits)
+    oracle = _casimir_central_run(monkeypatch, tmp_path, argv, _every_tuple_its_own_orbit)
+    assert (oracle[0], run[0]) == (every, reps)
+    assert run[1:] == oracle[1:] and run[2] == 0
+    # on so/sp some orbit's first pair is +- a canonical generator, not one itself
+    spec = parse_algebra(designator)
+    firsts = {index_orbits(spec, 2)[pair] for pair in spec.canonical_generators}
+    assert bool(firsts - set(spec.canonical_generators)) == (not spec.is_gl)
+
+
+@pytest.mark.parametrize("designator", ["gl:3", "so:5", "sp:2"])
+def test_casimir_central_fail_reports_match_every_pair(designator, tmp_path, monkeypatch):
+    spec = parse_algebra(designator)
+    cas2, real = el.casimir(spec, 2), cli.commutator
+
+    def fault(p, q):
+        # an extra term on every diagonal generator X[i,i] at M = 2, which
+        # the symmetries map to +- a diagonal generator
+        out = real(p, q)
+        [(word, _)] = q.terms.items()
+        i, j = spec.canonical_generators[word[0]]
+        return out + q if p == cas2 and i == j else out
+
+    monkeypatch.setattr(cli, "commutator", fault)
+    argv = ["--algebra", designator]
+    calls, run, code = _casimir_central_run(monkeypatch, tmp_path, argv, cli.index_orbits)
+    _, every, code_all = _casimir_central_run(
+        monkeypatch, tmp_path, argv, _every_tuple_its_own_orbit)
+    assert code == code_all == 1 and run == every
+    checks = json.loads(run)["checks"]
+    assert {c["outcome"] for c in checks} == {"PASS", "FAIL"} and calls < len(checks)
+    for c in checks:
+        M, i, j = re.fullmatch(r"\[\(X\^(\d)\),X\[(-?\d),(-?\d)\]\]=0", c["id"]).groups()
+        assert (c["outcome"] == "FAIL") == (M == "2" and i == j), c["id"]
+        if c["outcome"] == "FAIL":
+            assert parse(spec, c["residual"]) == NCPolynomial.generator(spec, int(i), int(j))
 
 
 def _coordinate_shifts():

@@ -10,6 +10,7 @@ from envshift.params import ParamPolynomial
 from envshift.pbw import (
     NCPolynomial,
     ParseError,
+    _fold,
     _tables,
     commutator,
     format_poly,
@@ -145,6 +146,22 @@ def test_confluence_worked_example_so3():
     left = bubble_normal_form(SO3, raw, "leftmost")
     right = bubble_normal_form(SO3, raw, "rightmost")
     assert left == right == p.terms
+
+
+def test_a_fold_that_cancels_partway_leaves_no_zero():
+    # in (1 + X11 + X22).(X12.X21) the walk's first fold takes 1.X12 = X12 and
+    # X22.X12 = X12.X22 - X12, so the word X12 cancels; its zero stays on the
+    # walk's stack, is folded on by X21 and is dropped only from the product
+    p = NCPolynomial.one(GL2) + NCPolynomial.generator(GL2, 1, 1) + NCPolynomial.generator(
+        GL2, 2, 2)
+    q = from_word(GL2, [(1, 2), (2, 1)], 2)
+    x12 = GL2.generator_ids[(1, 2)]
+    assert _fold(_tables(GL2), p.terms, x12)[bytes([x12])] == 0
+    got = multiply(p, q)
+    raw = {w + v: c * d for w, c in p.terms.items() for v, d in q.terms.items()}
+    assert got.terms == bubble_normal_form(GL2, raw)
+    assert all(got.terms.values())
+    assert _tables(GL2)._mul and all(all(t.values()) for t in _tables(GL2)._mul.values())
 
 
 def test_zero_generator_kills_words():
