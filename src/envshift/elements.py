@@ -251,13 +251,13 @@ def shift_commutator_residual(spec: AlgebraSpec, A: ShiftMatrix, M: int, N: int,
 # stabilizer subalgebra
 
 
-def stabilizer_basis(spec: AlgebraSpec, A) -> list:
+def stabilizer_basis(spec: AlgebraSpec, A: ShiftMatrix) -> list:
     """Deterministic basis of {B in g : [A, B] = 0} as matrices over the index set.
 
     Computed as the exact null space of the commutator map restricted to the
     span of the canonical generators, so so/sp constraints hold by construction.
     """
-    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else _rule_rows(A)
+    rows_A = A.numeric_rows()
     m = spec.matrix_size
     if len(rows_A) != m:
         raise AlgebraError("stabilizer computation needs a full-size matrix")
@@ -282,13 +282,13 @@ def _rule_rows(rows):
     return [[_scalar(x) for x in row] for row in rows]
 
 
-def check_centralizer(spec: AlgebraSpec, A, B, N: int) -> NCPolynomial:
+def check_centralizer(spec: AlgebraSpec, A: ShiftMatrix, B, N: int) -> NCPolynomial:
     """Residual of [(BX), (A X^N)] = c*([A,B] X^N) with c = 1 (gl), 2 (so/sp).
 
     For so/sp the identity requires B inside the matrix algebra, and the
     pairing doubles each canonical generator, hence the factor 2.
     """
-    rows_A = A.numeric_rows() if isinstance(A, ShiftMatrix) else _rule_rows(A)
+    rows_A = A.numeric_rows()
     rows_B = _rule_rows(B)
     if not spec.is_gl and not matrix_in_algebra(spec, rows_B):
         raise AlgebraError("centralizer check requires B in the matrix algebra")

@@ -182,12 +182,12 @@ def tangent_intersection_dim(spec: AlgebraSpec, A: ShiftMatrix, trials=8, seed=4
     ind g.
     """
     rows_A = A.numeric_rows()
-    if linalg.rank(rows_A) != 2:
+    if A.rank() != 2:
         raise AlgebraError("the shift matrix must have matrix rank exactly 2")
-    if not linalg.is_semisimple(rows_A):
+    if not A.is_semisimple():
         raise AlgebraError("the shift matrix must be semisimple")
     dim, ind = dimension_and_index(spec)
-    stab = stabilizer_basis(spec, rows_A)
+    stab = stabilizer_basis(spec, A)
     dim_gA = len(stab)
     bracket_dim = dim - dim_gA
     if bracket_dim % 2:

@@ -164,13 +164,13 @@ def _centralizer_shifts(spec):
                          ids=lambda s: s.designator)
 def test_centralizer_identity_holds_for_every_A(spec, A):
     # [(B X), (A X^N)] = c*([A,B] X^N) needs B in g, not A: the chain certificate reads
-    # it with A a member's matrix, so a block identity or a shift on a level block
+    # it with A a level's shift, and the argument for its step (a) with A a block identity
     rows = _centralizer_shifts(spec)[A]
     assert spec.is_gl or matrix_in_algebra(spec, rows) == (A == "shift")
     for pair in spec.canonical_generators:
         B = [list(r) for r in spec.defining_matrix(pair)]
         for N in (1, 2, 3):
-            assert el.check_centralizer(spec, rows, B, N).is_zero, (pair, N)
+            assert el.check_centralizer(spec, shift_from_rows(spec, rows), B, N).is_zero, (pair, N)
 
 
 def test_centralizer_identity_so_sp_has_factor_two():
