@@ -360,10 +360,18 @@ def src_lines(root: Path) -> int:
 
 
 def head(root: Path) -> str:
-    """HEAD, with ``-dirty`` when the checkout differs from it."""
+    """HEAD, with ``-dirty`` when the checkout differs from it.
+
+    A ``git archive`` copy has no repository; ``export-subst`` (see
+    ``.gitattributes``) wrote the archived commit into ``scripts/REVISION``.
+    """
     out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
                          cwd=root, capture_output=True, text=True)
-    return out.stdout.strip() or "unknown"
+    if out.stdout.strip():
+        return out.stdout.strip()
+    revision = root / "scripts" / "REVISION"
+    text = revision.read_text().strip() if revision.is_file() else ""
+    return text if text and not text.startswith("$Format") else "unknown"
 
 
 def readme_table(record: dict) -> str:

@@ -153,13 +153,15 @@ class AlgebraSpec:
         return n * (2 * n - 1) if self.family == SO_EVEN else n * (2 * n + 1)
 
     def defining_matrix(self, pair) -> tuple:
-        """The generator as a matrix over the index set (rows/cols by position)."""
+        """The generator as a matrix over the index set (rows/cols by position):
+        E_ij on gl, E_ij + tau(E_ij) on so/sp (``involution``)."""
         i, j = pair
         m = self.matrix_size
         rows = [[0] * m for _ in range(m)]
-        rows[self.position(i)][self.position(j)] += 1
+        rows[self.position(i)][self.position(j)] = 1
         if self.family != GL:
-            rows[self.position(-j)][self.position(-i)] -= self.eps(i) * self.eps(j)
+            rows = [[x + t for x, t in zip(row, trow)]
+                    for row, trow in zip(rows, involution(self, rows))]
         return tuple(tuple(r) for r in rows)
 
 
@@ -324,34 +326,57 @@ def zero_matrix(m: int):
 
 def matrix_in_algebra(spec: AlgebraSpec, rows) -> bool:
     """Whether a numeric matrix lies in the family's matrix algebra."""
-    if spec.is_gl:
-        return True
-    return _symmetry_holds(spec, rows, -1, spec.index_set)
+    return spec.is_gl or -1 in symmetry_signs(spec, rows)
 
 
-def _symmetry_holds(spec: AlgebraSpec, rows, s: int, indices) -> bool:
-    pos = {v: p for p, v in enumerate(indices)}
-    for i in indices:
-        for j in indices:
-            if -i not in pos or -j not in pos:
-                return False
-            lhs = rows[pos[i]][pos[j]]
-            rhs = rows[pos[-j]][pos[-i]]
-            if lhs != s * spec.eps(i) * spec.eps(j) * rhs:
-                return False
-    return True
+def involution(spec: AlgebraSpec, rows, indices=None):
+    """tau(B)[i,j] = -eps(i)*eps(j)*B[-j,-i]; so/sp holds the matrices with tau(A) = A.
 
-
-def symmetry_signs(spec: AlgebraSpec, rows, indices=None):
-    """The set of signs s with A_ij = s*eps_i*eps_j*A_{-j,-i} (so/sp only).
-
-    ``rows`` is aligned with ``indices`` (the full index set by default); a
-    sign fails when the index subset is not closed under negation.
+    ``rows`` is aligned with ``indices`` (the full index set by default), and
+    so is the result.  None when the block is not closed under negation,
+    which every gl block is not.
     """
-    if spec.is_gl:
-        return set()
     idx = spec.index_set if indices is None else tuple(indices)
-    return {s for s in (1, -1) if _symmetry_holds(spec, rows, s, idx)}
+    pos = {v: p for p, v in enumerate(idx)}
+    if any(-i not in pos for i in idx):
+        return None
+    return [[-spec.eps(i) * spec.eps(j) * rows[pos[-j]][pos[-i]] for j in idx] for i in idx]
+
+
+def symmetry_signs(spec: AlgebraSpec, rows, indices=None) -> set:
+    """The set of signs s with A = -s*tau(A), i.e. A_ij = s*eps_i*eps_j*A_{-j,-i}.
+
+    Empty on gl, and over a block not closed under negation (``involution``).
+    """
+    tau = involution(spec, rows, indices)
+    if tau is None:
+        return set()
+    return {s for s in (1, -1) if all(x == -s * t for row, trow in zip(rows, tau)
+                                      for x, t in zip(row, trow))}
+
+
+def sign_basis(spec: AlgebraSpec, s: int, indices=None) -> list:
+    """A basis of the matrices with A = -s*tau(A) over ``indices``, in row-major order.
+
+    Each element is a sorted tuple of ((i, j), value) over index labels:
+    E_ij - s*tau(E_ij) = E_ij + s*eps(i)*eps(j)*E_{-j,-i} per pair {(i, j),
+    (-j, -i)}, keyed by its smaller member, and E_ij alone for a self-paired
+    entry that the sign keeps.  Empty over a block not closed under negation.
+    """
+    idx = spec.index_set if indices is None else tuple(indices)
+    basis = []
+    for i, j in itertools.product(idx, repeat=2):
+        if (-j, -i) < (i, j):
+            continue  # the pair is keyed by its smaller member
+        unit = [[int(k == i and l == j) for l in idx] for k in idx]
+        tau = involution(spec, unit, idx)
+        if tau is None:
+            return []
+        entries = tuple(sorted(((k, l), x - s * t) for k, row, trow in zip(idx, unit, tau)
+                               for l, x, t in zip(idx, row, trow) if x - s * t))
+        if entries:  # a self-paired E_ij gives 2*E_ij or nothing
+            basis.append(entries if (i, j) != (-j, -i) else (((i, j), 1),))
+    return basis
 
 
 def matrix_to_coordinates(spec: AlgebraSpec, rows) -> dict:

@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraError,
     AlgebraSpec,
     coordinates_to_matrix,
+    involution,
     matrix_to_coordinates,
 )
 from .params import ParamPolynomial, _accumulate, _scalar
@@ -216,22 +217,11 @@ def shift_expand_gradients(X, A, pairs) -> list:
 
 
 def algebra_projection(spec: AlgebraSpec, rows):
-    """Trace-form orthogonal projection of a matrix onto g: (B + tau(B))/2 for so/sp."""
+    """Trace-form orthogonal projection of a matrix onto g: (B + tau(B))/2 for so/sp,
+    tau the ``algebra.involution``."""
     if spec.is_gl:
         return rows
-    return linalg.mat_scale(linalg.mat_add(rows, _involution_partner(spec, rows)), Fraction(1, 2))
-
-
-def _involution_partner(spec, rows):
-    """tau(B)_ij = -eps_i eps_j B_{-j,-i}; B + tau(B) lies in the algebra."""
-    m = spec.matrix_size
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in spec.index_set:
-        for j in spec.index_set:
-            out[spec.position(i)][spec.position(j)] = (
-                -spec.eps(i) * spec.eps(j) * rows[spec.position(-j)][spec.position(-i)]
-            )
-    return out
+    return linalg.mat_scale(linalg.mat_add(rows, involution(spec, rows)), Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +247,7 @@ def random_rank2_point(spec: AlgebraSpec, seed) -> PointOnDual:
         else:
             u, v = ([rng.randint(-10, 10) for _ in range(m)] for _ in range(2))
             dyad = [[u[r] * v[c] for c in range(m)] for r in range(m)]
-            rows = linalg.mat_add(dyad, _involution_partner(spec, dyad))
+            rows = linalg.mat_add(dyad, involution(spec, dyad))
         if linalg.rank(rows) == 2:
             return PointOnDual.from_matrix(spec, rows)
     raise AlgebraError("rank-2 sampling exhausted its retry budget")

@@ -8,7 +8,8 @@ condition
 
     A[i,j] = s * eps(i)*eps(j) * A[-j,-i],   s in {+1, -1}
 
-is detected on construction; the in-algebra case is s = -1.
+is detected on construction; the in-algebra case is s = -1.  Each sign class
+is spanned by ``algebra.sign_basis``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraError, AlgebraSpec, symmetry_signs
+from .algebra import AlgebraError, AlgebraSpec, sign_basis, symmetry_signs
 from .params import ParamPolynomial, _scalar
 
 
@@ -75,26 +76,18 @@ class ShiftMatrix:
 
         C_c is a sorted tuple of ((i, j), value) over index labels: the unit
         matrix E_ij of each nonzero entry, on gl and for an so/sp matrix with
-        neither symmetry sign; for a sign s of an so/sp matrix, the signed
-        pair E_ij + s*eps(i)*eps(j)*E_{-j,-i} of ``symbolic_shift(spec, s)``
-        (E_{i,-i} alone when self-paired).  a_c = A[i,j], a number or a
-        parameter polynomial.
+        neither symmetry sign; for a sign s of an so/sp matrix, the element
+        of ``algebra.sign_basis(spec, s)`` keyed by (i, j).  a_c = A[i,j], a
+        number or a parameter polynomial.
         """
-        spec = self.spec
         entries = {(i, j): x for i, row in zip(self.indices, self.rows)
                    for j, x in zip(self.indices, row) if x}
         signs = self.symmetry_signs()
         if not signs:
             return [((((i, j), 1),), x) for (i, j), x in entries.items()]
         s = min(signs)  # both signs hold only for the zero matrix
-        out = []
-        for (i, j), x in entries.items():
-            if (i, j) == (-j, -i):
-                out.append(((((i, j), 1),), x))
-            elif (i, j) < (-j, -i):  # A[-j,-i] = s*eps(i)*eps(j)*A[i,j] is then nonzero too
-                pair = (((i, j), 1), ((-j, -i), s * spec.eps(i) * spec.eps(j)))
-                out.append((tuple(sorted(pair)), x))
-        return out
+        return [(C, entries[C[0][0]]) for C in sign_basis(self.spec, s, self.indices)
+                if C[0][0] in entries]
 
     def symmetry_signs(self) -> set:
         """Signs s satisfied entrywise (so/sp; empty set for gl or neither sign)."""
@@ -187,9 +180,9 @@ def symbolic_shift(spec: AlgebraSpec, sign=None) -> ShiftMatrix:
     """A fully symbolic shift matrix: one parameter per free entry.
 
     sign None leaves every entry free (for gl, or as an unconstrained so/sp
-    matrix); sign +-1 parameterizes the subspace satisfying the symmetry
-    condition, so a vanishing result for this matrix proves the identity for
-    every numeric matrix of that sign at once.
+    matrix); sign +-1 takes one parameter a0, a1, ... per element of
+    ``algebra.sign_basis(spec, sign)``, so a vanishing result for this matrix
+    proves the identity for every numeric matrix of that sign at once.
     """
     m = spec.matrix_size
     rows = [[0] * m for _ in range(m)]
@@ -200,26 +193,10 @@ def symbolic_shift(spec: AlgebraSpec, sign=None) -> ShiftMatrix:
         return make_shift(spec, rows, spec.index_set)
     if spec.is_gl:
         raise AlgebraError("symmetry signs only apply to so/sp")
-    count = 0
-    seen = set()
-    for i in spec.index_set:
-        for j in spec.index_set:
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            if (i, j) == (-j, -i):
-                # self-paired entry: forced to zero unless the sign fixes it
-                if sign * spec.eps(i) * spec.eps(j) == 1:
-                    rows[spec.position(i)][spec.position(j)] = ParamPolynomial.variable(f"a{count}")
-                    count += 1
-                continue
-            seen.add((-j, -i))
-            p = ParamPolynomial.variable(f"a{count}")
-            count += 1
-            rows[spec.position(i)][spec.position(j)] = p
-            rows[spec.position(-j)][spec.position(-i)] = p * (
-                sign * spec.eps(i) * spec.eps(j)
-            )
+    for c, entries in enumerate(sign_basis(spec, sign)):
+        p = ParamPolynomial.variable(f"a{c}")
+        for (i, j), v in entries:
+            rows[spec.position(i)][spec.position(j)] = p * v
     return make_shift(spec, rows, spec.index_set, declared_sign=sign)
 
 

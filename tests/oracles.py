@@ -410,3 +410,81 @@ def exhaustive_polarize(spec, A, form, built=None):
             mu, value = m * m2, form(P, Q)
             groups[mu] = groups[mu] + value if mu in groups else value
     return linear_combination(spec, ((r, mu) for mu, r in groups.items()))
+
+
+def symmetry_holds(spec, rows, s, indices=None):
+    """Whether A_ij = s*eps_i*eps_j*A_{-j,-i} entry by entry over ``indices``;
+    False when the block is not closed under negation."""
+    indices = spec.index_set if indices is None else tuple(indices)
+    pos = {v: p for p, v in enumerate(indices)}
+    for i in indices:
+        for j in indices:
+            if -i not in pos or -j not in pos:
+                return False
+            lhs = rows[pos[i]][pos[j]]
+            rhs = rows[pos[-j]][pos[-i]]
+            if lhs != s * spec.eps(i) * spec.eps(j) * rhs:
+                return False
+    return True
+
+
+def involution_partner(spec, rows, indices=None):
+    """tau(B)_ij = -eps_i eps_j B_{-j,-i} entry by entry over a block closed
+    under negation; B + tau(B) lies in the algebra."""
+    indices = spec.index_set if indices is None else tuple(indices)
+    pos = {v: p for p, v in enumerate(indices)}
+    m = len(indices)
+    out = [[Fraction(0)] * m for _ in range(m)]
+    for i in indices:
+        for j in indices:
+            out[pos[i]][pos[j]] = -spec.eps(i) * spec.eps(j) * rows[pos[-j]][pos[-i]]
+    return out
+
+
+def signed_symbolic_rows(spec, sign):
+    """The rows of the fully symbolic so/sp shift of a sign: one parameter
+    a0, a1, ... per pair {(i, j), (-j, -i)} met first in row-major order, and
+    per self-paired entry the sign keeps."""
+    m = spec.matrix_size
+    rows = [[0] * m for _ in range(m)]
+    count = 0
+    seen = set()
+    for i in spec.index_set:
+        for j in spec.index_set:
+            if (i, j) in seen:
+                continue
+            seen.add((i, j))
+            if (i, j) == (-j, -i):
+                # self-paired entry: forced to zero unless the sign fixes it
+                if sign * spec.eps(i) * spec.eps(j) == 1:
+                    rows[spec.position(i)][spec.position(j)] = ParamPolynomial.variable(f"a{count}")
+                    count += 1
+                continue
+            seen.add((-j, -i))
+            p = ParamPolynomial.variable(f"a{count}")
+            count += 1
+            rows[spec.position(i)][spec.position(j)] = p
+            rows[spec.position(-j)][spec.position(-i)] = p * (sign * spec.eps(i) * spec.eps(j))
+    return tuple(tuple(r) for r in rows)
+
+
+def shift_coordinates(A):
+    """``ShiftMatrix.coordinates`` entry by entry: the unit matrix of each nonzero
+    entry when A has no symmetry sign; for a sign s, the signed pair
+    E_ij + s*eps(i)*eps(j)*E_{-j,-i} at each nonzero entry that is the smaller
+    of its pair, and E_{i,-i} alone when self-paired."""
+    spec = A.spec
+    entries = {(i, j): x for i, row in zip(A.indices, A.rows)
+               for j, x in zip(A.indices, row) if x}
+    signs = [s for s in (1, -1) if not spec.is_gl and symmetry_holds(spec, A.rows, s, A.indices)]
+    if not signs:
+        return [((((i, j), 1),), x) for (i, j), x in entries.items()]
+    s = min(signs)
+    out = []
+    for (i, j), x in entries.items():
+        if (i, j) == (-j, -i):
+            out.append(((((i, j), 1),), x))
+        elif (i, j) < (-j, -i):
+            pair = (((i, j), 1), ((-j, -i), s * spec.eps(i) * spec.eps(j)))
+            out.append((tuple(sorted(pair)), x))
+    return out

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from fractions import Fraction
 
+import oracles
 from envshift import linalg
 from envshift.algebra import (
     GL,
@@ -13,12 +15,18 @@ from envshift.algebra import (
     bracket_structure,
     coordinates_to_matrix,
     dimension_and_index,
+    involution,
     make_algebra,
     matrix_in_algebra,
     matrix_to_coordinates,
     parse_algebra,
+    sign_basis,
     symmetry_signs,
 )
+from envshift.chains import _levels, default_chain
+from envshift.classical import algebra_projection
+from envshift.params import ParamPolynomial
+from envshift.shifts import shift_from_rows, symbolic_shift
 
 ALL_SMALL = [
     make_algebra(GL, 1), make_algebra(GL, 2), make_algebra(GL, 3),
@@ -220,3 +228,50 @@ def test_symmetry_signs():
     assert symmetry_signs(so4, plus) == {1}
     zero = [[Fraction(0)] * 4 for _ in range(4)]
     assert symmetry_signs(so4, zero) == {1, -1}
+
+
+PAIR_SPECS = [parse_algebra(f"so:{m}") for m in range(3, 9)] + [
+    parse_algebra(f"sp:{n}") for n in range(1, 5)]
+
+
+def _random_entry(rng, symbolic):
+    if not symbolic:
+        return rng.randint(-3, 3)
+    return sum((rng.randint(-2, 2) * ParamPolynomial.variable(v) for v in "pq"),
+               ParamPolynomial.const(rng.randint(-1, 1)))
+
+
+@pytest.mark.parametrize("spec", PAIR_SPECS, ids=lambda spec: spec.designator)
+def test_the_pair_relation_matches_the_entrywise_oracles(spec):
+    # involution, symmetry_signs, sign_basis and their callers against the
+    # entry-by-entry loops they replace, on the full index set and every
+    # level block of the default chain, at integer and parametric matrices
+    rng = random.Random(spec.designator)
+    blocks = [idx for _, idx, _ in _levels(default_chain(spec))]
+    assert blocks[0] == spec.index_set
+    for idx, symbolic, _ in itertools.product(blocks, (False, True), range(3)):
+        R = [[_random_entry(rng, symbolic) for _ in idx] for _ in idx]
+        tau = involution(spec, R, idx)
+        assert tau == oracles.involution_partner(spec, R, idx)
+        assert involution(spec, tau, idx) == R
+        # R - s*tau(R) has the sign s
+        plus, minus = ([[x - s * t for x, t in zip(row, trow)] for row, trow in zip(R, tau)]
+                       for s in (1, -1))
+        for sign, rows in ((None, R), (1, plus), (-1, minus)):
+            signs = {s for s in (1, -1) if oracles.symmetry_holds(spec, rows, s, idx)}
+            assert sign is None or sign in signs
+            assert symmetry_signs(spec, rows, idx) == signs
+            if idx == spec.index_set:
+                assert matrix_in_algebra(spec, rows) == (-1 in signs)
+                assert algebra_projection(spec, rows) == linalg.mat_scale(linalg.mat_add(
+                    rows, oracles.involution_partner(spec, rows)), Fraction(1, 2))
+            A = shift_from_rows(spec, rows, idx)
+            assert A.coordinates() == oracles.shift_coordinates(A)
+    for s in (1, -1):
+        assert symbolic_shift(spec, s).rows == oracles.signed_symbolic_rows(spec, s)
+    assert len(sign_basis(spec, -1)) == spec.dim
+    assert len(sign_basis(spec, 1)) + spec.dim == spec.matrix_size ** 2
+    open_block = spec.index_set[1:]
+    rows = [[_random_entry(rng, False) for _ in open_block] for _ in open_block]
+    assert involution(spec, rows, open_block) is None
+    assert symmetry_signs(spec, rows, open_block) == set()

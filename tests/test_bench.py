@@ -67,3 +67,14 @@ def test_readme_states_the_latest_bench_record():
     figure = re.compile(r"\d[\d,]*(\.\d+)?\s?(ms|s|MB|GB)\b")
     stray = [ln for ln in (before + after).splitlines() if figure.search(ln)]
     assert not stray, stray
+
+
+@pytest.mark.parametrize("revision, want", [
+    ("c37e2965d19b21871f4a836240ff7ea784e818ba\n", "c37e2965d19b21871f4a836240ff7ea784e818ba"),
+    ("$Format:%H$\n", "unknown"),
+])
+def test_head_of_an_archive_reads_its_substituted_revision(tmp_path, revision, want):
+    # a root with no repository: the git archive copies that bench.py measures
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "REVISION").write_text(revision)
+    assert _bench().head(tmp_path) == want

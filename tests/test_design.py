@@ -6,9 +6,12 @@
 * ``elements`` reaches no private name of ``pbw`` but the rewrite tables,
   which ``clear_caches`` empties.
 * ``classical`` imports nothing from ``pbw``.
+* Only ``algebra`` states the so/sp pair relation: ``classical`` and ``shifts``
+  call no ``eps``.
 * Every public function has a caller in the package or is a library entry point,
   and every public method or property of a package class is reached as an
-  attribute, ``obj.name``, in the package outside its own body.
+  attribute, ``obj.name``, in the package outside its own body; the name of a
+  function of an imported module, ``linalg.rank``, is not such a reference.
 * Only ``pbw._walk`` and the product cache ``_Tables.mul_word_gen`` call
   ``pbw._fold``: every product and every raw term map reaches normal form
   through the one prefix walk.
@@ -97,24 +100,44 @@ def _functions(tree):
                         if isinstance(fn, ast.FunctionDef))
 
 
-def _attributes(node):
-    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+def _modules(tree):
+    """The names a file binds to modules: ``import json``, ``from . import linalg``,
+    ``from . import elements as el``."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module is None
+            for alias in node.names}
+
+
+def _attributes(node, modules):
+    """obj.name references under ``node``, but for a module's own names."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                   and not (isinstance(n.value, ast.Name) and n.value.id in modules))
 
 
 def test_every_public_method_is_referenced_in_the_package(trees):
     # a method is reached as obj.name, so a bare name of the same spelling
-    # (an imported function, a local) does not count as a reference
-    references = sum((_attributes(tree) for tree in trees.values()), Counter())
+    # (an imported function, a local) does not count as a reference, nor does
+    # a module's function of that name (linalg.rank for ShiftMatrix.rank)
+    references = sum((_attributes(tree, _modules(tree)) for tree in trees.values()), Counter())
     unused = set()
     for tree in trees.values():
+        modules = _modules(tree)
         for name, fn in _functions(tree):
             method = name.split(".")[-1]
             if "." not in name or method.startswith("_"):
                 continue  # a function, a dunder or a private method
             # a reference inside the method's own body does not count
-            if references[method] == _attributes(fn)[method]:
+            if references[method] == _attributes(fn, modules)[method]:
                 unused.add(name)
     assert unused == set()
+
+
+def test_only_algebra_states_the_pair_relation(trees):
+    # the so/sp relation -eps(i)*eps(j)*B[-j,-i] is algebra.involution's;
+    # classical and shifts reach it through involution, symmetry_signs and sign_basis
+    assert {name for name in ("classical.py", "shifts.py") for node in ast.walk(trees[name])
+            if isinstance(node, ast.Call) and _reference(node.func) == "eps"} == set()
 
 
 def test_fold_is_called_only_by_the_walk_and_the_product_cache(trees):
