@@ -1,6 +1,6 @@
 """Oracles kept for the tests only: superseded families, the symbolic classical
-side, the bubble-sort rewriter and the exhaustive polarizer, to check the
-package against."""
+side, the bubble-sort rewriter, the exhaustive polarizer and the entrywise
+so/sp pair relation, to check the package against."""
 
 import itertools
 from fractions import Fraction
