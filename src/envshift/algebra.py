@@ -15,7 +15,6 @@ for so the self-paired X[i,-i] vanish identically.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property
 
 from .params import _accumulate
@@ -132,8 +131,8 @@ class AlgebraSpec:
         """(row, col, sign, generator id) per nonzero entry of X = sum_g x_g P_g.
 
         P_g is the 0/+-1 pattern of the coordinate x_g in the matrix of
-        coordinate functions.  It differs from ``defining_matrix`` only on the
-        self-paired sp generators X[i,-i], whose defining matrix is 2 E[i,-i].
+        coordinate functions: the one statement of a generator as a matrix
+        (``realize``, ``coordinates_of``, ``classical.coordinate_gradient``).
         """
         out = []
         for i in self.index_set:
@@ -152,17 +151,21 @@ class AlgebraSpec:
             return n * n
         return n * (2 * n - 1) if self.family == SO_EVEN else n * (2 * n + 1)
 
-    def defining_matrix(self, pair) -> tuple:
-        """The generator as a matrix over the index set (rows/cols by position):
-        E_ij on gl, E_ij + tau(E_ij) on so/sp (``involution``)."""
-        i, j = pair
+    def realize(self, values) -> list:
+        """X = sum_g x_g P_g over the index set, ``values`` aligned with
+        ``canonical_generators``: every matrix the package builds from coordinates."""
         m = self.matrix_size
         rows = [[0] * m for _ in range(m)]
-        rows[self.position(i)][self.position(j)] = 1
-        if self.family != GL:
-            rows = [[x + t for x, t in zip(row, trow)]
-                    for row, trow in zip(rows, involution(self, rows))]
-        return tuple(tuple(r) for r in rows)
+        for r, c, sign, g in self.coordinate_pattern:
+            rows[r][c] = sign * values[g]
+        return rows
+
+    def coordinates_of(self, rows) -> tuple:
+        """The inverse of ``realize`` on g: x_g = sign*X[r][c] at any entry of P_g."""
+        values = [0] * self.dim
+        for r, c, sign, g in self.coordinate_pattern:
+            values[g] = sign * rows[r][c]
+        return tuple(values)
 
 
 def index_symmetries(spec: AlgebraSpec) -> list:
@@ -320,10 +323,6 @@ def dimension_and_index(spec: AlgebraSpec) -> tuple[int, int]:
 # numeric matrices over the index set
 
 
-def zero_matrix(m: int):
-    return [[0] * m for _ in range(m)]
-
-
 def matrix_in_algebra(spec: AlgebraSpec, rows) -> bool:
     """Whether a numeric matrix lies in the family's matrix algebra."""
     return spec.is_gl or -1 in symmetry_signs(spec, rows)
@@ -377,29 +376,3 @@ def sign_basis(spec: AlgebraSpec, s: int, indices=None) -> list:
         if entries:  # a self-paired E_ij gives 2*E_ij or nothing
             basis.append(entries if (i, j) != (-j, -i) else (((i, j), 1),))
     return basis
-
-
-def matrix_to_coordinates(spec: AlgebraSpec, rows) -> dict:
-    """Coordinates of an algebra member over the canonical generators."""
-    if not matrix_in_algebra(spec, rows):
-        raise AlgebraError("matrix is not in the family's matrix algebra")
-    coords = {}
-    for pair in spec.canonical_generators:
-        i, j = pair
-        val = Fraction(rows[spec.position(i)][spec.position(j)])
-        if not spec.is_gl and i == -j:
-            val /= 2  # self-paired sp generator maps to 2*E[i,-i]
-        if val:
-            coords[pair] = val
-    return coords
-
-
-def coordinates_to_matrix(spec: AlgebraSpec, coords):
-    rows = zero_matrix(spec.matrix_size)
-    for pair, c in coords.items():
-        mat = spec.defining_matrix(pair)
-        for r in range(spec.matrix_size):
-            for s in range(spec.matrix_size):
-                if mat[r][s]:
-                    rows[r][s] += c * mat[r][s]
-    return rows

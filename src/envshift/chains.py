@@ -266,7 +266,8 @@ def noncommuting_pairs(family: CommutativeFamily):
     block's linear generators, and ``make_chain`` nests the blocks.  The
     tensorial identity gives [(C X), (B X^N)] = c*([B,C] X^N) for every B
     (c = 1 on gl, 2 on so/sp; ``elements.check_centralizer``), and the (C X)
-    span h_J as C runs over the defining matrices of block J's generators.
+    span h_J as C runs over the patterns P_g (``AlgebraSpec.realize``) of block
+    J's generators.
     So the member commutes with U(h_J) when [B, C] = 0 for each such C, read
     on I's positions.  The family commutes when
       (a) each Casimir and terminal abelian member is central in U(h_I), which
@@ -278,11 +279,12 @@ def noncommuting_pairs(family: CommutativeFamily):
     If (b) or (c) fails, the all-pairs result is returned.
     """
     spec, levels = family.algebra, list(_levels(family.chain))
+    units = identity(spec.dim)
 
     def fixes(A, block):
         pos = [spec.position(i) for i in A.indices]
         for pair in {spec.canonicalize_pair(i, j)[1] for i in block for j in block} - {None}:
-            C = spec.defining_matrix(pair)
+            C = spec.realize(units[spec.generator_ids[pair]])
             if any(map(any, mat_commutator(A.rows, [[C[r][c] for c in pos] for r in pos]))):
                 return False
         return True

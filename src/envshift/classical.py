@@ -13,14 +13,8 @@ import random
 from fractions import Fraction
 
 from . import linalg
-from .algebra import (
-    AlgebraError,
-    AlgebraSpec,
-    coordinates_to_matrix,
-    involution,
-    matrix_to_coordinates,
-)
-from .params import ParamPolynomial, _accumulate, _scalar
+from .algebra import AlgebraError, AlgebraSpec, involution
+from .params import ParamPolynomial, _accumulate
 
 
 def coordinate(spec: AlgebraSpec, i: int, j: int) -> ParamPolynomial:
@@ -151,37 +145,13 @@ class PointOnDual:
         self.values = values  # aligned with canonical_generators
 
     @classmethod
-    def from_coordinates(cls, spec, coords: dict):
-        vals = [0] * spec.dim
-        for pair, c in coords.items():
-            vals[spec.generator_ids[pair]] = _scalar(c)
-        return cls(spec, tuple(vals))
-
-    @classmethod
-    def from_matrix(cls, spec, rows):
-        return cls.from_coordinates(spec, matrix_to_coordinates(spec, rows))
-
-    @classmethod
     def random(cls, spec, rng: random.Random, lo=-10, hi=10):
         return cls(spec, tuple(rng.randint(lo, hi) for _ in range(spec.dim)))
 
     def coordinate_realization(self):
-        """X = sum_g x_g P_g at this point: where the coordinate functions are evaluated.
-
-        It equals ``matrix()`` except on sp, where ``matrix()`` doubles the
-        self-paired entries (see AlgebraSpec.coordinate_pattern).
-        """
-        m = self.spec.matrix_size
-        rows = [[0] * m for _ in range(m)]
-        for r, c, sign, g in self.spec.coordinate_pattern:
-            rows[r][c] = sign * self.values[g]
-        return rows
-
-    def matrix(self):
-        gens = self.spec.canonical_generators
-        return coordinates_to_matrix(
-            self.spec, {gens[g]: v for g, v in enumerate(self.values) if v}
-        )
+        """X = sum_g x_g P_g (``AlgebraSpec.realize``): the one matrix of this point,
+        where the coordinate functions are evaluated."""
+        return self.spec.realize(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +219,6 @@ def random_rank2_point(spec: AlgebraSpec, seed) -> PointOnDual:
             dyad = [[u[r] * v[c] for c in range(m)] for r in range(m)]
             rows = linalg.mat_add(dyad, involution(spec, dyad))
         if linalg.rank(rows) == 2:
-            return PointOnDual.from_matrix(spec, rows)
+            return PointOnDual(spec, spec.coordinates_of(rows))
     raise AlgebraError("rank-2 sampling exhausted its retry budget")
 

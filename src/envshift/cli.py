@@ -447,7 +447,7 @@ def _run_lemma2(report, spec, args):
     def values_at(p):
         if p not in values:
             point = random_rank2_point(spec, seed=f"{args.seed}.{p}")
-            values[p] = shifted_charpoly_values(point.matrix(), A_rows, pairs)
+            values[p] = shifted_charpoly_values(point.coordinate_realization(), A_rows, pairs)
         return values[p]
 
     for M, k in pairs:

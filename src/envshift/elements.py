@@ -23,7 +23,6 @@ from .algebra import (
     AlgebraSpec,
     bracket_terms,
     coordinate_pair_orbits,
-    coordinates_to_matrix,
     matrix_in_algebra,
 )
 from .params import _scalar
@@ -261,20 +260,10 @@ def stabilizer_basis(spec: AlgebraSpec, A: ShiftMatrix) -> list:
     m = spec.matrix_size
     if len(rows_A) != m:
         raise AlgebraError("stabilizer computation needs a full-size matrix")
-    gens = spec.canonical_generators
-    columns = []
-    for pair in gens:
-        mat = [list(r) for r in spec.defining_matrix(pair)]
-        columns.append(linalg.mat_commutator(rows_A, mat))
-    system = [
-        [columns[g][r][c] for g in range(len(gens))]
-        for r in range(m)
-        for c in range(m)
-    ]
-    return [
-        _rule_rows(coordinates_to_matrix(spec, {gens[g]: cg for g, cg in enumerate(vec) if cg}))
-        for vec in linalg.nullspace(system, ncols=len(gens))
-    ]
+    columns = [linalg.mat_commutator(rows_A, spec.realize(unit))
+               for unit in linalg.identity(spec.dim)]
+    system = [[col[r][c] for col in columns] for r in range(m) for c in range(m)]
+    return [_rule_rows(spec.realize(vec)) for vec in linalg.nullspace(system, ncols=spec.dim)]
 
 
 def _rule_rows(rows):

@@ -8,7 +8,7 @@ from functools import cache, partial, reduce
 
 from envshift import elements as el
 from envshift import linalg
-from envshift.algebra import GL, SP, AlgebraError, bracket_structure
+from envshift.algebra import GL, SP, AlgebraError, bracket_structure, involution
 from envshift.classical import (
     _poly_trace, algebra_projection, coordinate_matrix, derive_rng, shifted_charpoly_values)
 from envshift.params import ParamPolynomial
@@ -344,11 +344,24 @@ def violating_shift(spec):
     return mat
 
 
+def defining_matrix(spec, pair):
+    """The generator X[pair] in the defining representation, rows and columns by
+    position: E_ij on gl, E_ij + tau(E_ij) on so/sp (``algebra.involution``).  It
+    is the pattern P_g of ``AlgebraSpec.realize``, doubled on sp's X[i,-i]."""
+    i, j = pair
+    m = spec.matrix_size
+    rows = [[0] * m for _ in range(m)]
+    rows[spec.position(i)][spec.position(j)] = 1
+    if spec.family == GL:
+        return rows
+    return [[x + t for x, t in zip(row, trow)] for row, trow in zip(rows, involution(spec, rows))]
+
+
 @cache
 def tensor_generator(spec, g, d):
     """The canonical generator g on V^(x)d, V = C^m: its ``defining_matrix`` x acting
     as x(x)1(x)...(x)1 + ... + 1(x)...(x)1(x)x.  Reads no structure constant."""
-    x = spec.defining_matrix(spec.canonical_generators[g])
+    x = defining_matrix(spec, spec.canonical_generators[g])
     m = spec.matrix_size
     flat = partial(reduce, lambda a, b: a * m + b)  # (t1, ..., td) -> row of e_t1(x)...(x)e_td
     out = [[0] * m ** d for _ in range(m ** d)]

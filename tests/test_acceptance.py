@@ -213,7 +213,7 @@ def test_criterion_6_minor_invariants_vanish_on_rank2():
             poly = charpoly_shift_invariants(spec, M, k, A.numeric_rows())
             for s in range(5):
                 pt = random_rank2_point(spec, seed=f"{name}.{M}.{k}.{s}")
-                assert linalg.rank(pt.matrix()) == 2
+                assert linalg.rank(pt.coordinate_realization()) == 2
                 assert evaluate(poly, pt) == 0, (name, M, k, s)
     _report("6 (order >= 3 minor invariants vanish at 5 rank-2 points each)")
 

@@ -13,12 +13,10 @@ from envshift.algebra import (
     SP,
     AlgebraError,
     bracket_structure,
-    coordinates_to_matrix,
     dimension_and_index,
     involution,
     make_algebra,
     matrix_in_algebra,
-    matrix_to_coordinates,
     parse_algebra,
     sign_basis,
     symmetry_signs,
@@ -129,7 +127,7 @@ def test_bracket_rejects_outside_indices():
 def _bracket_matrix(spec, a, b):
     out = [[Fraction(0)] * spec.matrix_size for _ in range(spec.matrix_size)]
     for pair, c in bracket_structure(spec, a, b).items():
-        dm = spec.defining_matrix(pair)
+        dm = oracles.defining_matrix(spec, pair)
         for r in range(spec.matrix_size):
             for s in range(spec.matrix_size):
                 out[r][s] += c * dm[r][s]
@@ -141,10 +139,8 @@ def test_brackets_match_defining_representation():
     for spec in ALL_SMALL:
         for a in spec.canonical_generators:
             for b in spec.canonical_generators:
-                lhs = linalg.mat_commutator(
-                    [list(r) for r in spec.defining_matrix(a)],
-                    [list(r) for r in spec.defining_matrix(b)],
-                )
+                lhs = linalg.mat_commutator(oracles.defining_matrix(spec, a),
+                                            oracles.defining_matrix(spec, b))
                 assert lhs == _bracket_matrix(spec, a, b), (spec.designator, a, b)
 
 
@@ -206,14 +202,28 @@ def test_dimension_is_the_number_of_canonical_generators():
 
 
 def test_matrix_coordinates_roundtrip():
-    for spec in ALL_SMALL:
-        for pair in spec.canonical_generators:
-            rows = [list(r) for r in spec.defining_matrix(pair)]
-            assert matrix_in_algebra(spec, rows)
-            coords = matrix_to_coordinates(spec, rows)
-            assert coords == {pair: Fraction(1)}
-            back = coordinates_to_matrix(spec, coords)
-            assert back == rows
+    # realize and coordinates_of are inverse on g: at random X in g (a random
+    # matrix plus its involution) and at random coordinates
+    rng = random.Random("roundtrip")
+    for name in ("gl:3", "so:4", "so:5", "sp:1", "sp:2", "sp:3"):
+        spec = parse_algebra(name)
+        m = spec.matrix_size
+        for _ in range(5):
+            R = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+            X = R if spec.is_gl else [[x + t for x, t in zip(row, trow)]
+                                      for row, trow in zip(R, involution(spec, R))]
+            assert matrix_in_algebra(spec, X), name
+            assert spec.realize(spec.coordinates_of(X)) == X, name
+            values = tuple(rng.randint(-9, 9) for _ in range(spec.dim))
+            assert matrix_in_algebra(spec, spec.realize(values)), name
+            assert spec.coordinates_of(spec.realize(values)) == values, name
+        # the unit coordinates give each generator's pattern P_g: the defining
+        # matrix, halved on sp's self-paired X[i,-i]
+        for g, pair in enumerate(spec.canonical_generators):
+            unit = [int(h == g) for h in range(spec.dim)]
+            double = 2 if pair[0] == -pair[1] else 1
+            assert [[x * double for x in row] for row in spec.realize(unit)] == \
+                oracles.defining_matrix(spec, pair), (name, pair)
 
 
 def test_symmetry_signs():

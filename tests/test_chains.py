@@ -28,7 +28,7 @@ from envshift.chains import (
 from envshift.elements import contract_rows, shift_commutator_residual
 from envshift.pbw import commutator
 from envshift.shifts import shift_from_rows
-from oracles import basis_part
+from oracles import basis_part, defining_matrix
 
 GL3 = make_algebra(GL, 3)
 GL4 = make_algebra(GL, 4)
@@ -244,7 +244,7 @@ def test_auto_shift_stabilizers_contain_next_level():
                     i, j = pair
                     if i not in sub or j not in sub:
                         continue
-                    dm = spec.defining_matrix(pair)
+                    dm = defining_matrix(spec, pair)
                     B = [
                         [dm[spec.position(a)][spec.position(b)] for b in idx]
                         for a in idx

@@ -6,7 +6,7 @@ import pytest
 
 from envshift import elements as el
 from envshift import linalg
-from envshift.algebra import GL, SO_EVEN, SO_ODD, AlgebraError, make_algebra
+from envshift.algebra import GL, SO_EVEN, SO_ODD, AlgebraError, make_algebra, parse_algebra
 from envshift.classical import (
     PointOnDual,
     coordinate,
@@ -120,7 +120,7 @@ def test_shift_expand_reconstructs_shifted_trace():
         for _ in range(10):
             pt = PointOnDual.random(GL3, rng)
             lam = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            X0 = pt.matrix()
+            X0 = pt.coordinate_realization()
             shifted = [
                 [X0[r][c] + lam * A[r][c] for c in range(3)] for r in range(3)
             ]
@@ -171,17 +171,25 @@ def test_charpoly_invariant_degrees():
 
 
 def test_rank2_points():
-    for spec in (GL3, GL4, SO4, SO5):
+    # the point's one matrix has rank 2, and at its coordinates every Lemma-2
+    # invariant (M - k >= 3) of the canonical sign -1 shift vanishes
+    for name in ("gl:3", "gl:4", "so:4", "so:5", "sp:1", "sp:2", "sp:3"):
+        spec = parse_algebra(name)
+        A = canonical_shift(spec, -1).numeric_rows()
+        m = spec.matrix_size
+        invariants = [charpoly_shift_invariants(spec, M, k, A)
+                      for M in range(1, m + 1) for k in range(1, M) if M - k >= 3]
         for s in range(3):
-            pt = random_rank2_point(spec, seed=f"{spec.designator}.{s}")
-            assert linalg.rank(pt.matrix()) == 2
+            pt = random_rank2_point(spec, seed=f"{name}.{s}")
+            assert linalg.rank(pt.coordinate_realization()) == 2, (name, s)
+            assert all(evaluate(p, pt) == 0 for p in invariants), (name, s)
     # all 3x3 minors of a rank-2 matrix vanish (gl(3): the full determinant)
     pt = random_rank2_point(GL3, seed=1)
-    X0 = pt.matrix()
+    X0 = pt.coordinate_realization()
     cs = linalg.charpoly(X0)
     assert cs[3] == 0
     # and exhaustively for a 4x4 rank-2 point
-    X0 = random_rank2_point(GL4, seed=2).matrix()
+    X0 = random_rank2_point(GL4, seed=2).coordinate_realization()
     for rows in itertools.combinations(range(4), 3):
         for cols in itertools.combinations(range(4), 3):
             sub = [[X0[r][c] for c in cols] for r in rows]

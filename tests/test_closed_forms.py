@@ -75,13 +75,11 @@ def test_shift_expand_gradients_match_symbolic(name):
         shift_expand_gradients(X, A, [(2, 2)])  # the constant tr(A^2) is no member
 
 
-def test_point_realizations_differ_only_on_sp():
+def test_point_realization_is_the_coordinate_matrix_at_the_point():
+    # the one matrix of a point is where the coordinate functions live
     for name in ALGEBRAS:
         spec = parse_algebra(name)
         point = PointOnDual.random(spec, random.Random(name))
-        same = point.coordinate_realization() == point.matrix()
-        assert same == (spec.family != "sp"), name
-        # the coordinate realization is where the coordinate functions live
         X = coordinate_matrix(spec)
         vals = dict(enumerate(point.values))
         assert point.coordinate_realization() == [
@@ -101,11 +99,8 @@ def test_charpoly_values_match_symbolic(name):
         pairs = [(M, k) for M in range(2, m + 1) for k in range(1, M)]
     polys = {(M, k): charpoly_shift_invariants(spec, M, k, A) for M, k in pairs}
     for point in _points(spec, rng):
-        # gl and so: matrix() is the coordinate realization; sp needs the latter
         got = shifted_charpoly_values(point.coordinate_realization(), A, pairs)
         assert got == {mk: evaluate(p, point) for mk, p in polys.items()}, name
-        if spec.family != "sp":
-            assert got == shifted_charpoly_values(point.matrix(), A, pairs)
 
 
 def test_charpoly_values_validate_pairs():

@@ -8,6 +8,10 @@
 * ``classical`` imports nothing from ``pbw``.
 * Only ``algebra`` states the so/sp pair relation: ``classical`` and ``shifts``
   call no ``eps``.
+* ``AlgebraSpec.coordinate_pattern`` is the one statement of a generator as a
+  matrix: it is read only by ``AlgebraSpec.realize``, its inverse
+  ``coordinates_of`` and its transpose ``classical.coordinate_gradient``, and no
+  module names a ``defining_matrix``.
 * Every public function has a caller in the package or is a library entry point,
   and every public method or property of a package class is reached as an
   attribute, ``obj.name``, in the package outside its own body; the name of a
@@ -138,6 +142,18 @@ def test_only_algebra_states_the_pair_relation(trees):
     # classical and shifts reach it through involution, symmetry_signs and sign_basis
     assert {name for name in ("classical.py", "shifts.py") for node in ast.walk(trees[name])
             if isinstance(node, ast.Call) and _reference(node.func) == "eps"} == set()
+
+
+def test_one_map_from_coordinates_to_matrices(trees):
+    readers = {(module, name) for module, tree in trees.items() for name, fn in _functions(tree)
+               for node in ast.walk(fn) if _reference(node) == "coordinate_pattern"
+               and name != "AlgebraSpec.coordinate_pattern"}
+    assert readers == {("algebra.py", "AlgebraSpec.realize"),
+                       ("algebra.py", "AlgebraSpec.coordinates_of"),
+                       ("classical.py", "coordinate_gradient")}
+    assert [module for module, tree in trees.items() for node in ast.walk(tree)
+            if _reference(node) == "defining_matrix"
+            or getattr(node, "name", None) == "defining_matrix"] == []
 
 
 def test_fold_is_called_only_by_the_walk_and_the_product_cache(trees):

@@ -3,8 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (degree, every_index_tuple, from_word, power_bracket_residual_direct,
-                     top_symbol, total_degree, violating_shift)
+from oracles import (defining_matrix, degree, every_index_tuple, from_word,
+                     power_bracket_residual_direct, top_symbol, total_degree, violating_shift)
 
 from envshift import cli, pbw
 from envshift import elements as el
@@ -168,7 +168,7 @@ def test_centralizer_identity_holds_for_every_A(spec, A):
     rows = _centralizer_shifts(spec)[A]
     assert spec.is_gl or matrix_in_algebra(spec, rows) == (A == "shift")
     for pair in spec.canonical_generators:
-        B = [list(r) for r in spec.defining_matrix(pair)]
+        B = defining_matrix(spec, pair)
         for N in (1, 2, 3):
             assert el.check_centralizer(spec, shift_from_rows(spec, rows), B, N).is_zero, (pair, N)
 
@@ -178,7 +178,7 @@ def test_centralizer_identity_so_sp_has_factor_two():
     from envshift import linalg
 
     A = canonical_shift(SO4, -1)
-    B = [list(r) for r in SO4.defining_matrix((1, 2))]
+    B = defining_matrix(SO4, (1, 2))
     lhs = commutator(el.contract_rows(SO4, B, 1), el.shift_generator(SO4, A, 2))
     bk = linalg.mat_commutator(A.numeric_rows(), B)
     once = el.contract_rows(SO4, bk, 2)

@@ -1,7 +1,7 @@
 """Oracles for the PBW product and the coefficient rule.
 
 * The defining representation: rho(pq) = rho(p) rho(q) in End(V), with
-  ``oracles.rho`` built from ``AlgebraSpec.defining_matrix`` alone, so it
+  ``oracles.rho`` built from ``oracles.defining_matrix`` alone, so it
   shares no code with the rewrite tables.
 * The cache-free bubble rewriter: multiply(p, q) equals the normal form of
   the concatenated words under both rewrite strategies, including q's whose

@@ -47,7 +47,7 @@ def _matrix(rows, xs=None):
 
 def _point_and_shift(spec, rng):
     X = PointOnDual.random(spec, rng).coordinate_realization()
-    A = PointOnDual.random(spec, rng, lo=-3, hi=3).matrix()
+    A = PointOnDual.random(spec, rng, lo=-3, hi=3).coordinate_realization()
     return X, A
 
 
@@ -108,7 +108,7 @@ def test_closed_form_gradients_match_sympy(name):
     rng = random.Random("sympy-gradient" + name)
     point = PointOnDual.random(spec, rng)
     X = point.coordinate_realization()
-    A = PointOnDual.random(spec, rng, lo=-3, hi=3).matrix()
+    A = PointOnDual.random(spec, rng, lo=-3, hi=3).coordinate_realization()
     at = {x: _number(v) for x, v in zip(xs, point.values)}
 
     def differentiated(f):
